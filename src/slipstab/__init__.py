@@ -8,7 +8,6 @@ and a nonlinear time-domain oracle.
 """
 
 from .errors import (
-    BlowUp,
     BranchPole,
     ContourThroughZero,
     DomainError,
@@ -47,6 +46,7 @@ from .neutral import (
     StabilityVerdict,
     SweepRow,
     critical_mode,
+    critical_mode_q,
     solve_intersonic,
     solve_subsonic,
     sweep_q,
@@ -82,7 +82,7 @@ __all__ = [
     # errors
     "SlipStabError", "NotPositiveDefinite", "NonpositiveVelocity", "DomainError",
     "VelocityStrengthening", "BranchPole", "EmptyInterval", "EmptyIntervalWarning",
-    "ContourThroughZero", "StepFailure", "BlowUp", "Inconclusive", "InputError",
+    "ContourThroughZero", "StepFailure", "Inconclusive", "InputError",
     # materials
     "ShearStiffness", "EffectiveMedium", "BiMaterial",
     "effective_medium", "make_bimaterial",
@@ -94,7 +94,8 @@ __all__ = [
     "f_laplace", "f_normalized", "f_subsonic", "f_intersonic",
     # neutral modes
     "Branch", "NeutralMode", "Stability", "StabilityVerdict", "SweepRow",
-    "solve_subsonic", "solve_intersonic", "critical_mode", "sweep_q",
+    "solve_subsonic", "solve_intersonic", "critical_mode", "critical_mode_q",
+    "sweep_q",
     # closed forms
     "SpringBlockParams", "RateOnlyVerdict",
     "spring_block_critical", "quasistatic_continuum",

@@ -37,8 +37,7 @@ from .errors import InputError, SlipStabError
 from .friction import EvolutionLaw, RateState, friction_stress
 from .materials import (BiMaterial, EffectiveMedium, ShearStiffness,
                         effective_medium, make_bimaterial)
-from .neutral import Branch, Stability, critical_mode, solve_intersonic, \
-    solve_subsonic, sweep_q
+from .neutral import Stability, critical_mode, critical_mode_q, sweep_q
 from .simulate import BlockState, simulate_spring_block
 from .closed_forms import SpringBlockParams
 from .verification import (FIGURE_B_OVER_A, FIGURE_PRESETS, FIGURE_Q_GRID,
@@ -49,19 +48,6 @@ _RAW_1 = ("c44", "c45", "c55", "rho")
 _RAW_2 = ("c44_2", "c45_2", "c55_2", "rho_2")
 _EFF_1 = ("mu", "c1")
 _EFF_2 = ("mu_2", "c1_2")
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("SLIPSTAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"SLIPSTAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise InputError(f"SLIPSTAB_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _merge_config(args: argparse.Namespace, fields: Sequence[str]) -> dict:
@@ -208,26 +194,14 @@ def _cmd_kcr(args: argparse.Namespace) -> int:
         q = cfg["q"]
         if not q > 0.0:
             raise InputError(f"q must be positive, got {q}")
-        b_over_a = _require(cfg, "b_over_a")
-        if b_over_a <= 1.0:
-            print("always-stable")
-            return 0
         bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
                                     cfg.get("speed_ratio", 1.0))
-        modes = [solve_subsonic(q, bm)]
-        if bm.speed_ratio > 1.0:
-            modes.extend(solve_intersonic(q, b_over_a, bm))
-        crit = max(modes, key=lambda mo: mo.k_hat)
-        _print_kv("status", Stability.CRITICAL_MODE.value)
-        _print_kv("branch", crit.branch.value)
-        _print_kv("c_over_c1", crit.c_over_c1)
-        _print_kv("k_hat", crit.k_hat)
-        return 0
-
-    if friction is None:
+        verdict = critical_mode_q(q, _require(cfg, "b_over_a"), bm)
+    elif friction is None:
         raise InputError("missing input: give q/b_over_a or friction fields")
-    bm = _dimensional_bimaterial(cfg)
-    verdict = critical_mode(friction, bm)
+    else:
+        bm = _dimensional_bimaterial(cfg)
+        verdict = critical_mode(friction, bm)
     if verdict.status is Stability.ALWAYS_STABLE:
         print("always-stable")
         return 0
@@ -236,6 +210,8 @@ def _cmd_kcr(args: argparse.Namespace) -> int:
     _print_kv("branch", mode.branch.value)
     _print_kv("c_over_c1", mode.c_over_c1)
     _print_kv("k_hat", mode.k_hat)
+    if nondim:
+        return 0
     _print_kv("k_mag", mode.k_mag)
     _print_kv("c", mode.c_over_c1 * bm.slow.c1)
     _print_kv("omega", mode.omega)
@@ -269,7 +245,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError(f"b_over_a must exceed 1 for a sweep, got {b_over_a}")
     bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
                                 cfg.get("speed_ratio", 1.0))
-    rows = sweep_q(grid, b_over_a, bm, max_workers=_threads())
+    rows = sweep_q(grid, b_over_a, bm)
     echo = {"mode": "sweep", "q_min": cfg["q_min"], "q_max": cfg["q_max"],
             "q_points": int(cfg["q_points"]), "log": bool(cfg.get("log", False)),
             "mu_ratio": bm.mu_ratio, "speed_ratio": bm.speed_ratio,
@@ -291,11 +267,10 @@ def write_figures(outdir: Path) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     lo, hi, n = FIGURE_Q_GRID
     grid = [float(v) for v in np.logspace(math.log10(lo), math.log10(hi), n)]
-    workers = _threads()
     paths: list[Path] = []
     for i, (speed_ratio, mu_ratio) in enumerate(FIGURE_PRESETS):
         bm = BiMaterial.from_ratios(mu_ratio, speed_ratio)
-        rows = sweep_q(grid, FIGURE_B_OVER_A, bm, max_workers=workers)
+        rows = sweep_q(grid, FIGURE_B_OVER_A, bm)
         base = {"mode": "figures", "q_min": lo, "q_max": hi, "q_points": n,
                 "log": True, "mu_ratio": mu_ratio, "speed_ratio": speed_ratio,
                 "b_over_a": FIGURE_B_OVER_A}

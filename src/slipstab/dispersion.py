@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ContourThroughZero, DomainError, SlipStabError
 from .friction import RateState
 from .materials import BiMaterial
-from .neutral import NeutralMode, Stability, critical_mode
+from .neutral import NeutralMode, critical_mode
 from .transfer import f_laplace, f_normalized
 
 __all__ = [
@@ -232,10 +232,7 @@ def certify_crossing(p: RateState, bm: BiMaterial,
     if not p.weakening:
         return True
     if mode is None:
-        verdict = critical_mode(p, bm)
-        if verdict.status is not Stability.CRITICAL_MODE:
-            return verdict.status is Stability.ALWAYS_STABLE
-        mode = verdict.mode
+        mode = critical_mode(p, bm).mode
     if mode.k_mag is None:
         raise DomainError("certification needs a mode with dimensional k_mag")
     above = count_unstable(CharParams(k=(1.0 + margin) * mode.k_mag,

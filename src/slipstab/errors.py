@@ -41,10 +41,6 @@ class StepFailure(SlipStabError, RuntimeError):
         self.last_state = last_state
 
 
-class BlowUp(SlipStabError, RuntimeError):
-    """Velocity exceeded the runaway guard (reserved; runs normally flag and halt)."""
-
-
 class Inconclusive(SlipStabError, RuntimeError):
     """Stiffness bisection could not classify growth vs decay within its budget."""
 

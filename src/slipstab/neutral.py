@@ -7,13 +7,18 @@ one scalar equation for the phase velocity c and one for the wavenumber:
 
 * subsonic (0 < c < c1):  (c/c1)/F(c) = q, with q the nondimensional sliding
   velocity; then |k|*c = sqrt((b-a)/a)*v_o/L, independent of elasticity.
-* intersonic (c1 < c < c1'):  sqrt(b/a-1)*(c/c1) /
+* intersonic (c1 < c < c1'):  Q(c) = sqrt(b/a-1)*(c/c1) /
   [sqrt((F2*b/2a)^2 + (b/a-1)*F1^2) - F2*b/2a + F2] = q; then
   |k|*c = [sqrt((b/a)^2*F2^2/(4*F1^2) + (b-a)/a) - (b/a)*F2/(2*F1)]*v_o/L.
 
 Reported wavenumbers are normalized as k_hat = |k|*L*mu*mu' /
 ((b-a)*sigma_o*(mu+mu')), which tends to 1 in the quasi-static limit q -> 0.
 On the subsonic branch k_hat = F(0)/F(c) identically.
+
+Q does not depend on q and has one minimum q_w on (c1, c1') (Ranjith & Rice
+2001, JMPS 49, 341): no intersonic mode for q <= q_w, exactly two above it.
+Whole q grids are solved as arrays.  Every intersonic mode has k_hat <
+F(0)*q < subsonic k_hat (see critical_mode_q): the critical mode is subsonic.
 """
 
 from __future__ import annotations
@@ -25,21 +30,22 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, EmptyIntervalWarning, SlipStabError, VelocityStrengthening
+from .errors import DomainError, EmptyIntervalWarning, SlipStabError
 from .friction import RateState, nondim_q
 from .materials import BiMaterial
+from .transfer import f_intersonic_parts
 
-__all__ = [
-    "Branch",
-    "NeutralMode",
-    "Stability",
-    "StabilityVerdict",
-    "SweepRow",
-    "solve_subsonic",
-    "solve_intersonic",
-    "critical_mode",
-    "sweep_q",
-]
+__all__ = ["Branch", "NeutralMode", "Stability", "StabilityVerdict", "SweepRow",
+           "solve_subsonic", "solve_intersonic", "critical_mode",
+           "critical_mode_q", "sweep_q"]
+
+_FLOAT = np.finfo(float)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section range in tau of the window minimum (within [-13.1, 5.2] for
+# m, r - 1, b/a - 1 in [1e-2, 1e2], [1e-3, 31.6], [1e-3, 10]); outer root
+# brackets, where u or v is (r - 1)*e^-600 and Q about 1e130
+_TAU_WINDOW = 40.0
+_TAU_END = 600.0
 
 
 class Branch(str, Enum):
@@ -67,7 +73,6 @@ class NeutralMode:
 class Stability(str, Enum):
     ALWAYS_STABLE = "always-stable"
     CRITICAL_MODE = "critical-mode"
-    ILL_DEFINED = "ill-defined"
 
 
 @dataclass(frozen=True)
@@ -76,18 +81,14 @@ class StabilityVerdict:
 
     b <= a gives ALWAYS_STABLE with no mode; velocity weakening gives
     CRITICAL_MODE carrying the neutral mode of largest wavenumber.
-    ILL_DEFINED is reserved for degenerate inputs (none are currently
-    constructible: RateState validation screens them out).
     """
 
     status: Stability
     mode: NeutralMode | None = None
 
     def __post_init__(self):
-        if self.status is Stability.CRITICAL_MODE and self.mode is None:
-            raise DomainError("critical-mode verdict requires a mode")
-        if self.status is not Stability.CRITICAL_MODE and self.mode is not None:
-            raise DomainError(f"{self.status.value} verdict cannot carry a mode")
+        if (self.mode is None) != (self.status is Stability.ALWAYS_STABLE):
+            raise DomainError(f"{self.status.value} verdict must carry a mode iff critical")
 
 
 @dataclass(frozen=True)
@@ -100,26 +101,160 @@ class SweepRow:
     k_hat: float
 
 
-def _subsonic_g(t: float, m: float, r: float) -> float:
-    """Monotone image of the subsonic phase-velocity equation.
+def _bracketed_roots(f, a, fa, b, fb, rtol: float):
+    """Elementwise root of f between a and b, by Anderson-Bjorck regula falsi.
 
-    With t = (c/c1)^2 / (1 - (c/c1)^2) the equation (c/c1)/F(c) = q becomes
-    g(t) = sqrt(t) * (h(t) + m) / (2*m) = q, where h = beta/beta' =
-    r / sqrt(r^2 + t*(r^2-1)).  g is strictly increasing on t > 0, so the
-    root is unique; t is used instead of c/c1 because it keeps both c/c1
-    and 1 - (c/c1)^2 (hence k_hat) at full float accuracy for all q.
+    fa = f(a) and fb = f(b) lie on opposite sides of zero in every element,
+    f = 0 counting as negative.  A regula falsi point not strictly inside
+    falls back to the float next to the newest end if it fell on that end,
+    else to the midpoint.  rtol = 0 runs to adjacent floats, the outcome of
+    bisection; rtol > 0 stops at a bracket no wider than rtol*(1 + |b|) or
+    a residual within rtol of zero.  Returns the end with the smaller
+    residual (the negative one on a tie).
     """
-    h = r / math.sqrt(r * r + t * (r * r - 1.0))
-    return math.sqrt(t) * (h + m) / (2.0 * m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            d = b - a
+            mid = a + 0.5 * d
+            live = (mid != a) & (mid != b)
+            if rtol:
+                live &= (np.abs(d) > rtol * (1.0 + np.abs(b))) & (np.abs(fb) > rtol)
+            if not live.any():
+                break
+            c = b - fb * (d / (fb - fa))
+            c = np.where((c - a) * (c - b) < 0.0, c,
+                         np.where(c == b, np.nextafter(b, a), mid))
+            # a stopped element re-evaluates b, which changes nothing, so
+            # each element's result is the one it would get alone
+            c = np.where(live, c, b)
+            fc = f(c)
+            swap = (fc > 0.0) != (fb > 0.0)
+            shrink = 1.0 - fc / fb
+            fa = np.where(swap, fb, np.where(shrink > 0.0, shrink, 0.5) * fa)
+            a = np.where(swap, b, a)
+            b, fb = c, fc
+        else:
+            raise SlipStabError("neutral-mode root search did not converge")
+    ra, rb = f(a), f(b)
+    pick_a = (np.abs(ra) < np.abs(rb)) | ((np.abs(ra) == np.abs(rb)) & (ra <= 0.0))
+    return np.where(pick_a, a, b)
 
 
-def _dimensional_fields(x: float, omega_hat: float, friction: RateState,
-                        bm: BiMaterial) -> tuple[float, float]:
-    """(|k|, omega) from c/c1 and the nondimensional frequency omega*L/v_o."""
-    lam = friction.v_o / friction.L
-    omega = omega_hat * lam
-    k_mag = omega / (x * bm.slow.c1)
-    return k_mag, omega
+def _subsonic_modes(qs: np.ndarray, m: float, r: float):
+    """(c/c1, k_hat) arrays of the subsonic modes at every q in qs.
+
+    With t = x^2/(1 - x^2), x = c/c1, x/F(c) = q becomes the increasing
+    g(t) = sqrt(t)*(h + m)/(2m) = q, h = beta/beta' = r/sqrt(r^2 + t(r^2-1));
+    t keeps x and 1 - x^2 (hence k_hat) accurate for all q.  T(t) =
+    (2mq/(h + m))^2 increases and fixes the root, so T(T(0)) <= t <=
+    T(T(inf)); these brackets, widened by 1e-12, are clamped to the normal
+    floats, and a root t cannot represent raises DomainError.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        def h(t):
+            return r / np.sqrt(r * r + t * (r * r - 1.0))
+
+        def resid(t):
+            # (g^2 - q^2)/q: the sign of g - q, nearly linear in t
+            g = np.sqrt(t) * (h(t) + m) / (2.0 * m)
+            return (g - qs) * (g / qs + 1.0)
+
+        def image(h_t):  # T(t), from h(t)
+            return (2.0 * m * qs / (h_t + m)) ** 2
+
+        t_lo = np.clip(image(h(image(1.0))) * (1.0 - 1e-12), _FLOAT.tiny, _FLOAT.max)
+        t_hi = np.clip(image(h(image(0.0))) * (1.0 + 1e-12), _FLOAT.tiny, _FLOAT.max)
+
+        r_lo, r_hi = resid(t_lo), resid(t_hi)
+        outside = ~((r_lo <= 0.0) & (r_hi > 0.0))
+        if outside.any():
+            raise DomainError(f"q = {float(qs[outside][0])} lies outside the range "
+                              f"(about 1e-154 to 1e154) the subsonic solve resolves")
+        t = _bracketed_roots(resid, t_lo, r_lo, t_hi, r_hi, 0.0)
+        # k_hat = F(0)/F(c), evaluated from t so no accuracy is lost as c -> c1
+        k_hat = 2.0 * m / (1.0 + m) * (h(t) + m) * np.sqrt(1.0 + t) / (2.0 * m)
+        return np.sqrt(t / (1.0 + t)), k_hat
+
+
+def _intersonic_terms(tau, m: float, r: float, b_over_a: float):
+    """(Q, u, v, F1, F2) at tau = ln(u/v), u = c/c1 - 1, v = c1'/c1 - c/c1,
+    floats or ndarrays.  u and v keep Q accurate at both ends of (c1, c1');
+    the root difference is rationalized: sqrt(A^2 + B) - A = B/(sqrt(A^2 + B) + A)."""
+    e = np.exp(tau)
+    u, v = (r - 1.0) / (1.0 + 1.0 / e), (r - 1.0) / (1.0 + e)
+    f1, f2 = f_intersonic_parts(u, v, m, r)
+    w = b_over_a - 1.0
+    half = 0.5 * b_over_a * f2
+    big = w * f1 * f1
+    q_val = math.sqrt(w) * (1.0 + u) / (big / (np.sqrt(half * half + big) + half) + f2)
+    return q_val, u, v, f1, f2
+
+
+def _intersonic_window(m: float, r: float, b_over_a: float) -> tuple[float, float]:
+    """(tau*, q_w): the minimiser of Q in tau, by golden section, and Q there.
+    Q is flat at its minimum, so a 1e-8 tau bracket gives q_w to rounding."""
+    def q_at(tau: float) -> float:
+        return float(_intersonic_terms(tau, m, r, b_over_a)[0])
+
+    lo, hi = -_TAU_WINDOW, _TAU_WINDOW
+    t1, t2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    q1, q2 = q_at(t1), q_at(t2)
+    while hi - lo > 1e-8:
+        if q1 <= q2:
+            hi, t2, q2 = t2, t1, q1
+            t1 = hi - _GOLDEN * (hi - lo)
+            q1 = q_at(t1)
+        else:
+            lo, t1, q1 = t1, t2, q2
+            t2 = lo + _GOLDEN * (hi - lo)
+            q2 = q_at(t2)
+    tau_w, q_w = (t1, q1) if q1 <= q2 else (t2, q2)
+    if not abs(tau_w) < _TAU_WINDOW - 1.0:
+        raise SlipStabError(f"window minimum at tau = {tau_w} is off the search range")
+    return tau_w, q_w
+
+
+def _intersonic_modes(qs: np.ndarray, m: float, r: float, b_over_a: float):
+    """(index into qs, c/c1, k_hat, omega*L/v_o) of the intersonic modes: per q
+    above the window, in qs order, the root closer to c1 first.  Each root
+    is checked to a relative residual of 1e-10 in tau."""
+    tau_w, q_w = _intersonic_window(m, r, b_over_a)
+    index = np.repeat(np.flatnonzero(qs > q_w), 2)
+    q2 = qs[index]
+    outer = np.tile([-_TAU_END, _TAU_END], index.size // 2)
+    inner = np.full(index.size, tau_w)
+
+    def resid(tau):
+        return np.log(_intersonic_terms(tau, m, r, b_over_a)[0] / q2)
+
+    r_out = resid(outer)
+    if np.any(r_out <= 0.0):
+        raise DomainError(f"q = {float(q2.max())} is beyond the intersonic solve's range")
+    tau = _bracketed_roots(resid, inner, resid(inner), outer, r_out, 2.0 * _FLOAT.eps)
+    q_val, u, v, f1, f2 = _intersonic_terms(tau, m, r, b_over_a)
+    x = np.where(u < v, 1.0 + u, r - v)
+    bad = np.abs(q_val - q2) > 1e-10 * q2
+    if bad.any():
+        raise SlipStabError(f"intersonic residual above 1e-10 at c/c1 = {float(x[bad][0])}")
+    w = b_over_a - 1.0
+    ratio = 0.5 * b_over_a * f2 / f1
+    # omega*L/v_o = sqrt(ratio^2 + w) - ratio, rationalized
+    omega_hat = w / (np.sqrt(ratio * ratio + w) + ratio)
+    k_hat = q2 * (2.0 * m / (1.0 + m)) * omega_hat / (x * math.sqrt(w))
+    return index, x, k_hat, omega_hat
+
+
+def _modes(branch: Branch, xs, k_hats, omega_hats, friction: RateState | None,
+           bm: BiMaterial) -> list[NeutralMode]:
+    """NeutralModes from arrays of c/c1, k_hat and omega*L/v_o; `friction`
+    fills in omega and |k| = omega/c."""
+    modes = []
+    for x, k_hat, omega_hat in zip(xs.tolist(), k_hats.tolist(), omega_hats.tolist()):
+        omega = None if friction is None else omega_hat * (friction.v_o / friction.L)
+        k_mag = None if friction is None else omega / (x * bm.slow.c1)
+        modes.append(NeutralMode(branch=branch, c_over_c1=x, k_hat=k_hat,
+                                 k_mag=k_mag, omega=omega))
+    return modes
 
 
 def _check_friction(q: float, friction: RateState, bm: BiMaterial) -> None:
@@ -134,11 +269,11 @@ def solve_subsonic(q: float, bm: BiMaterial,
                    friction: RateState | None = None) -> NeutralMode:
     """Locate the unique subsonic neutral mode for sliding velocity q > 0.
 
-    Bracketed bisection on the monotone form of the phase-velocity equation;
-    the brackets are closed-form ((2*m*q/(1+m))^2 from below, 4*q^2 from
-    above) and the iteration runs to float resolution, leaving a relative
-    residual well under 1e-12.  Pass `friction` (its q must agree with the
-    q argument) to populate the dimensional fields.
+    Bracketed root search on the monotone form of the phase-velocity
+    equation, run to adjacent floats, leaving a relative residual well under
+    1e-12; q outside about [1e-154, 1e154] raises DomainError.  Pass
+    `friction` (its q must agree with the q argument) to populate the
+    dimensional fields.
 
     Returns a NeutralMode with k_hat = F(0)/F(c) >= 1 and, dimensionally,
     |k| = sqrt((b-a)/a)*(v_o/L)/c and omega = |k|*c.
@@ -147,97 +282,20 @@ def solve_subsonic(q: float, bm: BiMaterial,
         raise DomainError(f"q must be positive, got {q}")
     if friction is not None:
         _check_friction(q, friction, bm)
-    m = bm.mu_ratio
-    r = bm.speed_ratio
-
-    # g(t_lo) <= q <= g(t_hi) holds exactly in real arithmetic (h <= 1 and
-    # h + m > m); the while guards absorb rounding of the endpoints
-    t_lo = (2.0 * m * q / (1.0 + m)) ** 2
-    t_hi = 4.0 * q * q
-    while _subsonic_g(t_lo, m, r) > q:
-        t_lo *= 0.5
-    while _subsonic_g(t_hi, m, r) <= q:
-        t_hi *= 2.0
-    for _ in range(200):
-        t_mid = math.sqrt(t_lo * t_hi)
-        if not t_lo < t_mid < t_hi:
-            break
-        if _subsonic_g(t_mid, m, r) <= q:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    # closer endpoint by residual
-    t = t_lo if q - _subsonic_g(t_lo, m, r) <= _subsonic_g(t_hi, m, r) - q else t_hi
-
-    x = math.sqrt(t / (1.0 + t))
-    h = r / math.sqrt(r * r + t * (r * r - 1.0))
-    f0 = 2.0 * m / (1.0 + m)
-    # k_hat = F(0)/F(c), evaluated from t so no accuracy is lost as c -> c1
-    k_hat = f0 * (h + m) * math.sqrt(1.0 + t) / (2.0 * m)
-
-    k_mag = omega = None
-    if friction is not None:
-        w = (friction.b - friction.a) / friction.a
-        k_mag, omega = _dimensional_fields(x, math.sqrt(w), friction, bm)
-    return NeutralMode(branch=Branch.SUBSONIC, c_over_c1=x, k_hat=k_hat,
-                       k_mag=k_mag, omega=omega)
-
-
-def _intersonic_q(x, m: float, r: float, b_over_a: float):
-    """Left side of the intersonic phase-velocity equation at c/c1 = x.
-
-    Vectorized over x.  Written with the root-difference rationalized so the
-    endpoint limits (F1, F2 -> 0) stay fully accurate.
-    """
-    w = b_over_a - 1.0
-    s2 = (x - 1.0) * (x + 1.0)
-    s = np.sqrt(s2)
-    beta_fast = np.sqrt((r - x) * (r + x)) / r
-    mb = m * beta_fast
-    d = mb * mb + s2
-    f1 = 2.0 * m * beta_fast * s2 / d
-    f2 = 2.0 * mb * mb * s / d
-    a_half = 0.5 * b_over_a * f2
-    # sqrt(a_half^2 + w*f1^2) - a_half, without cancellation
-    root_diff = w * f1 * f1 / (np.sqrt(a_half * a_half + w * f1 * f1) + a_half)
-    return math.sqrt(w) * x / (root_diff + f2)
-
-
-def _intersonic_mode(x: float, q: float, m: float, r: float, b_over_a: float,
-                     friction: RateState | None, bm: BiMaterial) -> NeutralMode:
-    """Assemble a NeutralMode at an intersonic root x of the phase equation."""
-    w = b_over_a - 1.0
-    s2 = (x - 1.0) * (x + 1.0)
-    s = math.sqrt(s2)
-    beta_fast = math.sqrt(((r - 1.0) - (x - 1.0)) * (r + x)) / r
-    mb = m * beta_fast
-    d = mb * mb + s2
-    f1 = 2.0 * m * beta_fast * s2 / d
-    f2 = 2.0 * mb * mb * s / d
-    x_tilde = 0.5 * b_over_a * f2 / f1
-    # omega*L/v_o = sqrt(x_tilde^2 + w) - x_tilde, rationalized
-    omega_hat = w / (math.sqrt(x_tilde * x_tilde + w) + x_tilde)
-    f0 = 2.0 * m / (1.0 + m)
-    k_hat = q * f0 * omega_hat / (x * math.sqrt(w))
-    k_mag = omega = None
-    if friction is not None:
-        k_mag, omega = _dimensional_fields(x, omega_hat, friction, bm)
-    return NeutralMode(branch=Branch.INTERSONIC, c_over_c1=x, k_hat=k_hat,
-                       k_mag=k_mag, omega=omega)
+    x, k_hat = _subsonic_modes(np.array([float(q)]), bm.mu_ratio, bm.speed_ratio)
+    # omega*L/v_o = sqrt((b-a)/a) on this branch
+    w = math.nan if friction is None else (friction.b - friction.a) / friction.a
+    return _modes(Branch.SUBSONIC, x, k_hat, np.sqrt([w]), friction, bm)[0]
 
 
 def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial,
-                     friction: RateState | None = None,
-                     scan_points: int = 2048) -> list[NeutralMode]:
+                     friction: RateState | None = None) -> list[NeutralMode]:
     """All intersonic neutral modes at sliding velocity q, sorted by c.
 
-    The phase-velocity equation's left side diverges at both ends of
-    (c1, c1'), so modes come in pairs: none below a window minimum in q,
-    generically two above it.  A uniform scan of `scan_points` samples over
-    (c1*(1 + 1e-9), c1'*(1 - 1e-9)) brackets every sign change, and each
-    bracket is bisected to float resolution.  Pairs closer than the scan
-    spacing (q barely above the window minimum) can evade the scan; counts
-    are reported as found.
+    The left side Q of the phase-velocity equation has one minimum q_w on
+    (c1, c1'), found by golden section in tau = ln(u/v), u = c/c1 - 1,
+    v = c1'/c1 - c/c1.  q <= q_w gives no mode, q > q_w one on each side
+    of the minimum, solved in tau to a relative residual under 1e-10.
 
     Equal wave speeds return [] under EmptyIntervalWarning.  The intersonic
     equations involve b/a on their own, hence the extra argument; it must be
@@ -254,111 +312,72 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial,
                 f"friction parameters give b/a = {friction.b / friction.a}, "
                 f"inconsistent with requested {b_over_a}"
             )
-    m = bm.mu_ratio
-    r = bm.speed_ratio
-    if r == 1.0:
+    if bm.speed_ratio == 1.0:
         warnings.warn("equal wave speeds: no intersonic interval",
                       EmptyIntervalWarning, stacklevel=2)
         return []
+    _, xs, k_hats, omega_hats = _intersonic_modes(
+        np.array([float(q)]), bm.mu_ratio, bm.speed_ratio, b_over_a)
+    return _modes(Branch.INTERSONIC, xs, k_hats, omega_hats, friction, bm)
 
-    x_lo = 1.0 + 1e-9
-    x_hi = r * (1.0 - 1e-9)
-    if not x_lo < x_hi:
-        warnings.warn("wave speeds too close to resolve an intersonic interval",
-                      EmptyIntervalWarning, stacklevel=2)
-        return []
-    xs = np.linspace(x_lo, x_hi, scan_points)
-    delta = _intersonic_q(xs, m, r, b_over_a) - q
 
-    roots: list[float] = []
-    for i in range(scan_points - 1):
-        if delta[i] == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if delta[i] * delta[i + 1] < 0.0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            g_lo = float(delta[i])
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                g_mid = float(_intersonic_q(mid, m, r, b_over_a)) - q
-                if g_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (g_mid > 0.0) == (g_lo > 0.0):
-                    lo, g_lo = mid, g_mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    if delta[-1] == 0.0:
-        roots.append(float(xs[-1]))
+def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial,
+                    friction: RateState | None = None) -> StabilityVerdict:
+    """Stability verdict at nondimensional sliding velocity q and ratio b/a.
 
-    modes = []
-    for x in roots:
-        resid = abs(float(_intersonic_q(x, m, r, b_over_a)) - q)
-        if resid > 1e-10 * q:
-            raise SlipStabError(
-                f"intersonic root at c/c1 = {x} left residual {resid / q:.3e} (relative)"
-            )
-        modes.append(_intersonic_mode(x, q, m, r, b_over_a, friction, bm))
-    modes.sort(key=lambda mo: mo.c_over_c1)
-    return modes
+    b/a <= 1 never destabilizes (ALWAYS_STABLE).  Otherwise perturbations
+    of wavenumber above the critical one decay and below it grow, so the
+    neutral mode of largest |k| over both branches is the critical mode.
+    It is always the subsonic one: with f0 = F(0) = 2m/(1+m), w = b/a - 1
+    and t = x^2/(1 - x^2) the subsonic root variable of _subsonic_modes,
+
+        k_hat_sub = f0*q*sqrt((1+t)/t) > f0*q,
+        k_hat_inter = f0*q*omega_hat/(x*sqrt(w)) < f0*q/x < f0*q,
+
+    as omega_hat = sqrt(x_t^2 + w) - x_t < sqrt(w) (x_t = (b/a)*F2/(2*F1) > 0)
+    and x = c/c1 > 1.  So only the subsonic branch is solved.  `friction`
+    (consistent with q) fills in the dimensional fields.
+    """
+    if not b_over_a > 1.0:
+        return StabilityVerdict(status=Stability.ALWAYS_STABLE)
+    return StabilityVerdict(status=Stability.CRITICAL_MODE,
+                            mode=solve_subsonic(q, bm, friction=friction))
 
 
 def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
     """Stability verdict for steady sliding: the neutral mode of largest |k|.
 
-    b <= a never destabilizes (ALWAYS_STABLE).  Otherwise perturbations of
-    wavenumber above the critical one decay and below it grow, so the
-    largest-|k| neutral mode over both branches is the critical mode; the
-    subsonic branch supplies it, and its phase velocity obeys
-    c < min(c1, c1').
+    critical_mode_q at q = nondim_q(p, bm.slow), with |k| and omega filled
+    in; b <= a is ALWAYS_STABLE.
     """
     if not p.weakening:
         return StabilityVerdict(status=Stability.ALWAYS_STABLE)
-    q = nondim_q(p, bm.slow)
-    candidates = [solve_subsonic(q, bm, friction=p)]
-    if bm.speed_ratio > 1.0:
-        candidates.extend(solve_intersonic(q, p.b / p.a, bm, friction=p))
-    best = max(candidates, key=lambda mo: mo.k_hat)
-    return StabilityVerdict(status=Stability.CRITICAL_MODE, mode=best)
+    return critical_mode_q(nondim_q(p, bm.slow), p.b / p.a, bm, friction=p)
 
 
-def sweep_q(q_grid, b_over_a: float, bm: BiMaterial,
-            max_workers: int | None = None) -> list[SweepRow]:
+def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> list[SweepRow]:
     """Neutral modes over a grid of q values, in grid order.
 
     Each q contributes its subsonic mode first, then any intersonic modes in
     ascending phase velocity.  The grid must be positive and sorted
-    ascending.  Rows are deterministic; `max_workers` > 1 only parallelizes
-    the per-q solves (results keep grid order).
+    ascending; both branches are solved for the whole grid at once.
     """
-    qs = [float(v) for v in q_grid]
-    if len(qs) == 0:
+    qs = np.array([float(v) for v in q_grid])
+    if qs.size == 0:
         raise DomainError("q grid is empty")
-    if any(not v > 0.0 for v in qs):
+    if not np.all(qs > 0.0):
         raise DomainError("q grid must be strictly positive")
-    if any(b > c for b, c in zip(qs, qs[1:])):
+    if np.any(qs[1:] < qs[:-1]):
         raise DomainError("q grid must be sorted ascending")
     if not b_over_a > 1.0:
         raise DomainError(f"sweep requires velocity weakening b/a > 1, got {b_over_a}")
-
-    def rows_for(q: float) -> list[SweepRow]:
-        sub = solve_subsonic(q, bm)
-        out = [SweepRow(q=q, branch=Branch.SUBSONIC,
-                        c_over_c1=sub.c_over_c1, k_hat=sub.k_hat)]
-        if bm.speed_ratio > 1.0:
-            for mo in solve_intersonic(q, b_over_a, bm):
-                out.append(SweepRow(q=q, branch=Branch.INTERSONIC,
-                                    c_over_c1=mo.c_over_c1, k_hat=mo.k_hat))
-        return out
-
-    if max_workers is not None and max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(rows_for, qs))
-    else:
-        chunks = [rows_for(q) for q in qs]
-    return [row for chunk in chunks for row in chunk]
+    m, r = bm.mu_ratio, bm.speed_ratio
+    xs, k_hats = _subsonic_modes(qs, m, r)
+    rows = [[SweepRow(q=q, branch=Branch.SUBSONIC, c_over_c1=x, k_hat=k)]
+            for q, x, k in zip(qs.tolist(), xs.tolist(), k_hats.tolist())]
+    if r > 1.0:
+        index, xs, k_hats, _ = _intersonic_modes(qs, m, r, b_over_a)
+        for i, x, k in zip(index.tolist(), xs.tolist(), k_hats.tolist()):
+            rows[i].append(SweepRow(q=rows[i][0].q, branch=Branch.INTERSONIC,
+                                    c_over_c1=x, k_hat=k))
+    return [row for group in rows for row in group]

@@ -138,7 +138,7 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     BlockTrajectory with at least ~64 samples per linear oscillation period.
     The run halts cleanly (metadata["blew_up"] = True) once V exceeds
     1e6*v_o; a step-size underflow raises StepFailure carrying the last
-    accepted state.
+    accepted state, an overflowing trial step StepFailure without one.
     """
     p = sb.friction
     lam = p.v_o / p.L
@@ -182,9 +182,13 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     runaway.terminal = True
     runaway.direction = 1.0
 
-    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
-                    t_eval=t_eval, rtol=tol, atol=tol * 1e-3,
-                    events=runaway, dense_output=False)
+    try:
+        sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
+                        t_eval=t_eval, rtol=tol, atol=tol * 1e-3,
+                        events=runaway, dense_output=False)
+    except OverflowError as exc:
+        # exp(u) overflowed in a trial step; the RHS stays unguarded (hot loop)
+        raise StepFailure(f"integrator step overflowed: {exc}") from exc
     if sol.status == -1:
         last = None
         if sol.y.shape[1] > 0:

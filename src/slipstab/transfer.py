@@ -101,16 +101,24 @@ def f_intersonic(c_over_c1: float, bm: BiMaterial) -> complex:
     both strictly positive on the open interval.  Equal wave speeds leave no
     interval at all and raise EmptyInterval.
     """
-    x = c_over_c1
-    m = bm.mu_ratio
     r = bm.speed_ratio
     if r == 1.0:
         raise EmptyInterval("equal wave speeds: the intersonic interval is empty")
-    if not 1.0 < x < r:
-        raise DomainError(f"intersonic branch needs 1 < c/c1 < {r}, got {x}")
-    s2 = (x - 1.0) * (x + 1.0)
-    s = math.sqrt(s2)
-    beta_fast = math.sqrt(((r - 1.0) - (x - 1.0)) * (r + x)) / r
+    if not 1.0 < c_over_c1 < r:
+        raise DomainError(f"intersonic branch needs 1 < c/c1 < {r}, got {c_over_c1}")
+    return complex(*f_intersonic_parts(c_over_c1 - 1.0, r - c_over_c1, bm.mu_ratio, r))
+
+
+def f_intersonic_parts(u, v, mu_ratio: float, speed_ratio: float):
+    """(F1, F2) of f_intersonic at c/c1 = 1 + u = r - v, floats or ndarrays.
+
+    The distances u, v > 0 to the two wave speeds keep F1 and F2 accurate
+    as c approaches c1 or c1': s^2 = u*(2 + u), beta'^2 = v*(r + c/c1)/r^2.
+    """
+    m, r = mu_ratio, speed_ratio
+    s2 = u * (2.0 + u)
+    s = np.sqrt(s2)
+    beta_fast = np.sqrt(v * (r + 1.0 + u)) / r
     mb = m * beta_fast
     d = mb * mb + s2
-    return complex(2.0 * m * beta_fast * s2 / d, 2.0 * mb * mb * s / d)
+    return 2.0 * m * beta_fast * s2 / d, 2.0 * mb * mb * s / d

@@ -49,6 +49,34 @@ class TestKcr:
         assert float(kv["c_over_c1"]) == pytest.approx(0.732350989067, rel=1e-10)
         assert float(kv["k_hat"]) == pytest.approx(1.365465487080149, rel=1e-10)
 
+    # printed by the release before the critical path went subsonic-only
+    # (speed ratio, modulus ratio, q, c_over_c1, k_hat) at b/a = 1.2
+    PRESET_LINES = [
+        (1.2, 1.0, 0.1, "0.09957897529241197", "1.0042280482034658"),
+        (1.2, 1.0, 1.0, "0.732350989067", "1.365465487080149"),
+        (1.2, 1.0, 10.0, "0.9984938972276369", "10.015083745394387"),
+        (5.0, 1.0, 0.1, "0.09974015234413357", "1.0026052462299224"),
+        (5.0, 1.0, 1.0, "0.7728244264170888", "1.293954960295608"),
+        (5.0, 1.0, 10.0, "0.9986150449703748", "10.013868757902264"),
+        (5.0, 10.0, 0.1, "0.17913043942956422", "1.0150043867316836"),
+        (5.0, 10.0, 1.0, "0.8859206745723053", "2.052307695674423"),
+        (5.0, 10.0, 10.0, "0.9987395480441529", "18.204764412727943"),
+        (5.0, 0.1, 0.1, "0.018181435649592355", "1.000021039715081"),
+        (5.0, 0.1, 1.0, "0.181431133227381", "1.0021333085668145"),
+        (5.0, 0.1, 10.0, "0.9948841619672858", "1.8275311716557456"),
+    ]
+
+    @pytest.mark.parametrize("speed_ratio,mu_ratio,q,c_over_c1,k_hat",
+                             PRESET_LINES)
+    def test_nondimensional_preset_lines_unchanged(
+            self, capsys, speed_ratio, mu_ratio, q, c_over_c1, k_hat):
+        assert main(["kcr", "--q", repr(q), "--b-over-a", "1.2",
+                     "--speed-ratio", repr(speed_ratio),
+                     "--mu-ratio", repr(mu_ratio)]) == 0
+        assert capsys.readouterr().out == (
+            "status = critical-mode\nbranch = subsonic\n"
+            f"c_over_c1 = {c_over_c1}\nk_hat = {k_hat}\n")
+
     def test_nondimensional_always_stable(self, capsys):
         assert main(["kcr", "--q", "1", "--b-over-a", "0.9"]) == 0
         assert capsys.readouterr().out.strip() == "always-stable"
@@ -123,19 +151,6 @@ class TestSweep:
         assert main(self.BASE + ["--out", str(one)]) == 0
         assert main(self.BASE + ["--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
-
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-        monkeypatch.delenv("SLIPSTAB_THREADS", raising=False)
-        assert main(self.BASE + ["--out", str(seq)]) == 0
-        monkeypatch.setenv("SLIPSTAB_THREADS", "2")
-        assert main(self.BASE + ["--out", str(par)]) == 0
-        assert seq.read_bytes() == par.read_bytes()
-
-    def test_bad_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SLIPSTAB_THREADS", "soon")
-        assert main(self.BASE + ["--out", str(tmp_path / "x.csv")]) == 2
-        assert "SLIPSTAB_THREADS" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -235,6 +250,15 @@ class TestSimulate:
         assert main(argv) == 0
         config, _, _ = read_csv(out)
         assert config["blew_up"] is True
+
+    def test_overflowing_step_exits_three(self, tmp_path, capsys):
+        # a light block: a trial step overflows exp(u) within the first
+        # steps, which used to escape as a bare OverflowError
+        argv = (["simulate", "--stiffness", "5e8", "--mass", "0.05",
+                 "--law", "slip", "--perturb", "1e-3",
+                 "--out", str(tmp_path / "x.csv")] + self.FRICTION)
+        assert main(argv) == 3
+        assert "overflow" in capsys.readouterr().err
 
     def test_law_choices_enforced_by_parser(self, capsys):
         argv = (["simulate", "--stiffness", "1e9", "--law", "aging"]

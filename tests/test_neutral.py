@@ -9,11 +9,12 @@ uses a different parametrization, so agreement is meaningful.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from slipstab import (
@@ -25,14 +26,17 @@ from slipstab import (
     RateState,
     Stability,
     critical_mode,
+    critical_mode_q,
     f_subsonic,
     make_bimaterial,
+    nondim_q,
     solve_intersonic,
     solve_subsonic,
     sweep_q,
 )
 
 MILD = BiMaterial.from_ratios(1.0, 1.2)
+PRESETS = ((1.2, 1.0), (5.0, 1.0), (5.0, 10.0), (5.0, 0.1))
 
 
 def dimensional(q, b_over_a=1.2, mu_ratio=1.0, speed_ratio=1.2, *,
@@ -105,6 +109,25 @@ class TestSubsonic:
         with pytest.raises(DomainError):
             solve_subsonic(2.0, bm, friction=friction)
 
+    @pytest.mark.parametrize("q", [1e-170, 1e-150, 1e150, 1e160])
+    def test_extreme_q_answers_or_refuses_quickly(self, q):
+        # 1e-170 used to hang (4q^2 underflowed to 0) and 1e160 to raise
+        # a bare OverflowError (the square of the bracket overflowed)
+        t0 = time.perf_counter()
+        try:
+            mode = solve_subsonic(q, MILD)
+        except DomainError:
+            mode = None
+        assert time.perf_counter() - t0 < 0.5
+        if mode is not None:
+            # far from c1 the mode is quasi-static, near it c -> c1 and
+            # k_hat -> F(0)*q
+            if q < 1.0:
+                assert mode.c_over_c1 == pytest.approx(q, rel=1e-12)
+                assert mode.k_hat == pytest.approx(1.0, rel=1e-12)
+            else:
+                assert mode.k_hat == pytest.approx(q, rel=1e-12)
+
     @given(st.floats(min_value=0.05, max_value=20.0),
            st.floats(min_value=1.0, max_value=8.0),
            st.floats(min_value=1e-3, max_value=1e3))
@@ -147,6 +170,27 @@ class TestIntersonic:
             for mo in solve_intersonic(q, 1.2, MILD):
                 assert mo.k_hat < sub.k_hat
 
+    def test_tiny_weakening_resolves_near_c1(self):
+        # b/a = 1 + 1e-6 puts the slow root at c/c1 - 1 = 1.25e-7, which
+        # a c/c1-space solve could not hold to a 1e-10 residual
+        modes = solve_intersonic(1.0, 1.0 + 1e-6, MILD)
+        assert len(modes) == 2
+        assert modes[0].c_over_c1 == pytest.approx(1.0 + 1.25e-7, rel=1e-9)
+        for mo in modes:
+            assert 0.0 < mo.k_hat < 1.0
+
+    @pytest.mark.parametrize("mu_ratio,speed_ratio,b_over_a,q_w,factor", [
+        (1.0, 1.2, 1.2, 0.9666852207402846, 1.0 + 1e-8),
+        (0.1, 5.0, 1.1, 2.955456428683422, 1.001),
+    ])
+    def test_pair_just_above_the_window(self, mu_ratio, speed_ratio,
+                                        b_over_a, q_w, factor):
+        # q_w from an independent golden-section minimum of the phase
+        # equation; pairs this close used to slip between scan points
+        bm = BiMaterial.from_ratios(mu_ratio, speed_ratio)
+        assert len(solve_intersonic(q_w * factor, b_over_a, bm)) == 2
+        assert solve_intersonic(q_w * (1.0 - 1e-8), b_over_a, bm) == []
+
     def test_identical_speeds_warn_empty(self):
         bm = BiMaterial.from_ratios(1.0, 1.0)
         with pytest.warns(EmptyIntervalWarning):
@@ -176,6 +220,25 @@ class TestCriticalMode:
             assert verdict.status is Stability.CRITICAL_MODE
             assert verdict.mode.branch is Branch.SUBSONIC
             assert verdict.mode.c_over_c1 < 1.0
+
+    @pytest.mark.parametrize("speed_ratio,mu_ratio", PRESETS)
+    @pytest.mark.parametrize("q", [1e3, 1e4])
+    def test_fast_sliding_presets_stay_subsonic(self, speed_ratio, mu_ratio, q):
+        # at q = 1e3 the intersonic solve used to raise a residual error
+        # from inside critical_mode
+        friction, bm = dimensional(q, speed_ratio=speed_ratio,
+                                   mu_ratio=mu_ratio)
+        mode = critical_mode(friction, bm).mode
+        assert mode.branch is Branch.SUBSONIC
+        assert mode.c_over_c1 < 1.0
+        assert mode == solve_subsonic(nondim_q(friction, bm.slow), bm,
+                                      friction=friction)
+
+    def test_nondimensional_entry_matches(self):
+        friction, bm = dimensional(2.0)
+        verdict = critical_mode_q(2.0, 1.2, bm)
+        assert verdict.mode.k_hat == critical_mode(friction, bm).mode.k_hat
+        assert critical_mode_q(2.0, 1.0, bm).status is Stability.ALWAYS_STABLE
 
     def test_quasistatic_dimensional_value(self):
         friction, bm = dimensional(1e-6)
@@ -208,10 +271,14 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep_q([0.5, 1.0], 1.0, MILD)
 
-    def test_parallel_matches_serial(self):
-        grid = [float(v) for v in np.logspace(-1, 1, 40)]
-        assert sweep_q(grid, 1.2, MILD, max_workers=4) == \
-            sweep_q(grid, 1.2, MILD)
+    def test_rows_equal_single_solves(self):
+        grid = [float(v) for v in np.logspace(-2, 1, 40)]
+        rows = sweep_q(grid, 1.2, MILD)
+        expected = []
+        for q in grid:
+            for mo in [solve_subsonic(q, MILD)] + solve_intersonic(q, 1.2, MILD):
+                expected.append((q, mo.branch, mo.c_over_c1, mo.k_hat))
+        assert [(r.q, r.branch, r.c_over_c1, r.k_hat) for r in rows] == expected
 
     def test_identical_media_no_intersonic_rows(self):
         bm = BiMaterial.from_ratios(1.0, 1.0)
@@ -219,3 +286,67 @@ class TestSweep:
             warnings.simplefilter("error")
             rows = sweep_q([0.5, 1.0], 1.2, bm)
         assert all(row.branch is Branch.SUBSONIC for row in rows)
+
+
+def scan_phase_q(tau, m, r, b_over_a):
+    """Intersonic phase-equation left side at tau = ln(u/v), written from
+    F1, F2 in velocity form (no rationalized root difference)."""
+    u = (r - 1.0) / (1.0 + np.exp(-tau))
+    v = (r - 1.0) / (1.0 + np.exp(tau))
+    x = 1.0 + u
+    s = np.sqrt(u * (2.0 + u))
+    beta_fast = np.sqrt(v * (r + x)) / r
+    d = (m * beta_fast) ** 2 + s ** 2
+    f1 = 2.0 * m * beta_fast * s ** 2 / d
+    f2 = 2.0 * (m * beta_fast) ** 2 * s / d
+    w = b_over_a - 1.0
+    half = 0.5 * b_over_a * f2
+    return math.sqrt(w) * x / (np.sqrt(half ** 2 + w * f1 ** 2) - half + f2)
+
+
+def dense_scan(m, r, b_over_a):
+    """(tau samples, Q samples): 20001 points over |tau| <= 45 plus 20001
+    around the coarse minimum, fine enough to split any pair of roots that
+    lies more than 1e-6 (relative) above the minimum."""
+    coarse = np.linspace(-45.0, 45.0, 20001)
+    i = int(np.argmin(scan_phase_q(coarse, m, r, b_over_a)))
+    fine = np.linspace(coarse[max(i - 1, 0)], coarse[min(i + 1, 20000)], 20001)
+    tau = np.union1d(coarse, fine)
+    return tau, scan_phase_q(tau, m, r, b_over_a)
+
+
+log_uniform = lambda lo, hi: st.floats(math.log10(lo), math.log10(hi)).map(
+    lambda e: 10.0 ** e)
+
+
+class TestIntersonicWindowProperties:
+    """Over m in [1e-2, 1e2], r - 1 in [1e-3, 31.6], b/a - 1 in [1e-3, 10]
+    and q in [1e-3, 1e3]."""
+
+    @given(log_uniform(1e-2, 1e2), log_uniform(1e-3, 31.6),
+           log_uniform(1e-3, 10.0), st.floats(-5.9, 0.5), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_root_count_matches_dense_scan(self, m, r_minus_1, w, e, above):
+        r, b_over_a = 1.0 + r_minus_1, 1.0 + w
+        _, q_scan = dense_scan(m, r, b_over_a)
+        q_w = float(q_scan.min())
+        # q at a log-distance 10^e from the window, on either side
+        q = q_w * 10.0 ** (10.0 ** e if above else -(10.0 ** e))
+        assume(1e-3 <= q <= 1e3 and abs(q / q_w - 1.0) > 1e-6)
+        signs = np.sign(q_scan - q)
+        crossings = int(np.count_nonzero(signs[1:] != signs[:-1]))
+        modes = solve_intersonic(q, b_over_a, BiMaterial.from_ratios(m, r))
+        assert crossings == (2 if q > q_w else 0)
+        assert len(modes) == crossings
+
+    @given(log_uniform(1e-2, 1e2), log_uniform(1e-3, 31.6),
+           log_uniform(1e-3, 10.0), log_uniform(1e-3, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_intersonic_wavenumbers_below_subsonic(self, m, r_minus_1, w, q):
+        bm = BiMaterial.from_ratios(m, 1.0 + r_minus_1)
+        f0 = 2.0 * m / (1.0 + m)
+        sub = solve_subsonic(q, bm)
+        assert f0 * q < sub.k_hat
+        for mo in solve_intersonic(q, 1.0 + w, bm):
+            assert 1.0 < mo.c_over_c1 < bm.speed_ratio
+            assert mo.k_hat < f0 * q

@@ -11,6 +11,7 @@ from slipstab import (
     EvolutionLaw,
     RateState,
     SpringBlockParams,
+    StepFailure,
     VelocityStrengthening,
     estimate_critical_stiffness,
     friction_stress,
@@ -136,3 +137,11 @@ def test_estimator_rejects_strengthening():
     soft = RateState(a=0.01, b=0.008, L=1e-5, sigma_o=1e6, v_o=1e-3)
     with pytest.raises(VelocityStrengthening):
         estimate_critical_stiffness(soft, EvolutionLaw.AGEING)
+
+
+def test_overflowing_step_raises_step_failure():
+    # the 0.1*K_cr bracket run of a light slip-law block overflows exp(u)
+    # in a trial step; that used to escape as a bare OverflowError
+    light = 0.05 * FR.a * FR.sigma_o * FR.L / FR.v_o ** 2
+    with pytest.raises(StepFailure, match="overflow"):
+        estimate_critical_stiffness(FR, EvolutionLaw.SLIP, mass=light)

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 RUNAWAY_FACTOR = 1e6   # V above this multiple of v_o counts as instability
+CAP_GROWTH = 10.0      # estimator runs stop at ln(V/v_o) = 10*|ln(1 + perturbation)|
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,8 @@ def _rhs_inertial(p: RateState, stiffness: float, mass: float, law: EvolutionLaw
 def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
                           init: BlockState | None = None,
                           duration: float | None = None,
-                          tol: float = 1e-10) -> BlockTrajectory:
+                          tol: float = 1e-10, *,
+                          runaway_factor: float = RUNAWAY_FACTOR) -> BlockTrajectory:
     """Integrate the spring-block system and sample it densely.
 
     Parameters
@@ -132,12 +134,18 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         Relative tolerance of the adaptive embedded Runge-Kutta integrator
         (eighth order, fifth-order error estimate).  Absolute tolerance is
         tol*1e-3 on the logarithmic states.
+    runaway_factor : float
+        The run halts at the first upward crossing of V = runaway_factor*v_o.
+        Must exceed 1; defaults to RUNAWAY_FACTOR = 1e6.  The stiffness
+        estimator passes exp(CAP_GROWTH*|ln(1 + perturbation)|), so a
+        growing run stops as soon as its growth is certain.
 
     Returns
     -------
     BlockTrajectory with at least ~64 samples per linear oscillation period.
-    The run halts cleanly (metadata["blew_up"] = True) once V exceeds
-    1e6*v_o; a step-size underflow raises StepFailure carrying the last
+    The run halts cleanly (metadata["blew_up"] = True) once V crosses
+    runaway_factor*v_o upward; samples stop at the last output time before
+    the crossing.  A step-size underflow raises StepFailure carrying the last
     accepted state, an overflowing trial step StepFailure without one.
     """
     p = sb.friction
@@ -148,6 +156,8 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         raise DomainError(f"duration must be positive, got {duration}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if not runaway_factor > 1.0:
+        raise DomainError(f"runaway_factor must exceed 1, got {runaway_factor}")
 
     if init is None:
         v0, theta0 = p.v_o, p.L / p.v_o
@@ -174,7 +184,7 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     if t_eval[-1] < duration:
         t_eval = np.append(t_eval, duration)
 
-    u_cap = math.log(RUNAWAY_FACTOR)
+    u_cap = math.log(runaway_factor)
 
     def runaway(_t, y):
         return y[0] - u_cap
@@ -238,40 +248,34 @@ def _positive_peaks(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return t_pk, x_pk
 
 
-def _classify(traj: BlockTrajectory, p: RateState, dead_band: float) -> int:
-    """+1 growth, -1 decay, 0 inside the dead band.
+def _growth_rate(traj: BlockTrajectory, p: RateState) -> float:
+    """Envelope growth rate sigma (1/s) of V - v_o: positive grows, negative decays.
 
-    Envelope slope from a log-linear fit of oscillation peak heights; runs
-    that blow up or end with a clearly changed amplitude are classified
-    directly (covers the overdamped, peak-free cases).
+    The slope of a log-linear fit of the oscillation peak heights, without
+    the first two peaks (phase settling of the initial condition) when six
+    or more remain.  Only peaks above 1e-4 of the initial deviation count:
+    a strongly damped run decays into integrator noise, whose peaks would
+    fit a spurious slope.  With fewer than three peaks the rate is the average
+    over the run instead: from the first sample to the last one before the
+    cap for a halted run, from the largest deviation of the first tenth of
+    the samples to that of the last tenth otherwise (the overdamped,
+    peak-free cases).
     """
-    if traj.blew_up:
-        return 1
     x = traj.v - p.v_o
-    n = x.size
-    head = np.max(np.abs(x[: max(8, n // 10)]))
-    tail = np.max(np.abs(x[-max(8, n // 10):]))
-    if tail > 10.0 * head:
-        return 1
-    if tail < 0.1 * head:
-        return -1
     t_pk, x_pk = _positive_peaks(traj.t, x)
-    keep = x_pk > 1e-11 * p.v_o
+    keep = x_pk > max(1e-11 * p.v_o, 1e-4 * abs(x[0]))
     t_pk, x_pk = t_pk[keep], x_pk[keep]
-    if t_pk.size >= 4:
-        # drop the first peaks: phase settling of the initial condition
-        t_fit = t_pk[2:] if t_pk.size >= 6 else t_pk
-        x_fit = x_pk[2:] if t_pk.size >= 6 else x_pk
-        slope = np.polyfit(t_fit, np.log(x_fit), 1)[0]
-        if abs(slope) <= dead_band:
-            return 0
-        return 1 if slope > 0.0 else -1
-    # too few peaks and no decisive amplitude change
-    if tail > head:
-        return 1
-    if tail < head:
-        return -1
-    return 0
+    if t_pk.size >= 3:
+        if t_pk.size >= 6:
+            t_pk, x_pk = t_pk[2:], x_pk[2:]
+        return float(np.polyfit(t_pk, np.log(x_pk), 1)[0])
+    span = float(traj.t[-1] - traj.t[0])
+    if traj.blew_up:
+        return math.log(abs(x[-1]) / abs(x[0])) / span
+    n = max(8, x.size // 10)
+    head = np.max(np.abs(x[:n]))
+    tail = np.max(np.abs(x[-n:]))
+    return math.log(tail / head) / span
 
 
 def _measure_omega(traj: BlockTrajectory, p: RateState) -> float:
@@ -294,57 +298,93 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
                                 max_steps: int = 40) -> tuple[float, float]:
     """Estimate (K_cr, omega) from the nonlinear block, no linearization used.
 
-    Bisects the spring stiffness between 0.1 and 10 times the analytic
-    critical value, classifying each run by the growth or decay of the
-    envelope of V - v_o after a relative velocity perturbation
-    `perturbation`.  Envelope slopes within 1e-4*v_o/L of zero count as
-    neutral and stop the search (the stiffness is then within a fraction of
-    a percent of critical).  The returned frequency comes from the peak
-    spacing of the final (nearest-neutral) run.
+    Each run starts from steady sliding with V perturbed by the relative
+    amount `perturbation` and yields the envelope growth rate sigma of
+    V - v_o (see `_growth_rate`); a run stops early once ln(V/v_o) reaches
+    CAP_GROWTH times |ln(1 + perturbation)|, where growth is certain.  The
+    search brackets the zero of sigma(K) starting from [0.9, 1.1] times the
+    analytic critical value, halving the soft end or doubling the stiff end
+    (within 0.1 and 10 times that value) until the soft end grows and the
+    stiff end decays, then takes at most `max_steps` Illinois regula falsi
+    steps.  The analytic value only places the first bracket: every sign
+    and every sigma come from nonlinear runs.  A run with |sigma| within
+    1e-4*v_o/L counts as neutral and gives the estimate (the stiffness is
+    then within a fraction of a percent of critical); a bracket narrower
+    than 1e-3 times the analytic value gives its midpoint.  The returned
+    frequency comes from the peak spacing of a run at the estimate that was
+    not stopped early.
 
-    Raises VelocityStrengthening for b <= a and Inconclusive when the
-    endpoints fail to bracket (growth at the soft end, decay at the stiff
-    end) or the dead band never resolves within `max_steps` bisections.
+    Raises VelocityStrengthening for b <= a, DomainError for a zero
+    perturbation, and Inconclusive when the widened ends fail to bracket
+    (no growth at the soft end, no decay at the stiff end) or the dead band
+    is not reached within `max_steps` regula falsi steps.
     """
     if not p.weakening:
         raise VelocityStrengthening("no finite critical stiffness for b <= a")
+    if not abs(perturbation) > 0.0:
+        raise DomainError(f"perturbation must be nonzero, got {perturbation}")
     k_ref, _ = spring_block_critical(p, mass)
+    k_min, k_max = 0.1 * k_ref, 10.0 * k_ref
     dead_band = 1e-4 * p.v_o / p.L
-    init = BlockState(v=(1.0 + perturbation) * p.v_o, theta=p.L / p.v_o,
-                      tau=friction_stress(p, (1.0 + perturbation) * p.v_o, p.L / p.v_o))
+    v0 = (1.0 + perturbation) * p.v_o
+    init = BlockState(v=v0, theta=p.L / p.v_o,
+                      tau=friction_stress(p, v0, p.L / p.v_o))
+    cap = math.exp(CAP_GROWTH * abs(math.log1p(perturbation)))
+    runs: dict[float, BlockTrajectory] = {}
 
-    def run(k: float) -> BlockTrajectory:
+    def run(k: float, runaway_factor: float) -> BlockTrajectory:
         sb = SpringBlockParams(stiffness=k, mass=mass, friction=p)
-        return simulate_spring_block(sb, law, init=init, duration=duration, tol=tol)
+        return simulate_spring_block(sb, law, init=init, duration=duration,
+                                     tol=tol, runaway_factor=runaway_factor)
 
-    k_lo, k_hi = 0.1 * k_ref, 10.0 * k_ref
-    if _classify(run(k_lo), p, dead_band) != 1:
-        raise Inconclusive(f"no growth at the soft end K = {k_lo}")
-    if _classify(run(k_hi), p, dead_band) != -1:
-        raise Inconclusive(f"no decay at the stiff end K = {k_hi}")
+    def sigma(k: float) -> float:
+        runs[k] = run(k, cap)
+        return _growth_rate(runs[k], p)
 
-    k_est = None
-    last_traj = None
-    for _ in range(max_steps):
-        k_mid = 0.5 * (k_lo + k_hi)
-        traj = run(k_mid)
-        verdict = _classify(traj, p, dead_band)
-        last_traj = traj
-        if verdict == 0:
-            k_est = k_mid
+    k_soft, k_stiff = 0.9 * k_ref, 1.1 * k_ref
+    s_soft, s_stiff = sigma(k_soft), sigma(k_stiff)
+    while s_soft < -dead_band:
+        if k_soft <= k_min:
+            raise Inconclusive(f"no growth at the soft end K = {k_soft}")
+        k_stiff, s_stiff = k_soft, s_soft
+        k_soft = max(0.5 * k_soft, k_min)
+        s_soft = sigma(k_soft)
+    while s_stiff > dead_band:
+        if k_stiff >= k_max:
+            raise Inconclusive(f"no decay at the stiff end K = {k_stiff}")
+        k_soft, s_soft = k_stiff, s_stiff
+        k_stiff = min(2.0 * k_stiff, k_max)
+        s_stiff = sigma(k_stiff)
+
+    k_est = next((k for k, s in ((k_soft, s_soft), (k_stiff, s_stiff))
+                  if abs(s) <= dead_band), None)
+    steps = 0
+    kept = 0   # +1 after the stiff end was kept, -1 after the soft end
+    while k_est is None:
+        if k_stiff - k_soft < 1e-3 * k_ref:
+            k_est = 0.5 * (k_soft + k_stiff)
             break
-        if verdict > 0:
-            k_lo = k_mid
+        if steps == max_steps:
+            raise Inconclusive(
+                f"regula falsi spent {max_steps} steps without entering the dead band"
+            )
+        steps += 1
+        k = k_soft + s_soft * (k_stiff - k_soft) / (s_soft - s_stiff)
+        s = sigma(k)
+        if abs(s) <= dead_band:
+            k_est = k
+        elif s > 0.0:
+            k_soft, s_soft = k, s
+            if kept > 0:   # Illinois: halve an end kept twice running
+                s_stiff *= 0.5
+            kept = 1
         else:
-            k_hi = k_mid
-        if k_hi - k_lo < 1e-3 * k_ref:
-            k_est = 0.5 * (k_lo + k_hi)
-            break
-    if k_est is None:
-        raise Inconclusive(
-            f"bisection spent {max_steps} steps without entering the dead band"
-        )
-    if last_traj is None or last_traj.metadata["stiffness"] != k_est:
-        last_traj = run(k_est)
-    omega_est = _measure_omega(last_traj, p)
-    return k_est, omega_est
+            k_stiff, s_stiff = k, s
+            if kept < 0:
+                s_soft *= 0.5
+            kept = -1
+
+    traj = runs.get(k_est)
+    if traj is None or traj.blew_up:
+        traj = run(k_est, RUNAWAY_FACTOR)
+    return k_est, _measure_omega(traj, p)

@@ -251,7 +251,7 @@ def check_ode_oracle() -> VerifyResult:
         if abs(pair[0] - pair[1]) / pair[0] > 0.01:
             problems.append(f"laws disagree at m={mass:g}")
     elapsed = time.perf_counter() - t0
-    ok = not problems and elapsed < 60.0
+    ok = not problems and elapsed < 5.0
     detail = ("K and omega within 2% for both laws, both masses"
               if not problems else "; ".join(problems))
     return VerifyResult("ODE oracle", ok, detail, elapsed)

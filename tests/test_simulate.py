@@ -9,6 +9,7 @@ from slipstab import (
     BlockState,
     DomainError,
     EvolutionLaw,
+    Inconclusive,
     RateState,
     SpringBlockParams,
     StepFailure,
@@ -18,10 +19,19 @@ from slipstab import (
     simulate_spring_block,
     spring_block_critical,
 )
+from slipstab import simulate
 
 FR = RateState(a=0.01, b=0.015, L=1e-5, sigma_o=1e6, v_o=1e-3)
 K_CR, W_CR = spring_block_critical(FR)
-INERTIAL_MASS = 0.5 * FR.a * FR.sigma_o * FR.L / FR.v_o ** 2
+
+
+def mass_unit(fr):
+    """a*sigma_o*L/v_o^2: the mass per area that doubles K_cr."""
+    return fr.a * fr.sigma_o * fr.L / fr.v_o ** 2
+
+
+INERTIAL_MASS = 0.5 * mass_unit(FR)
+LIGHT_MASS = 0.05 * mass_unit(FR)
 
 
 def perturbed(rel=1e-3):
@@ -140,8 +150,100 @@ def test_estimator_rejects_strengthening():
 
 
 def test_overflowing_step_raises_step_failure():
-    # the 0.1*K_cr bracket run of a light slip-law block overflows exp(u)
-    # in a trial step; that used to escape as a bare OverflowError
-    light = 0.05 * FR.a * FR.sigma_o * FR.L / FR.v_o ** 2
-    with pytest.raises(StepFailure, match="overflow"):
-        estimate_critical_stiffness(FR, EvolutionLaw.SLIP, mass=light)
+    # a light slip-law block on a soft spring overflows exp(u) in a trial
+    # step; that used to escape as a bare OverflowError
+    k_soft = 0.1 * spring_block_critical(FR, LIGHT_MASS)[0]
+    sb = SpringBlockParams(stiffness=k_soft, mass=LIGHT_MASS, friction=FR)
+    with pytest.raises(StepFailure, match="integrator step overflowed"):
+        simulate_spring_block(sb, EvolutionLaw.SLIP, init=perturbed(), tol=1e-8)
+
+
+def test_runaway_factor_halts_early():
+    sb = SpringBlockParams(stiffness=0.5 * K_CR, mass=0.0, friction=FR)
+    full = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
+    capped = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed(),
+                                   runaway_factor=1.01)
+    assert capped.blew_up and full.blew_up
+    assert capped.t[-1] < full.t[-1]
+    assert np.max(capped.v) < 1.01 * FR.v_o
+    assert capped.metadata["nfev"] < full.metadata["nfev"]
+    # the prefix before the cap is the same trajectory
+    n = capped.t.size
+    assert np.array_equal(capped.t, full.t[:n])
+
+
+@pytest.mark.parametrize("factor", [1.0, 0.5, float("nan")])
+def test_runaway_factor_validation(factor):
+    sb = SpringBlockParams(stiffness=K_CR, mass=0.0, friction=FR)
+    with pytest.raises(DomainError):
+        simulate_spring_block(sb, EvolutionLaw.AGEING, runaway_factor=factor)
+
+
+def test_estimator_rejects_zero_perturbation():
+    with pytest.raises(DomainError):
+        estimate_critical_stiffness(FR, EvolutionLaw.AGEING, perturbation=0.0)
+
+
+def test_estimator_on_light_slip_block():
+    # the soft-end bracket run at this mass overflows (test above); the
+    # seeded bracket never makes it
+    k_est, w_est = estimate_critical_stiffness(FR, EvolutionLaw.SLIP,
+                                               mass=LIGHT_MASS)
+    assert k_est == pytest.approx(spring_block_critical(FR, LIGHT_MASS)[0], rel=0.02)
+    assert w_est == pytest.approx(W_CR, rel=0.02)
+
+
+@pytest.mark.parametrize("law, b, mass_factor", [
+    # unstable at 0.1*K_cr: the soft-end check used to report no growth
+    (EvolutionLaw.SLIP, 0.018, 0.2),
+    (EvolutionLaw.SLIP, 0.0269, 0.30),
+    # the 0.1*K_cr run fell into stick-slip and took minutes
+    (EvolutionLaw.AGEING, 0.02, 0.2),
+])
+def test_estimator_on_inertial_blocks(law, b, mass_factor):
+    fr = RateState(a=0.01, b=b, L=1e-5, sigma_o=1e6, v_o=1e-3)
+    mass = mass_factor * mass_unit(fr)
+    k_ref, w_ref = spring_block_critical(fr, mass)
+    k_est, w_est = estimate_critical_stiffness(fr, law, mass=mass)
+    assert k_est == pytest.approx(k_ref, rel=0.02)
+    assert w_est == pytest.approx(w_ref, rel=0.02)
+
+
+def _count_runs(monkeypatch) -> list:
+    stiffnesses = []
+    run = simulate.simulate_spring_block
+
+    def counted(sb, *args, **kwargs):
+        stiffnesses.append(sb.stiffness)
+        return run(sb, *args, **kwargs)
+    monkeypatch.setattr(simulate, "simulate_spring_block", counted)
+    return stiffnesses
+
+
+@pytest.mark.parametrize("law", [EvolutionLaw.AGEING, EvolutionLaw.SLIP])
+@pytest.mark.parametrize("mass", [0.0, INERTIAL_MASS])
+def test_estimator_run_count(monkeypatch, law, mass):
+    runs = _count_runs(monkeypatch)
+    estimate_critical_stiffness(FR, law, mass=mass)
+    assert len(runs) <= 5
+
+
+@pytest.mark.parametrize("mass", [0.0, INERTIAL_MASS])
+def test_seed_does_not_steer_the_estimate(monkeypatch, mass):
+    k_true, w_true = spring_block_critical(FR, mass)
+    monkeypatch.setattr(simulate, "spring_block_critical",
+                        lambda p, m=0.0: (3.0 * k_true, w_true))
+    runs = _count_runs(monkeypatch)
+    k_est, w_est = estimate_critical_stiffness(FR, EvolutionLaw.AGEING, mass=mass)
+    assert k_est == pytest.approx(k_true, rel=0.02)
+    assert w_est == pytest.approx(w_true, rel=0.02)
+    # the bracket had to widen below the seeded [0.9, 1.1]*3*K_cr
+    assert min(runs) < 0.9 * k_true
+
+
+def test_unbracketed_seed_is_inconclusive(monkeypatch):
+    k_true, w_true = spring_block_critical(FR)
+    monkeypatch.setattr(simulate, "spring_block_critical",
+                        lambda p, m=0.0: (20.0 * k_true, w_true))
+    with pytest.raises(Inconclusive, match="no growth at the soft end"):
+        estimate_critical_stiffness(FR, EvolutionLaw.AGEING)

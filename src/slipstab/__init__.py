@@ -30,10 +30,8 @@ from .materials import (
 )
 from .friction import (
     EvolutionLaw,
-    LinearizedLaw,
     RateState,
     friction_stress,
-    linearized_coefficients,
     nondim_q,
     state_rate,
     steady_state_stress,
@@ -44,7 +42,6 @@ from .neutral import (
     NeutralMode,
     Stability,
     StabilityVerdict,
-    SweepRow,
     critical_mode,
     critical_mode_q,
     solve_intersonic,
@@ -52,11 +49,9 @@ from .neutral import (
     sweep_q,
 )
 from .closed_forms import (
-    RateOnlyVerdict,
     SpringBlockParams,
     identical_isotropic_dynamic,
     quasistatic_continuum,
-    rate_only_verdict,
     spring_block_critical,
 )
 from .dispersion import (
@@ -87,19 +82,17 @@ __all__ = [
     "ShearStiffness", "EffectiveMedium", "BiMaterial",
     "effective_medium", "make_bimaterial",
     # friction
-    "RateState", "EvolutionLaw", "LinearizedLaw",
-    "friction_stress", "steady_state_stress", "state_rate",
-    "linearized_coefficients", "nondim_q",
+    "RateState", "EvolutionLaw",
+    "friction_stress", "steady_state_stress", "state_rate", "nondim_q",
     # transfer
     "f_laplace", "f_normalized", "f_subsonic", "f_intersonic",
     # neutral modes
-    "Branch", "NeutralMode", "Stability", "StabilityVerdict", "SweepRow",
+    "Branch", "NeutralMode", "Stability", "StabilityVerdict",
     "solve_subsonic", "solve_intersonic", "critical_mode", "critical_mode_q",
     "sweep_q",
     # closed forms
-    "SpringBlockParams", "RateOnlyVerdict",
-    "spring_block_critical", "quasistatic_continuum",
-    "identical_isotropic_dynamic", "rate_only_verdict",
+    "SpringBlockParams", "spring_block_critical", "quasistatic_continuum",
+    "identical_isotropic_dynamic",
     # dispersion
     "CharParams", "RootCount",
     "characteristic_residual", "count_unstable", "certify_crossing", "polish_root",

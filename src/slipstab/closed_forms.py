@@ -2,8 +2,7 @@
 
 Spring-block critical stiffness (with and without inertia), the quasi-static
 continuum limits (identical solids, dissimilar solids, orthotropic sliding on
-isotropic), the fully dynamic identical-isotropic solution, and the classical
-rate-only verdict from the steady-state strength slope.
+isotropic), and the fully dynamic identical-isotropic solution.
 """
 
 from __future__ import annotations
@@ -12,16 +11,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .friction import RateState
-from .materials import ShearStiffness
+from .friction import RateState, nondim_q
+from .materials import EffectiveMedium, ShearStiffness
 
 __all__ = [
     "SpringBlockParams",
-    "RateOnlyVerdict",
     "spring_block_critical",
     "quasistatic_continuum",
     "identical_isotropic_dynamic",
-    "rate_only_verdict",
 ]
 
 
@@ -103,7 +100,7 @@ def quasistatic_continuum(p: RateState, mu: float, mu_prime: float | None = None
 def identical_isotropic_dynamic(p: RateState, mu: float, c_s: float):
     """Dynamic critical mode for identical isotropic half-spaces, or None.
 
-    With q = mu*v_o/(2*sqrt(a*(b-a))*sigma_o*c_s):
+    With q = nondim_q(p, EffectiveMedium(mu, c_s)):
     k_cr = 2*(b-a)*sigma_o*sqrt(1+q^2)/(mu*L) and c = q*c_s/sqrt(1+q^2).
     Reduces to the quasi-static answer as q -> 0.
     """
@@ -111,25 +108,9 @@ def identical_isotropic_dynamic(p: RateState, mu: float, c_s: float):
         raise DomainError(f"need mu > 0 and c_s > 0, got mu={mu}, c_s={c_s}")
     if not p.weakening:
         return None
-    q = mu * p.v_o / (2.0 * math.sqrt(p.a * (p.b - p.a)) * p.sigma_o * c_s)
+    q = nondim_q(p, EffectiveMedium(mu=mu, c1=c_s))
     root = math.sqrt(1.0 + q * q)
     k_cr = 2.0 * (p.b - p.a) * p.sigma_o * root / (mu * p.L)
     c = q * c_s / root
     return k_cr, c
 
-
-@dataclass(frozen=True)
-class RateOnlyVerdict:
-    """Classical steady-state verdict: stable iff the strength slope is
-    positive; a zero slope reports unstable with the marginal flag set."""
-
-    stable: bool
-    marginal: bool
-
-
-def rate_only_verdict(p: RateState) -> RateOnlyVerdict:
-    """Classify by the sign of d(tau_ss)/d(ln V) = -(b - a)*sigma_o."""
-    slope = -(p.b - p.a) * p.sigma_o
-    if slope > 0.0:
-        return RateOnlyVerdict(stable=True, marginal=False)
-    return RateOnlyVerdict(stable=False, marginal=(slope == 0.0))

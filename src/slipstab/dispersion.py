@@ -31,8 +31,8 @@ import numpy as np
 from .errors import ContourThroughZero, DomainError, SlipStabError
 from .friction import RateState
 from .materials import BiMaterial
-from .neutral import NeutralMode, critical_mode
-from .transfer import f_laplace, f_normalized
+from .neutral import critical_mode
+from .transfer import closed_half_plane, f_normalized
 
 __all__ = [
     "CharParams",
@@ -42,6 +42,8 @@ __all__ = [
     "certify_crossing",
     "polish_root",
 ]
+
+CROSSING_MARGIN = 0.05   # certify_crossing counts at (1 -/+ this)*k_cr
 
 
 @dataclass(frozen=True)
@@ -79,18 +81,14 @@ class RootCount:
             )
 
 
-def characteristic_residual(cp: CharParams, p: complex) -> complex:
-    """Left side of the characteristic equation at Laplace variable p.
-
-    Conjugate symmetric: residual(conj(p)) = conj(residual(p)).  The natural
-    magnitude scale near a neutral mode is sigma_o*a*|k*c|^2/v_o.
-    """
-    fr = cp.friction
-    lam = fr.v_o / fr.L
-    f_val = f_laplace(cp.k, p, cp.bimaterial)
-    elastic = 0.5 * cp.bimaterial.slow.mu * (p + lam) * abs(cp.k) * f_val
-    frictional = (fr.sigma_o * p / fr.v_o) * (fr.a * p - (fr.b - fr.a) * lam)
-    return elastic + frictional
+def _residual(p_hat, kappa: float, nu: float, w: float, m: float, r: float):
+    """Nondimensional left side kappa*(p_hat + 1)*F(nu*p_hat) + p_hat*(p_hat - W)
+    and its term-magnitude scale, at a complex scalar or ndarray p_hat."""
+    f_val = f_normalized(p_hat * nu, m, r)
+    resid = kappa * (p_hat + 1.0) * f_val + p_hat * (p_hat - w)
+    scale = (kappa * np.abs(p_hat + 1.0) * np.abs(f_val)
+             + np.abs(p_hat) * (np.abs(p_hat) + abs(w)))
+    return resid, scale
 
 
 def _hat_params(cp: CharParams) -> tuple[float, float, float, float, float]:
@@ -101,6 +99,20 @@ def _hat_params(cp: CharParams) -> tuple[float, float, float, float, float]:
     nu = fr.v_o / (fr.L * abs(cp.k) * bm.slow.c1)
     w = (fr.b - fr.a) / fr.a
     return kappa, nu, w, bm.mu_ratio, bm.speed_ratio
+
+
+def characteristic_residual(cp: CharParams, p: complex) -> complex:
+    """Left side of the characteristic equation at Laplace variable p.
+
+    The nondimensional residual times a*sigma_o*lam^2/v_o, lam = v_o/L, on
+    the closed right half-plane of f_laplace (see closed_half_plane).
+    Conjugate symmetric: residual(conj(p)) = conj(residual(p)).  The natural
+    magnitude scale near a neutral mode is sigma_o*a*|k*c|^2/v_o.
+    """
+    fr = cp.friction
+    lam = fr.v_o / fr.L
+    resid, _ = _residual(closed_half_plane(p) / lam, *_hat_params(cp))
+    return complex(resid) * (fr.a * fr.sigma_o * lam * lam / fr.v_o)
 
 
 class _NearContourZero(Exception):
@@ -142,11 +154,7 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
         return pts
 
     def residual_at(ts: np.ndarray) -> np.ndarray:
-        p_hat = boundary(ts)
-        f_val = f_normalized(p_hat * nu, m, r)
-        resid = kappa * (p_hat + 1.0) * f_val + p_hat * (p_hat - w)
-        scale = (kappa * np.abs(p_hat + 1.0) * np.abs(f_val)
-                 + np.abs(p_hat) * (np.abs(p_hat) + abs(w)))
+        resid, scale = _residual(boundary(ts), kappa, nu, w, m, r)
         if np.any(np.abs(resid) < 1e-12 * scale):
             raise _NearContourZero
         return resid
@@ -218,26 +226,20 @@ def count_unstable(cp: CharParams) -> RootCount:
     )
 
 
-def certify_crossing(p: RateState, bm: BiMaterial,
-                     mode: NeutralMode | None = None,
-                     margin: float = 0.05) -> bool:
+def certify_crossing(p: RateState, bm: BiMaterial) -> bool:
     """Certify the predicted critical wavenumber against the root counter.
 
-    True when no roots are unstable at (1+margin)*k_cr and at least one
-    conjugate pair is unstable at (1-margin)*k_cr.  Velocity strengthening
-    has nothing to certify (always stable at every k the counter confirms):
-    returns True.  Pass `mode` to skip recomputing the critical mode; it must
-    carry dimensional fields.
+    True when no roots are unstable at (1 + CROSSING_MARGIN)*k_cr and at
+    least one conjugate pair is unstable at (1 - CROSSING_MARGIN)*k_cr.
+    Velocity strengthening has nothing to certify (always stable at every k
+    the counter confirms): returns True.
     """
     if not p.weakening:
         return True
-    if mode is None:
-        mode = critical_mode(p, bm).mode
-    if mode.k_mag is None:
-        raise DomainError("certification needs a mode with dimensional k_mag")
-    above = count_unstable(CharParams(k=(1.0 + margin) * mode.k_mag,
+    k_cr = critical_mode(p, bm).mode.k_mag
+    above = count_unstable(CharParams(k=(1.0 + CROSSING_MARGIN) * k_cr,
                                       friction=p, bimaterial=bm))
-    below = count_unstable(CharParams(k=(1.0 - margin) * mode.k_mag,
+    below = count_unstable(CharParams(k=(1.0 - CROSSING_MARGIN) * k_cr,
                                       friction=p, bimaterial=bm))
     return above.n_unstable == 0 and below.n_unstable >= 2
 

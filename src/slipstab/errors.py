@@ -34,7 +34,8 @@ class ContourThroughZero(SlipStabError, ArithmeticError):
 
 
 class StepFailure(SlipStabError, RuntimeError):
-    """ODE step size underflowed. Carries the last accepted state, if any."""
+    """ODE integration failed: the step size underflowed (carrying the last
+    accepted state) or a trial step overflowed (carrying none)."""
 
     def __init__(self, message, last_state=None):
         super().__init__(message)
@@ -42,7 +43,8 @@ class StepFailure(SlipStabError, RuntimeError):
 
 
 class Inconclusive(SlipStabError, RuntimeError):
-    """Stiffness bisection could not classify growth vs decay within its budget."""
+    """The stiffness regula falsi could not bracket or resolve the growth-decay
+    threshold within its budget."""
 
 
 class InputError(SlipStabError, ValueError):

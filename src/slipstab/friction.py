@@ -1,9 +1,8 @@
 """Rate- and state-dependent friction.
 
 Constitutive law, state evolution (ageing and slip forms), the steady-state
-strength curve, the linearized relaxation coefficients used by the spring-block
-analysis, and the nondimensional sliding-velocity parameter q that controls the
-continuum problem.
+strength curve, and the nondimensional sliding-velocity parameter q that
+controls the continuum problem.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import DomainError, NonpositiveVelocity, VelocityStrengthening
 from .materials import EffectiveMedium
@@ -109,27 +107,6 @@ def state_rate(law: EvolutionLaw, v: float, theta: float, L: float) -> float:
             raise DomainError(f"slip law needs V*theta/L > 0, got {x}")
         return -x * math.log(x)
     raise DomainError(f"unknown evolution law {law!r}")
-
-
-class LinearizedLaw(NamedTuple):
-    """Coefficients of the linearized friction law about steady sliding.
-
-    d(tau)/dt = direct * dV/dt - relax * [tau - tau_o + weaken * (V - v_o)]
-    with direct = a*sigma_o/v_o, relax = v_o/L, weaken = (b - a)*sigma_o/v_o.
-    """
-
-    direct: float
-    relax: float
-    weaken: float
-
-
-def linearized_coefficients(p: RateState) -> LinearizedLaw:
-    """Linearize the friction law about V = v_o, theta = L/v_o."""
-    return LinearizedLaw(
-        direct=p.a * p.sigma_o / p.v_o,
-        relax=p.v_o / p.L,
-        weaken=(p.b - p.a) * p.sigma_o / p.v_o,
-    )
 
 
 def nondim_q(p: RateState, slow: EffectiveMedium) -> float:

@@ -92,7 +92,7 @@ class BiMaterial:
     def __post_init__(self):
         if not self.speed_ratio >= 1.0:
             raise NotPositiveDefinite(
-                f"speed_ratio must be >= 1 after ordering, got {self.speed_ratio}"
+                f"speed_ratio must be >= 1 (slow side first), got {self.speed_ratio}"
             )
 
     @classmethod
@@ -100,8 +100,6 @@ class BiMaterial:
         """Synthetic pair with a unit slow side, for nondimensional runs."""
         if not mu_ratio > 0.0:
             raise NotPositiveDefinite(f"mu_ratio must be positive, got {mu_ratio}")
-        if not speed_ratio >= 1.0:
-            raise NotPositiveDefinite(f"speed_ratio must be >= 1, got {speed_ratio}")
         slow = EffectiveMedium(mu=1.0, c1=1.0)
         fast = EffectiveMedium(mu=mu_ratio, c1=speed_ratio)
         return cls(slow=slow, fast=fast, mu_ratio=mu_ratio,

@@ -33,9 +33,9 @@ import numpy as np
 from .errors import DomainError, EmptyIntervalWarning, SlipStabError
 from .friction import RateState, nondim_q
 from .materials import BiMaterial
-from .transfer import f_intersonic_parts
+from .transfer import f_intersonic_parts, f_subsonic_denominator
 
-__all__ = ["Branch", "NeutralMode", "Stability", "StabilityVerdict", "SweepRow",
+__all__ = ["Branch", "NeutralMode", "Stability", "StabilityVerdict",
            "solve_subsonic", "solve_intersonic", "critical_mode",
            "critical_mode_q", "sweep_q"]
 
@@ -57,12 +57,14 @@ class Branch(str, Enum):
 
 @dataclass(frozen=True)
 class NeutralMode:
-    """One neutrally propagating perturbation of steady sliding.
+    """One neutrally propagating perturbation of steady sliding at
+    nondimensional sliding velocity q.
 
-    c_over_c1 and k_hat are always set; k_mag (1/m) and omega (rad/s) are
+    q, c_over_c1 and k_hat are always set; k_mag (1/m) and omega (rad/s) are
     populated only when the solve was given dimensional friction parameters.
     """
 
+    q: float
     branch: Branch
     c_over_c1: float
     k_hat: float
@@ -89,16 +91,6 @@ class StabilityVerdict:
     def __post_init__(self):
         if (self.mode is None) != (self.status is Stability.ALWAYS_STABLE):
             raise DomainError(f"{self.status.value} verdict must carry a mode iff critical")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One row of a q sweep: a neutral mode tagged with its q."""
-
-    q: float
-    branch: Branch
-    c_over_c1: float
-    k_hat: float
 
 
 def _bracketed_roots(f, a, fa, b, fb, rtol: float):
@@ -143,27 +135,26 @@ def _bracketed_roots(f, a, fa, b, fb, rtol: float):
 def _subsonic_modes(qs: np.ndarray, m: float, r: float):
     """(c/c1, k_hat) arrays of the subsonic modes at every q in qs.
 
-    With t = x^2/(1 - x^2), x = c/c1, x/F(c) = q becomes the increasing
-    g(t) = sqrt(t)*(h + m)/(2m) = q, h = beta/beta' = r/sqrt(r^2 + t(r^2-1));
-    t keeps x and 1 - x^2 (hence k_hat) accurate for all q.  T(t) =
-    (2mq/(h + m))^2 increases and fixes the root, so T(T(0)) <= t <=
-    T(T(inf)); these brackets, widened by 1e-12, are clamped to the normal
-    floats, and a root t cannot represent raises DomainError.
+    With t = x^2/(1 - x^2), x = c/c1, and h + m = f_subsonic_denominator(t),
+    x/F(c) = q becomes the increasing g(t) = sqrt(t)*(h + m)/(2m) = q; t keeps
+    x and 1 - x^2 (hence k_hat) accurate for all q.  T(t) = (2mq/(h + m))^2
+    increases and fixes the root, and h falls from 1 towards 0, so T of
+    (2mq/(1 + m))^2 and of (2q)^2 bracket it; these brackets, widened by
+    1e-12, are clamped to the normal floats, and a root t cannot represent
+    raises DomainError.
     """
     with np.errstate(over="ignore", under="ignore"):
-        def h(t):
-            return r / np.sqrt(r * r + t * (r * r - 1.0))
-
         def resid(t):
             # (g^2 - q^2)/q: the sign of g - q, nearly linear in t
-            g = np.sqrt(t) * (h(t) + m) / (2.0 * m)
+            g = np.sqrt(t) * f_subsonic_denominator(t, m, r) / (2.0 * m)
             return (g - qs) * (g / qs + 1.0)
 
-        def image(h_t):  # T(t), from h(t)
-            return (2.0 * m * qs / (h_t + m)) ** 2
+        def image(s):  # T(t), from s = h(t) + m
+            return (2.0 * m * qs / s) ** 2
 
-        t_lo = np.clip(image(h(image(1.0))) * (1.0 - 1e-12), _FLOAT.tiny, _FLOAT.max)
-        t_hi = np.clip(image(h(image(0.0))) * (1.0 + 1e-12), _FLOAT.tiny, _FLOAT.max)
+        t_lo = image(f_subsonic_denominator(image(1.0 + m), m, r)) * (1.0 - 1e-12)
+        t_hi = image(f_subsonic_denominator(image(m), m, r)) * (1.0 + 1e-12)
+        t_lo, t_hi = (np.clip(t, _FLOAT.tiny, _FLOAT.max) for t in (t_lo, t_hi))
 
         r_lo, r_hi = resid(t_lo), resid(t_hi)
         outside = ~((r_lo <= 0.0) & (r_hi > 0.0))
@@ -171,8 +162,10 @@ def _subsonic_modes(qs: np.ndarray, m: float, r: float):
             raise DomainError(f"q = {float(qs[outside][0])} lies outside the range "
                               f"(about 1e-154 to 1e154) the subsonic solve resolves")
         t = _bracketed_roots(resid, t_lo, r_lo, t_hi, r_hi, 0.0)
-        # k_hat = F(0)/F(c), evaluated from t so no accuracy is lost as c -> c1
-        k_hat = 2.0 * m / (1.0 + m) * (h(t) + m) * np.sqrt(1.0 + t) / (2.0 * m)
+        # k_hat = F(0)/F(c) = F(0)*(h + m)/(2m*beta), from t so no accuracy is
+        # lost as c -> c1
+        k_hat = (2.0 * m / (1.0 + m) * f_subsonic_denominator(t, m, r)
+                 * np.sqrt(1.0 + t) / (2.0 * m))
         return np.sqrt(t / (1.0 + t)), k_hat
 
 
@@ -244,20 +237,27 @@ def _intersonic_modes(qs: np.ndarray, m: float, r: float, b_over_a: float):
     return index, x, k_hat, omega_hat
 
 
-def _modes(branch: Branch, xs, k_hats, omega_hats, friction: RateState | None,
+def _modes(branch: Branch, qs, xs, k_hats, omega_hats, friction: RateState | None,
            bm: BiMaterial) -> list[NeutralMode]:
-    """NeutralModes from arrays of c/c1, k_hat and omega*L/v_o; `friction`
-    fills in omega and |k| = omega/c."""
+    """NeutralModes from arrays of q, c/c1, k_hat and omega*L/v_o (an array,
+    or one value for all); `friction` fills in omega and |k| = omega/c."""
+    omega_hats = np.broadcast_to(omega_hats, xs.shape)
     modes = []
-    for x, k_hat, omega_hat in zip(xs.tolist(), k_hats.tolist(), omega_hats.tolist()):
+    for q, x, k_hat, omega_hat in zip(qs.tolist(), xs.tolist(), k_hats.tolist(),
+                                      omega_hats.tolist()):
         omega = None if friction is None else omega_hat * (friction.v_o / friction.L)
         k_mag = None if friction is None else omega / (x * bm.slow.c1)
-        modes.append(NeutralMode(branch=branch, c_over_c1=x, k_hat=k_hat,
+        modes.append(NeutralMode(q=q, branch=branch, c_over_c1=x, k_hat=k_hat,
                                  k_mag=k_mag, omega=omega))
     return modes
 
 
-def _check_friction(q: float, friction: RateState, bm: BiMaterial) -> None:
+def _check_q(q: float, friction: RateState | None, bm: BiMaterial) -> None:
+    """q must be positive, and the q of `friction`, if given, must agree."""
+    if not q > 0.0:
+        raise DomainError(f"q must be positive, got {q}")
+    if friction is None:
+        return
     q_dim = nondim_q(friction, bm.slow)
     if abs(q_dim - q) > 1e-9 * q:
         raise DomainError(
@@ -278,14 +278,12 @@ def solve_subsonic(q: float, bm: BiMaterial,
     Returns a NeutralMode with k_hat = F(0)/F(c) >= 1 and, dimensionally,
     |k| = sqrt((b-a)/a)*(v_o/L)/c and omega = |k|*c.
     """
-    if not q > 0.0:
-        raise DomainError(f"q must be positive, got {q}")
-    if friction is not None:
-        _check_friction(q, friction, bm)
-    x, k_hat = _subsonic_modes(np.array([float(q)]), bm.mu_ratio, bm.speed_ratio)
+    _check_q(q, friction, bm)
+    qs = np.array([float(q)])
+    x, k_hat = _subsonic_modes(qs, bm.mu_ratio, bm.speed_ratio)
     # omega*L/v_o = sqrt((b-a)/a) on this branch
     w = math.nan if friction is None else (friction.b - friction.a) / friction.a
-    return _modes(Branch.SUBSONIC, x, k_hat, np.sqrt([w]), friction, bm)[0]
+    return _modes(Branch.SUBSONIC, qs, x, k_hat, math.sqrt(w), friction, bm)[0]
 
 
 def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial,
@@ -301,24 +299,20 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial,
     equations involve b/a on their own, hence the extra argument; it must be
     > 1 (velocity weakening).
     """
-    if not q > 0.0:
-        raise DomainError(f"q must be positive, got {q}")
+    _check_q(q, friction, bm)
     if not b_over_a > 1.0:
         raise DomainError(f"intersonic modes require b/a > 1, got {b_over_a}")
-    if friction is not None:
-        _check_friction(q, friction, bm)
-        if abs(friction.b / friction.a - b_over_a) > 1e-9 * b_over_a:
-            raise DomainError(
-                f"friction parameters give b/a = {friction.b / friction.a}, "
-                f"inconsistent with requested {b_over_a}"
-            )
+    if friction is not None and abs(friction.b / friction.a - b_over_a) > 1e-9 * b_over_a:
+        raise DomainError(f"friction parameters give b/a = {friction.b / friction.a}, "
+                          f"inconsistent with requested {b_over_a}")
     if bm.speed_ratio == 1.0:
         warnings.warn("equal wave speeds: no intersonic interval",
                       EmptyIntervalWarning, stacklevel=2)
         return []
-    _, xs, k_hats, omega_hats = _intersonic_modes(
-        np.array([float(q)]), bm.mu_ratio, bm.speed_ratio, b_over_a)
-    return _modes(Branch.INTERSONIC, xs, k_hats, omega_hats, friction, bm)
+    qs = np.array([float(q)])
+    index, xs, k_hats, omega_hats = _intersonic_modes(
+        qs, bm.mu_ratio, bm.speed_ratio, b_over_a)
+    return _modes(Branch.INTERSONIC, qs[index], xs, k_hats, omega_hats, friction, bm)
 
 
 def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial,
@@ -355,8 +349,9 @@ def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
     return critical_mode_q(nondim_q(p, bm.slow), p.b / p.a, bm, friction=p)
 
 
-def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> list[SweepRow]:
-    """Neutral modes over a grid of q values, in grid order.
+def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> list[NeutralMode]:
+    """Neutral modes over a grid of q values, in grid order, without
+    dimensional fields.
 
     Each q contributes its subsonic mode first, then any intersonic modes in
     ascending phase velocity.  The grid must be positive and sorted
@@ -372,12 +367,11 @@ def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> list[SweepRow]:
     if not b_over_a > 1.0:
         raise DomainError(f"sweep requires velocity weakening b/a > 1, got {b_over_a}")
     m, r = bm.mu_ratio, bm.speed_ratio
-    xs, k_hats = _subsonic_modes(qs, m, r)
-    rows = [[SweepRow(q=q, branch=Branch.SUBSONIC, c_over_c1=x, k_hat=k)]
-            for q, x, k in zip(qs.tolist(), xs.tolist(), k_hats.tolist())]
+    rows = [[mode] for mode in _modes(Branch.SUBSONIC, qs, *_subsonic_modes(qs, m, r),
+                                      math.nan, None, bm)]
     if r > 1.0:
         index, xs, k_hats, _ = _intersonic_modes(qs, m, r, b_over_a)
-        for i, x, k in zip(index.tolist(), xs.tolist(), k_hats.tolist()):
-            rows[i].append(SweepRow(q=rows[i][0].q, branch=Branch.INTERSONIC,
-                                    c_over_c1=x, k_hat=k))
-    return [row for group in rows for row in group]
+        modes = _modes(Branch.INTERSONIC, qs[index], xs, k_hats, math.nan, None, bm)
+        for i, mode in zip(index.tolist(), modes):
+            rows[i].append(mode)
+    return [mode for group in rows for mode in group]

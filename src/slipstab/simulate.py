@@ -30,6 +30,8 @@ __all__ = [
 
 RUNAWAY_FACTOR = 1e6   # V above this multiple of v_o counts as instability
 CAP_GROWTH = 10.0      # estimator runs stop at ln(V/v_o) = 10*|ln(1 + perturbation)|
+ESTIMATE_TOL = 1e-8    # integrator tolerance of the estimator runs
+ESTIMATE_MAX_STEPS = 40   # regula falsi steps before the estimator gives up
 
 
 @dataclass(frozen=True)
@@ -68,14 +70,18 @@ class BlockTrajectory:
         return bool(self.metadata.get("blew_up", False))
 
 
-def _rhs_massless(p: RateState, stiffness: float, law: EvolutionLaw):
+def _rhs(p: RateState, stiffness: float, mass: float, law: EvolutionLaw):
+    """Right side in (u, w) = (ln(V/v_o), ln(v_o*theta/L)), plus the spring
+    stress tau when the block has mass."""
     a_sig = p.a * p.sigma_o
     b_sig = p.b * p.sigma_o
     k_vo = stiffness * p.v_o
     lam = p.v_o / p.L
+    tau_o = p.tau_o
+    m_vo = mass * p.v_o
     ageing = law is EvolutionLaw.AGEING
 
-    def rhs(_t, y):
+    def massless(_t, y):
         u, w = y
         eu = math.exp(u)
         if ageing:
@@ -85,19 +91,7 @@ def _rhs_massless(p: RateState, stiffness: float, law: EvolutionLaw):
         du = (-k_vo * (eu - 1.0) - b_sig * dw) / a_sig
         return (du, dw)
 
-    return rhs
-
-
-def _rhs_inertial(p: RateState, stiffness: float, mass: float, law: EvolutionLaw):
-    a_sig = p.a * p.sigma_o
-    b_sig = p.b * p.sigma_o
-    k_vo = stiffness * p.v_o
-    lam = p.v_o / p.L
-    tau_o = p.tau_o
-    m_vo = mass * p.v_o
-    ageing = law is EvolutionLaw.AGEING
-
-    def rhs(_t, y):
+    def inertial(_t, y):
         u, w, tau = y
         eu = math.exp(u)
         if ageing:
@@ -108,7 +102,7 @@ def _rhs_inertial(p: RateState, stiffness: float, mass: float, law: EvolutionLaw
         dtau = -k_vo * (eu - 1.0)
         return (du, dw, dtau)
 
-    return rhs
+    return inertial if mass > 0.0 else massless
 
 
 def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
@@ -169,12 +163,8 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     u0 = math.log(v0 / p.v_o)
     w0 = math.log(p.v_o * theta0 / p.L)
     inertial = sb.mass > 0.0
-    if inertial:
-        y0 = [u0, w0, tau0]
-        rhs = _rhs_inertial(p, sb.stiffness, sb.mass, law)
-    else:
-        y0 = [u0, w0]
-        rhs = _rhs_massless(p, sb.stiffness, law)
+    y0 = [u0, w0, tau0] if inertial else [u0, w0]
+    rhs = _rhs(p, sb.stiffness, sb.mass, law)
 
     # output grid dense enough for envelope and period extraction
     w_lin = (p.b - p.a) / p.a
@@ -199,18 +189,6 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     except OverflowError as exc:
         # exp(u) overflowed in a trial step; the RHS stays unguarded (hot loop)
         raise StepFailure(f"integrator step overflowed: {exc}") from exc
-    if sol.status == -1:
-        last = None
-        if sol.y.shape[1] > 0:
-            yl = sol.y[:, -1]
-            last = BlockState(
-                v=p.v_o * math.exp(yl[0]),
-                theta=p.L / p.v_o * math.exp(yl[1]),
-                tau=yl[2] if inertial else p.tau_o + p.a * p.sigma_o * yl[0]
-                    + p.b * p.sigma_o * yl[1],
-            )
-        raise StepFailure(f"integrator failed: {sol.message}", last_state=last)
-
     u = sol.y[0]
     w = sol.y[1]
     v = p.v_o * np.exp(u)
@@ -219,6 +197,10 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         tau = sol.y[2]
     else:
         tau = p.tau_o + p.a * p.sigma_o * u + p.b * p.sigma_o * w
+    if sol.status == -1:
+        last = (BlockState(v=float(v[-1]), theta=float(theta[-1]), tau=float(tau[-1]))
+                if v.size else None)
+        raise StepFailure(f"integrator failed: {sol.message}", last_state=last)
     return BlockTrajectory(
         t=sol.t, v=v, theta=theta, tau=tau,
         metadata={
@@ -232,8 +214,10 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     )
 
 
-def _positive_peaks(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Times and heights of local maxima of x, parabolically refined."""
+def _positive_peaks(t: np.ndarray, x: np.ndarray,
+                    floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times and heights of the local maxima of x above floor, parabolically
+    refined."""
     i = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]) & (x[1:-1] > 0.0))[0] + 1
     if i.size == 0:
         return np.empty(0), np.empty(0)
@@ -245,7 +229,8 @@ def _positive_peaks(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     dt = t[1] - t[0]
     t_pk = t[i] + shift * dt
     x_pk = x[i] - 0.25 * (x[i - 1] - x[i + 1]) * shift
-    return t_pk, x_pk
+    keep = x_pk > floor
+    return t_pk[keep], x_pk[keep]
 
 
 def _growth_rate(traj: BlockTrajectory, p: RateState) -> float:
@@ -262,9 +247,7 @@ def _growth_rate(traj: BlockTrajectory, p: RateState) -> float:
     peak-free cases).
     """
     x = traj.v - p.v_o
-    t_pk, x_pk = _positive_peaks(traj.t, x)
-    keep = x_pk > max(1e-11 * p.v_o, 1e-4 * abs(x[0]))
-    t_pk, x_pk = t_pk[keep], x_pk[keep]
+    t_pk, x_pk = _positive_peaks(traj.t, x, max(1e-11 * p.v_o, 1e-4 * abs(x[0])))
     if t_pk.size >= 3:
         if t_pk.size >= 6:
             t_pk, x_pk = t_pk[2:], x_pk[2:]
@@ -280,10 +263,7 @@ def _growth_rate(traj: BlockTrajectory, p: RateState) -> float:
 
 def _measure_omega(traj: BlockTrajectory, p: RateState) -> float:
     """Angular frequency from the mean spacing of oscillation peaks."""
-    x = traj.v - p.v_o
-    t_pk, x_pk = _positive_peaks(traj.t, x)
-    keep = x_pk > 1e-12 * p.v_o
-    t_pk = t_pk[keep]
+    t_pk, _ = _positive_peaks(traj.t, traj.v - p.v_o, 1e-12 * p.v_o)
     if t_pk.size < 3:
         raise Inconclusive("too few oscillation peaks to measure a period")
     period = float(np.mean(np.diff(t_pk)))
@@ -292,22 +272,21 @@ def _measure_omega(traj: BlockTrajectory, p: RateState) -> float:
 
 def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
                                 mass: float = 0.0,
-                                perturbation: float = 1e-3,
-                                duration: float | None = None,
-                                tol: float = 1e-8,
-                                max_steps: int = 40) -> tuple[float, float]:
+                                perturbation: float = 1e-3) -> tuple[float, float]:
     """Estimate (K_cr, omega) from the nonlinear block, no linearization used.
 
     Each run starts from steady sliding with V perturbed by the relative
-    amount `perturbation` and yields the envelope growth rate sigma of
-    V - v_o (see `_growth_rate`); a run stops early once ln(V/v_o) reaches
-    CAP_GROWTH times |ln(1 + perturbation)|, where growth is certain.  The
-    search brackets the zero of sigma(K) starting from [0.9, 1.1] times the
-    analytic critical value, halving the soft end or doubling the stiff end
-    (within 0.1 and 10 times that value) until the soft end grows and the
-    stiff end decays, then takes at most `max_steps` Illinois regula falsi
-    steps.  The analytic value only places the first bracket: every sign
-    and every sigma come from nonlinear runs.  A run with |sigma| within
+    amount `perturbation`, is integrated at tolerance ESTIMATE_TOL over
+    simulate_spring_block's default 200*L/v_o, and yields the envelope
+    growth rate sigma of V - v_o (see `_growth_rate`); a run stops early
+    once ln(V/v_o) reaches CAP_GROWTH times |ln(1 + perturbation)|, where
+    growth is certain.  The search brackets the zero of sigma(K) starting
+    from [0.9, 1.1] times the analytic critical value, halving the soft end
+    or doubling the stiff end (within 0.1 and 10 times that value) until the
+    soft end grows and the stiff end decays, then takes at most
+    ESTIMATE_MAX_STEPS Illinois regula falsi steps.  The analytic value only
+    places the first bracket: every sign and every sigma come from nonlinear
+    runs.  A run with |sigma| within
     1e-4*v_o/L counts as neutral and gives the estimate (the stiffness is
     then within a fraction of a percent of critical); a bracket narrower
     than 1e-3 times the analytic value gives its midpoint.  The returned
@@ -317,7 +296,7 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
     Raises VelocityStrengthening for b <= a, DomainError for a zero
     perturbation, and Inconclusive when the widened ends fail to bracket
     (no growth at the soft end, no decay at the stiff end) or the dead band
-    is not reached within `max_steps` regula falsi steps.
+    is not reached within ESTIMATE_MAX_STEPS regula falsi steps.
     """
     if not p.weakening:
         raise VelocityStrengthening("no finite critical stiffness for b <= a")
@@ -334,8 +313,8 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
 
     def run(k: float, runaway_factor: float) -> BlockTrajectory:
         sb = SpringBlockParams(stiffness=k, mass=mass, friction=p)
-        return simulate_spring_block(sb, law, init=init, duration=duration,
-                                     tol=tol, runaway_factor=runaway_factor)
+        return simulate_spring_block(sb, law, init=init, tol=ESTIMATE_TOL,
+                                     runaway_factor=runaway_factor)
 
     def sigma(k: float) -> float:
         runs[k] = run(k, cap)
@@ -364,9 +343,9 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
         if k_stiff - k_soft < 1e-3 * k_ref:
             k_est = 0.5 * (k_soft + k_stiff)
             break
-        if steps == max_steps:
+        if steps == ESTIMATE_MAX_STEPS:
             raise Inconclusive(
-                f"regula falsi spent {max_steps} steps without entering the dead band"
+                f"regula falsi spent {ESTIMATE_MAX_STEPS} steps without entering the dead band"
             )
         steps += 1
         k = k_soft + s_soft * (k_stiff - k_soft) / (s_soft - s_stiff)

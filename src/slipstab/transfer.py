@@ -18,8 +18,6 @@ Three entry points cover the three regimes used by the stability analysis:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import BranchPole, DomainError, EmptyInterval
@@ -59,14 +57,20 @@ def f_laplace(k: float, p: complex, bm: BiMaterial) -> complex:
     """
     if k == 0.0:
         raise DomainError("k = 0 carries no wavelength; transfer function undefined")
+    z = closed_half_plane(p) / (abs(k) * bm.slow.c1)
+    return f_normalized(z, bm.mu_ratio, bm.speed_ratio)
+
+
+def closed_half_plane(p: complex) -> complex:
+    """p as a complex number of the closed right half-plane.
+
+    Re(p) < 0 raises DomainError; Re(p) = -0.0 becomes +0.0, so that points
+    on the imaginary axis are the limit from Re(p) > 0.
+    """
     p = complex(p)
     if p.real < 0.0:
         raise DomainError(f"Re(p) must be >= 0, got p = {p}")
-    if p.real == 0.0:
-        # normalize -0.0 so the branch limit comes from Re(p) > 0
-        p = complex(0.0, p.imag)
-    z = p / (abs(k) * bm.slow.c1)
-    return f_normalized(z, bm.mu_ratio, bm.speed_ratio)
+    return complex(0.0, p.imag) if p.real == 0.0 else p
 
 
 def f_subsonic(c_over_c1: float, bm: BiMaterial) -> float:
@@ -79,13 +83,24 @@ def f_subsonic(c_over_c1: float, bm: BiMaterial) -> float:
     x = c_over_c1
     if not 0.0 <= x < 1.0:
         raise DomainError(f"subsonic branch needs 0 <= c/c1 < 1, got {x}")
-    m = bm.mu_ratio
-    r = bm.speed_ratio
-    # (1-x) is exact for x in [0.5, 1); the factored forms avoid the
-    # cancellation that 1 - x*x suffers as c -> c1
-    beta = math.sqrt((1.0 - x) * (1.0 + x))
-    beta_fast = math.sqrt(((r - 1.0) + (1.0 - x)) * (r + x)) / r
-    return 2.0 * m * beta_fast * beta / (beta + m * beta_fast)
+    # (1-x) is exact for x in [0.5, 1): no cancellation as c -> c1
+    t = x * x / ((1.0 - x) * (1.0 + x))
+    # F = 2m*beta/(h + m) with beta = 1/sqrt(1 + t)
+    return float(2.0 * bm.mu_ratio
+                 / (f_subsonic_denominator(t, bm.mu_ratio, bm.speed_ratio)
+                    * np.sqrt(1.0 + t)))
+
+
+def f_subsonic_denominator(t, mu_ratio: float, speed_ratio: float):
+    """h + m, the denominator of F/beta = 2m/(h + m) of f_subsonic, at
+    t = x^2/(1 - x^2), x = c/c1, floats or ndarrays; beta = 1/sqrt(1 + t).
+
+    h = beta/beta' = r/sqrt(r^2 + t*(r - 1)*(r + 1)) falls from 1 at c = 0
+    to 0 as c -> c1 (stays 1 for r = 1); t keeps x and beta accurate as
+    c -> c1, for every float t.
+    """
+    r = speed_ratio
+    return r / np.sqrt(r * r + t * ((r - 1.0) * (r + 1.0))) + mu_ratio
 
 
 def f_intersonic(c_over_c1: float, bm: BiMaterial) -> complex:

@@ -18,7 +18,6 @@ from slipstab import (
     identical_isotropic_dynamic,
     make_bimaterial,
     quasistatic_continuum,
-    rate_only_verdict,
     solve_subsonic,
     spring_block_critical,
 )
@@ -163,19 +162,6 @@ class TestDynamicIdentical:
             identical_isotropic_dynamic(p, mu=30e9, c_s=-1.0)
         soft = RateState(a=0.01, b=0.005, L=1e-4, sigma_o=1e6, v_o=1e-3)
         assert identical_isotropic_dynamic(soft, mu=30e9, c_s=3000.0) is None
-
-
-class TestRateOnly:
-    def test_three_signs(self):
-        strengthening = RateState(a=0.015, b=0.01, L=1e-4, sigma_o=1e6, v_o=1e-3)
-        weakening = RateState(a=0.01, b=0.015, L=1e-4, sigma_o=1e6, v_o=1e-3)
-        neutral = RateState(a=0.01, b=0.01, L=1e-4, sigma_o=1e6, v_o=1e-3)
-        assert rate_only_verdict(strengthening).stable
-        assert not rate_only_verdict(strengthening).marginal
-        assert not rate_only_verdict(weakening).stable
-        assert not rate_only_verdict(weakening).marginal
-        v = rate_only_verdict(neutral)
-        assert not v.stable and v.marginal
 
 
 rate_states = st.builds(

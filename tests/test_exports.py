@@ -1,0 +1,23 @@
+"""The package namespace: every exported name resolves, and every public name
+of the solver modules is re-exported, so a deleted name cannot linger."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import slipstab
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in slipstab.__all__ if not hasattr(slipstab, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", ["transfer", "neutral", "closed_forms",
+                                    "dispersion", "simulate"])
+def test_module_exports_reach_the_package(module):
+    mod = importlib.import_module(f"slipstab.{module}")
+    assert all(hasattr(mod, name) for name in mod.__all__)
+    assert set(mod.__all__) <= set(slipstab.__all__)

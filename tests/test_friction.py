@@ -15,7 +15,6 @@ from slipstab import (
     RateState,
     VelocityStrengthening,
     friction_stress,
-    linearized_coefficients,
     nondim_q,
     state_rate,
     steady_state_stress,
@@ -94,14 +93,6 @@ def test_ageing_law_stationary_contact():
     assert state_rate(EvolutionLaw.AGEING, 0.0, 1.0, 1e-4) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         state_rate(EvolutionLaw.SLIP, 0.0, 1.0, 1e-4)
-
-
-def test_linearized_coefficients(weakening):
-    p = weakening
-    lin = linearized_coefficients(p)
-    assert lin.direct == pytest.approx(p.a * p.sigma_o / p.v_o, rel=1e-15)
-    assert lin.relax == pytest.approx(p.v_o / p.L, rel=1e-15)
-    assert lin.weaken == pytest.approx((p.b - p.a) * p.sigma_o / p.v_o, rel=1e-15)
 
 
 def test_nondim_q_worked_example():

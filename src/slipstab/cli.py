@@ -11,23 +11,27 @@ simulate  nonlinear spring-block trajectory, written as CSV
 verify    run the certification suite and print PASS/FAIL lines
 
 Every option can also come from a JSON file via --config (keys mirror the
-flag names in snake_case); explicit flags override the file.  Outputs are
-bit-identical for identical configs: full-precision decimal floats, fixed
-column order, and a `#` provenance header carrying the tool version and the
-effective config (no timestamps).  Exit codes: 0 success, 2 input error,
-3 solver or verification failure.
+flag names in snake_case); explicit flags override the file.  `verify` takes
+no options.  A config value of the wrong type, and a `kcr` call that mixes q,
+b_over_a or the ratios with friction or material fields, are input errors
+(exit 2).  Outputs are bit-identical for identical configs: full-precision
+decimal floats, fixed column order, and a `#` provenance header carrying the
+tool version and the effective config (no timestamps).  Exit codes: 0
+success, 2 input error, 3 solver or verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,15 +47,37 @@ from .closed_forms import SpringBlockParams
 from .verification import (FIGURE_B_OVER_A, FIGURE_PRESETS, FIGURE_Q_GRID,
                            run_all)
 
-_FRICTION_FIELDS = ("a", "b", "L", "sigma_o", "v_o", "f")
-_RAW_1 = ("c44", "c45", "c55", "rho")
-_RAW_2 = ("c44_2", "c45_2", "c55_2", "rho_2")
-_EFF_1 = ("mu", "c1")
-_EFF_2 = ("mu_2", "c1_2")
+# Input fields, in groups that several commands share: name -> (type, help).
+# The flag is --name with _ written as -, the --config key is name.  The
+# material flags are hidden from --help; a _2 suffix marks the second side.
+_FRICTION = {
+    "a": (float, "direct-effect coefficient"),
+    "b": (float, "state-effect coefficient"),
+    "L": (float, "state evolution distance (m)"),
+    "sigma_o": (float, "normal stress (Pa)"),
+    "v_o": (float, "steady sliding velocity (m/s)"),
+    "f": (float, f"base friction coefficient (default {RateState.f})"),
+}
+_RAW_1 = dict.fromkeys(("c44", "c45", "c55", "rho"), (float, argparse.SUPPRESS))
+_EFF_1 = dict.fromkeys(("mu", "c1"), (float, argparse.SUPPRESS))
+_RAW_2, _EFF_2 = ({f"{k}_2": v for k, v in side.items()}
+                  for side in (_RAW_1, _EFF_1))
+_MATERIAL = {**_RAW_1, **_RAW_2, **_EFF_1, **_EFF_2}
+_RATIOS = {
+    "b_over_a": (float, "b/a of the friction law"),
+    "mu_ratio": (float, "fast-side over slow-side modulus (default 1)"),
+    "speed_ratio": (float, "fast-side over slow-side wave speed (default 1)"),
+}
+_OUT = {"out": (str, "output CSV path (- for stdout), or figures directory")}
+
+# the JSON type of a config value, for each field type and each value type
+_JSON_TYPES = {float: "number", int: "number", bool: "boolean", str: "string",
+               EvolutionLaw: "string"}
 
 
-def _merge_config(args: argparse.Namespace, fields: Sequence[str]) -> dict:
-    """JSON config overlaid by explicitly given flags, restricted to fields."""
+def _merge_config(args: argparse.Namespace, fields: dict) -> dict:
+    """JSON config overlaid by explicitly given flags, restricted to fields
+    and checked against their types."""
     cfg: dict[str, Any] = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -66,6 +92,10 @@ def _merge_config(args: argparse.Namespace, fields: Sequence[str]) -> dict:
         for key, val in loaded.items():
             if key not in fields:
                 raise InputError(f"config: unknown field {key!r}")
+            want = _JSON_TYPES[fields[key][0]]
+            if _JSON_TYPES.get(type(val)) != want:
+                raise InputError(
+                    f"config: {key} must be a {want}, got {json.dumps(val)}")
             cfg[key] = val
     for key in fields:
         val = getattr(args, key, None)
@@ -80,73 +110,70 @@ def _require(cfg: dict, key: str) -> Any:
     return cfg[key]
 
 
-def _friction_from(cfg: dict) -> RateState | None:
-    """RateState if any friction field is present, else None."""
-    if not any(k in cfg for k in _FRICTION_FIELDS):
-        return None
-    for k in ("a", "b", "L", "sigma_o", "v_o"):
-        if k not in cfg:
-            raise InputError(f"missing friction field {k}")
+def _checked(make: Callable, *args: Any, **kwargs: Any) -> Any:
+    """make(*args, **kwargs), reporting a rejected value as an input error."""
     try:
-        return RateState(a=cfg["a"], b=cfg["b"], L=cfg["L"],
-                         sigma_o=cfg["sigma_o"], v_o=cfg["v_o"],
-                         f=cfg.get("f", 0.6))
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise InputError(str(exc))
 
 
-def _side(cfg: dict, keys: Sequence[str], raw: bool) -> EffectiveMedium:
-    try:
-        if raw:
-            c44, c45, c55, rho = (cfg.get(keys[0]), cfg.get(keys[1], 0.0),
-                                  cfg.get(keys[2]), cfg.get(keys[3]))
-            for name, val in zip(keys, (c44, c45, c55, rho)):
-                if val is None and name not in (keys[1],):
-                    raise InputError(f"missing material field {name}")
-            return effective_medium(
-                ShearStiffness(c44=c44, c45=c45, c55=c55, rho=rho))
-        mu, c1 = cfg.get(keys[0]), cfg.get(keys[1])
-        for name, val in zip(keys, (mu, c1)):
-            if val is None:
-                raise InputError(f"missing material field {name}")
-        return EffectiveMedium(mu=mu, c1=c1)
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc))
+def _build(cls: type, what: str, cfg: dict, keys: Iterable[str],
+           **defaults: Any) -> Any:
+    """Dataclass cls from the config values of keys, one per field in order.
+
+    A field with no value takes defaults, else cls's own default; any other
+    absent field is an input error that names its key.
+    """
+    kwargs = dict(defaults)
+    for field, key in zip(dataclasses.fields(cls), keys):
+        if key in cfg:
+            kwargs[field.name] = cfg[key]
+        elif (field.name not in kwargs
+              and field.default is dataclasses.MISSING):
+            raise InputError(f"missing {what} field {key}")
+    return _checked(cls, **kwargs)
+
+
+def _friction_from(cfg: dict, required: bool = False) -> RateState | None:
+    """RateState from the friction fields, or None if there are none and
+    they are not required."""
+    if any(k in cfg for k in _FRICTION):
+        return _build(RateState, "friction", cfg, _FRICTION)
+    if required:
+        raise InputError("missing friction fields (a, b, L, sigma_o, v_o)")
+    return None
+
+
+def _side(cfg: dict, keys: Iterable[str], raw: bool) -> EffectiveMedium:
+    """One half-space from raw stiffnesses (c45 defaults to 0) or mu/c1."""
+    if not raw:
+        return _build(EffectiveMedium, "material", cfg, keys)
+    return _checked(effective_medium,
+                    _build(ShearStiffness, "material", cfg, keys, c45=0.0))
 
 
 def _dimensional_bimaterial(cfg: dict) -> BiMaterial:
     """Bi-material from raw stiffnesses or mu/c1 pairs; one side = identical."""
-    has_raw = any(k in cfg for k in _RAW_1 + _RAW_2)
-    has_eff = any(k in cfg for k in _EFF_1 + _EFF_2)
+    has_raw = any(k in cfg for k in (*_RAW_1, *_RAW_2))
+    has_eff = any(k in cfg for k in (*_EFF_1, *_EFF_2))
     if has_raw and has_eff:
         raise InputError("give stiffness components or mu/c1 values, not both")
-    if has_raw:
-        one = _side(cfg, _RAW_1, raw=True)
-        two = (_side(cfg, _RAW_2, raw=True)
-               if any(k in cfg for k in _RAW_2) else one)
-    elif has_eff:
-        one = _side(cfg, _EFF_1, raw=False)
-        two = (_side(cfg, _EFF_2, raw=False)
-               if any(k in cfg for k in _EFF_2) else one)
-    else:
+    if not (has_raw or has_eff):
         raise InputError(
             "missing material input (c44/c45/c55/rho or mu/c1, with _2 "
             "suffix for the second side)")
+    one_keys, two_keys = (_RAW_1, _RAW_2) if has_raw else (_EFF_1, _EFF_2)
+    one = _side(cfg, one_keys, has_raw)
+    two = (_side(cfg, two_keys, has_raw)
+           if any(k in cfg for k in two_keys) else one)
     return make_bimaterial(one, two)
-
-
-def _open_out(spec: str) -> tuple[TextIO, bool]:
-    if spec == "-":
-        return sys.stdout, False
-    return open(spec, "w", newline=""), True
 
 
 def _write_csv(out: str, columns: Sequence[str],
                rows: Iterable[Sequence[Any]], config: dict) -> None:
-    fh, owned = _open_out(out)
-    try:
+    with (contextlib.nullcontext(sys.stdout) if out == "-"
+          else open(out, "w", newline="")) as fh:
         fh.write(f"# slipstab {__version__}\n")
         fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -154,42 +181,35 @@ def _write_csv(out: str, columns: Sequence[str],
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v
                              for v in row])
-    finally:
-        if owned:
-            fh.close()
 
 
-def _print_kv(key: str, value: Any) -> None:
-    print(f"{key} = {value!r}" if isinstance(value, float)
-          else f"{key} = {value}")
+def _print_kv(**record: Any) -> None:
+    for key, value in record.items():
+        print(f"{key} = {value!r}" if isinstance(value, float)
+              else f"{key} = {value}")
 
 
-def _cmd_medium(args: argparse.Namespace) -> int:
-    fields = _RAW_1 + _RAW_2
-    cfg = _merge_config(args, fields)
+def _cmd_medium(cfg: dict) -> int:
     one = _side(cfg, _RAW_1, raw=True)
-    _print_kv("mu", one.mu)
-    _print_kv("c1", one.c1)
+    _print_kv(mu=one.mu, c1=one.c1)
     if any(k in cfg for k in _RAW_2):
         two = _side(cfg, _RAW_2, raw=True)
-        _print_kv("mu_2", two.mu)
-        _print_kv("c1_2", two.c1)
         bm = make_bimaterial(one, two)
-        _print_kv("mu_ratio", bm.mu_ratio)
-        _print_kv("speed_ratio", bm.speed_ratio)
-        _print_kv("swapped", bm.swapped)
+        _print_kv(mu_2=two.mu, c1_2=two.c1, mu_ratio=bm.mu_ratio,
+                  speed_ratio=bm.speed_ratio, swapped=bm.swapped)
     return 0
 
 
-def _cmd_kcr(args: argparse.Namespace) -> int:
-    fields = (("q", "b_over_a", "mu_ratio", "speed_ratio")
-              + _FRICTION_FIELDS + _RAW_1 + _RAW_2 + _EFF_1 + _EFF_2)
-    cfg = _merge_config(args, fields)
+def _cmd_kcr(cfg: dict) -> int:
     friction = _friction_from(cfg)
     nondim = "q" in cfg
-    if nondim and friction is not None:
-        raise InputError("give q (nondimensional) or friction fields, not both")
-
+    if not nondim and friction is None:
+        raise InputError("missing input: give q/b_over_a or friction fields")
+    given = [k for k in ("q", *_RATIOS) if k in cfg]
+    for group, keys in (("friction", _FRICTION), ("material", _MATERIAL)):
+        if given and any(k in cfg for k in keys):
+            raise InputError(f"give {given[0]} (nondimensional) or {group} "
+                             f"fields, not both")
     if nondim:
         q = cfg["q"]
         if not q > 0.0:
@@ -197,8 +217,6 @@ def _cmd_kcr(args: argparse.Namespace) -> int:
         bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
                                     cfg.get("speed_ratio", 1.0))
         verdict = critical_mode_q(q, _require(cfg, "b_over_a"), bm)
-    elif friction is None:
-        raise InputError("missing input: give q/b_over_a or friction fields")
     else:
         bm = _dimensional_bimaterial(cfg)
         verdict = critical_mode(friction, bm)
@@ -206,15 +224,11 @@ def _cmd_kcr(args: argparse.Namespace) -> int:
         print("always-stable")
         return 0
     mode = verdict.mode
-    _print_kv("status", verdict.status.value)
-    _print_kv("branch", mode.branch.value)
-    _print_kv("c_over_c1", mode.c_over_c1)
-    _print_kv("k_hat", mode.k_hat)
-    if nondim:
-        return 0
-    _print_kv("k_mag", mode.k_mag)
-    _print_kv("c", mode.c_over_c1 * bm.slow.c1)
-    _print_kv("omega", mode.omega)
+    _print_kv(status=verdict.status.value, branch=mode.branch.value,
+              c_over_c1=mode.c_over_c1, k_hat=mode.k_hat)
+    if not nondim:
+        _print_kv(k_mag=mode.k_mag, c=mode.c_over_c1 * bm.slow.c1,
+                  omega=mode.omega)
     return 0
 
 
@@ -235,10 +249,15 @@ def _sweep_grid(cfg: dict) -> list[float]:
     return [float(v) for v in grid]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    fields = ("q_min", "q_max", "q_points", "log",
-              "mu_ratio", "speed_ratio", "b_over_a", "out")
-    cfg = _merge_config(args, fields)
+def _sweep_echo(mode: str, cfg: dict, bm: BiMaterial, b_over_a: float) -> dict:
+    """The `# config:` record of a sweep over the q grid of cfg."""
+    return {"mode": mode, "q_min": cfg["q_min"], "q_max": cfg["q_max"],
+            "q_points": int(cfg["q_points"]), "log": bool(cfg.get("log", False)),
+            "mu_ratio": bm.mu_ratio, "speed_ratio": bm.speed_ratio,
+            "b_over_a": b_over_a}
+
+
+def _cmd_sweep(cfg: dict) -> int:
     grid = _sweep_grid(cfg)
     b_over_a = _require(cfg, "b_over_a")
     if b_over_a <= 1.0:
@@ -246,15 +265,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
                                 cfg.get("speed_ratio", 1.0))
     rows = sweep_q(grid, b_over_a, bm)
-    echo = {"mode": "sweep", "q_min": cfg["q_min"], "q_max": cfg["q_max"],
-            "q_points": int(cfg["q_points"]), "log": bool(cfg.get("log", False)),
-            "mu_ratio": bm.mu_ratio, "speed_ratio": bm.speed_ratio,
-            "b_over_a": b_over_a}
     _write_csv(cfg.get("out", "sweep.csv"),
                ("q", "branch", "c_over_c1", "k_hat"),
                ((row.q, row.branch.value, row.c_over_c1, row.k_hat)
                 for row in rows),
-               echo)
+               _sweep_echo("sweep", cfg, bm, b_over_a))
     return 0
 
 
@@ -265,15 +280,14 @@ def write_figures(outdir: Path) -> list[Path]:
     consecutive pairs share one preset.  Returns the paths in order.
     """
     outdir.mkdir(parents=True, exist_ok=True)
-    lo, hi, n = FIGURE_Q_GRID
-    grid = [float(v) for v in np.logspace(math.log10(lo), math.log10(hi), n)]
+    grid_cfg = dict(zip(("q_min", "q_max", "q_points"), FIGURE_Q_GRID),
+                    log=True)
+    grid = _sweep_grid(grid_cfg)
     paths: list[Path] = []
     for i, (speed_ratio, mu_ratio) in enumerate(FIGURE_PRESETS):
         bm = BiMaterial.from_ratios(mu_ratio, speed_ratio)
         rows = sweep_q(grid, FIGURE_B_OVER_A, bm)
-        base = {"mode": "figures", "q_min": lo, "q_max": hi, "q_points": n,
-                "log": True, "mu_ratio": mu_ratio, "speed_ratio": speed_ratio,
-                "b_over_a": FIGURE_B_OVER_A}
+        base = _sweep_echo("figures", grid_cfg, bm, FIGURE_B_OVER_A)
         for offset, column in ((1, "k_hat"), (2, "c_over_c1")):
             path = outdir / f"fig{2 * i + offset}.csv"
             _write_csv(str(path), ("q", "branch", column),
@@ -284,47 +298,29 @@ def write_figures(outdir: Path) -> list[Path]:
     return paths
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, ("out",))
+def _cmd_figures(cfg: dict) -> int:
     for path in write_figures(Path(cfg.get("out", "figures"))):
         print(path)
     return 0
 
 
-def _cmd_roots(args: argparse.Namespace) -> int:
-    fields = ("k",) + _FRICTION_FIELDS + _RAW_1 + _RAW_2 + _EFF_1 + _EFF_2
-    cfg = _merge_config(args, fields)
-    friction = _friction_from(cfg)
-    if friction is None:
-        raise InputError("missing friction fields (a, b, L, sigma_o, v_o)")
+def _cmd_roots(cfg: dict) -> int:
+    friction = _friction_from(cfg, required=True)
     bm = _dimensional_bimaterial(cfg)
     k = _require(cfg, "k")
-    try:
-        count = count_unstable(CharParams(k=k, friction=friction,
-                                          bimaterial=bm))
-    except ValueError as exc:
-        raise InputError(str(exc))
-    _print_kv("n_unstable", count.n_unstable)
-    _print_kv("contour_re_lo", count.contour[0])
-    _print_kv("contour_re_hi", count.contour[1])
-    _print_kv("contour_im_max", count.contour[2])
-    _print_kv("samples", count.samples)
+    count = _checked(lambda: count_unstable(
+        CharParams(k=k, friction=friction, bimaterial=bm)))
+    re_lo, re_hi, im_max = count.contour
+    _print_kv(n_unstable=count.n_unstable, contour_re_lo=re_lo,
+              contour_re_hi=re_hi, contour_im_max=im_max, samples=count.samples)
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    fields = (("stiffness", "mass", "law", "duration", "tol", "perturb",
-               "out") + _FRICTION_FIELDS)
-    cfg = _merge_config(args, fields)
-    friction = _friction_from(cfg)
-    if friction is None:
-        raise InputError("missing friction fields (a, b, L, sigma_o, v_o)")
-    try:
-        sb = SpringBlockParams(stiffness=_require(cfg, "stiffness"),
-                               mass=cfg.get("mass", 0.0), friction=friction)
-        law = EvolutionLaw(cfg.get("law", "ageing"))
-    except ValueError as exc:
-        raise InputError(str(exc))
+def _cmd_simulate(cfg: dict) -> int:
+    friction = _friction_from(cfg, required=True)
+    sb = _checked(SpringBlockParams, stiffness=_require(cfg, "stiffness"),
+                  mass=cfg.get("mass", 0.0), friction=friction)
+    law = _checked(EvolutionLaw, cfg.get("law", "ageing"))
     perturb = cfg.get("perturb", 0.0)
     init = None
     if perturb != 0.0:
@@ -334,15 +330,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         theta0 = friction.L / friction.v_o
         init = BlockState(v=v0, theta=theta0,
                           tau=friction_stress(friction, friction.v_o, theta0))
-    traj = simulate_spring_block(sb, law, init=init,
-                                 duration=cfg.get("duration"),
-                                 tol=cfg.get("tol", 1e-10))
-    echo = {"mode": "simulate", "stiffness": sb.stiffness, "mass": sb.mass,
-            "law": law.value, "tol": cfg.get("tol", 1e-10),
-            "perturb": perturb, "duration": traj.t[-1] - traj.t[0],
-            "a": friction.a, "b": friction.b, "L": friction.L,
-            "sigma_o": friction.sigma_o, "v_o": friction.v_o,
-            "blew_up": traj.blew_up}
+    traj = simulate_spring_block(sb, law, init=init, **{
+        k: cfg[k] for k in ("duration", "tol") if k in cfg})
+    echo = {"mode": "simulate", "perturb": perturb,
+            "duration": traj.t[-1] - traj.t[0],
+            **{k: traj.metadata[k]
+               for k in ("law", "stiffness", "mass", "tol", "blew_up")},
+            **{k: getattr(friction, k)
+               for k in ("a", "b", "L", "sigma_o", "v_o")}}
     _write_csv(cfg.get("out", "trajectory.csv"), ("t", "V", "theta", "tau"),
                ((float(t), float(v), float(th), float(ta)) for t, v, th, ta
                 in zip(traj.t, traj.v, traj.theta, traj.tau)),
@@ -350,34 +345,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(cfg: dict) -> int:
     results = run_all()
     for result in results:
         print(result.line())
     return 0 if all(r.ok for r in results) else 3
 
 
-def _add_friction_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--a", type=float, help="direct-effect coefficient")
-    sub.add_argument("--b", type=float, help="state-effect coefficient")
-    sub.add_argument("--L", type=float, help="state evolution distance (m)")
-    sub.add_argument("--sigma-o", type=float, dest="sigma_o",
-                     help="normal stress (Pa)")
-    sub.add_argument("--v-o", type=float, dest="v_o",
-                     help="steady sliding velocity (m/s)")
-    sub.add_argument("--f", type=float,
-                     help="base friction coefficient (default 0.6)")
-
-
-def _add_material_flags(sub: argparse.ArgumentParser,
-                        raw_only: bool = False) -> None:
-    for name in _RAW_1 + _RAW_2:
-        sub.add_argument(f"--{name.replace('_', '-')}", type=float,
-                         dest=name, help=argparse.SUPPRESS)
-    if not raw_only:
-        for name in _EFF_1 + _EFF_2:
-            sub.add_argument(f"--{name.replace('_', '-')}", type=float,
-                             dest=name, help=argparse.SUPPRESS)
+# subcommand -> (handler, help, input fields)
+_COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict]] = {
+    "medium": (_cmd_medium, "effective modulus and wave speed",
+               {**_RAW_1, **_RAW_2}),
+    "kcr": (_cmd_kcr, "critical wavenumber for one parameter set",
+            {"q": (float, "nondimensional velocity"), **_RATIOS, **_FRICTION,
+             **_MATERIAL}),
+    "sweep": (_cmd_sweep, "neutral-mode CSV over a q grid",
+              {"q_min": (float, "smallest q"), "q_max": (float, "largest q"),
+               "q_points": (int, "number of q values"),
+               "log": (bool, "log-spaced grid"), **_RATIOS, **_OUT}),
+    "figures": (_cmd_figures, "preset sweeps fig1.csv..fig8.csv", _OUT),
+    "roots": (_cmd_roots, "certified unstable-root count at one wavenumber",
+              {"k": (float, "wavenumber (1/m)"), **_FRICTION, **_MATERIAL}),
+    "simulate": (_cmd_simulate, "nonlinear spring-block trajectory CSV",
+                 {"stiffness": (float, "spring (Pa/m)"),
+                  "mass": (float, "per area (kg/m^2)"),
+                  "law": (EvolutionLaw, "state evolution law"),
+                  "duration": (float, "seconds"),
+                  "tol": (float, "relative tolerance"),
+                  "perturb": (float, "initial velocity offset as a fraction "
+                                     "of v_o"),
+                  **_OUT, **_FRICTION}),
+    "verify": (_cmd_verify, "run the certification suite", {}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,74 +387,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"slipstab {__version__}")
     subs = parser.add_subparsers(dest="mode", required=True)
-
-    def new(name: str, help_: str) -> argparse.ArgumentParser:
+    for name, (_, help_, fields) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_)
-        sub.add_argument("--config", help="JSON file with snake_case keys "
-                                          "mirroring the flags")
-        return sub
-
-    medium = new("medium", "effective modulus and wave speed")
-    _add_material_flags(medium, raw_only=True)
-
-    kcr = new("kcr", "critical wavenumber for one parameter set")
-    kcr.add_argument("--q", type=float, help="nondimensional velocity")
-    kcr.add_argument("--b-over-a", type=float, dest="b_over_a")
-    kcr.add_argument("--mu-ratio", type=float, dest="mu_ratio")
-    kcr.add_argument("--speed-ratio", type=float, dest="speed_ratio")
-    _add_friction_flags(kcr)
-    _add_material_flags(kcr)
-
-    sweep = new("sweep", "neutral-mode CSV over a q grid")
-    sweep.add_argument("--q-min", type=float, dest="q_min")
-    sweep.add_argument("--q-max", type=float, dest="q_max")
-    sweep.add_argument("--q-points", type=int, dest="q_points")
-    sweep.add_argument("--log", action="store_const", const=True,
-                       help="log-spaced grid")
-    sweep.add_argument("--mu-ratio", type=float, dest="mu_ratio")
-    sweep.add_argument("--speed-ratio", type=float, dest="speed_ratio")
-    sweep.add_argument("--b-over-a", type=float, dest="b_over_a")
-    sweep.add_argument("--out", help="CSV path, - for stdout (default sweep.csv)")
-
-    figures = new("figures", "preset sweeps fig1.csv..fig8.csv")
-    figures.add_argument("--out", help="output directory (default figures)")
-
-    roots = new("roots", "certified unstable-root count at one wavenumber")
-    roots.add_argument("--k", type=float, help="wavenumber (1/m)")
-    _add_friction_flags(roots)
-    _add_material_flags(roots)
-
-    simulate = new("simulate", "nonlinear spring-block trajectory CSV")
-    simulate.add_argument("--stiffness", type=float, help="spring (Pa/m)")
-    simulate.add_argument("--mass", type=float, help="per area (kg/m^2)")
-    simulate.add_argument("--law", choices=[l.value for l in EvolutionLaw])
-    simulate.add_argument("--duration", type=float, help="seconds")
-    simulate.add_argument("--tol", type=float, help="relative tolerance")
-    simulate.add_argument("--perturb", type=float,
-                          help="initial velocity offset as a fraction of v_o")
-    simulate.add_argument("--out", help="CSV path, - for stdout")
-    _add_friction_flags(simulate)
-
-    new("verify", "run the certification suite")
-
+        if fields:
+            sub.add_argument("--config", help="JSON file with snake_case keys "
+                                              "mirroring the flags")
+        for field, (kind, text) in fields.items():
+            flag = "--" + field.replace("_", "-")
+            if kind is bool:
+                sub.add_argument(flag, action="store_const", const=True,
+                                 help=text)
+            elif kind is EvolutionLaw:
+                sub.add_argument(flag, choices=[law.value for law in kind],
+                                 help=text)
+            else:
+                sub.add_argument(flag, type=kind, help=text)
     return parser
-
-
-_COMMANDS = {
-    "medium": _cmd_medium,
-    "kcr": _cmd_kcr,
-    "sweep": _cmd_sweep,
-    "figures": _cmd_figures,
-    "roots": _cmd_roots,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, _, fields = _COMMANDS[args.mode]
     try:
-        return _COMMANDS[args.mode](args)
+        return handler(_merge_config(args, fields))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

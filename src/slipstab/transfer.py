@@ -37,8 +37,11 @@ def f_normalized(z, mu_ratio: float, speed_ratio: float):
     """
     z = np.asarray(z, dtype=complex)
     z2 = z * z
-    w_slow = np.sqrt(1.0 + z2)
-    w_fast = np.sqrt(1.0 + z2 / (speed_ratio * speed_ratio))
+    # add 1 to the real part only and scale by 1/r^2: a real 1.0 or a complex
+    # division turns the -0.0 of Im z^2 on the lower imaginary axis into +0.0
+    one = complex(1.0, -0.0)
+    w_slow = np.sqrt(z2 + one)
+    w_fast = np.sqrt(z2 * (1.0 / (speed_ratio * speed_ratio)) + one)
     denom = w_slow + mu_ratio * w_fast
     if np.any(denom == 0.0):
         raise BranchPole("transfer-function denominator vanished")

@@ -3,13 +3,15 @@ deterministic output."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
 import pytest
 
-from slipstab import EffectiveMedium, RateState, critical_mode, make_bimaterial
-from slipstab.cli import main
+from slipstab import (EffectiveMedium, RateState, __version__, critical_mode,
+                      make_bimaterial)
+from slipstab.cli import _build_parser, main
 from slipstab.verification import VerifyResult
 
 
@@ -110,6 +112,20 @@ class TestKcr:
         assert main(["kcr"]) == 2
         assert "missing input" in capsys.readouterr().err
 
+    def test_rejects_q_with_materials(self, capsys):
+        argv = ["kcr", "--q", "1", "--b-over-a", "1.2", "--mu", "30e9",
+                "--c1", "3000", "--mu-2", "60e9", "--c1-2", "15000"]
+        assert main(argv) == 2
+        assert "not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--speed-ratio", "--mu-ratio",
+                                      "--b-over-a"])
+    def test_rejects_ratios_with_dimensional_input(self, capsys, flag):
+        argv = (["kcr"] + friction_flags()
+                + ["--mu", "30e9", "--c1", "3000", flag, "1.2"])
+        assert main(argv) == 2
+        assert "not both" in capsys.readouterr().err
+
     def test_invalid_friction_reports_input_error(self, capsys):
         argv = ["kcr", "--a", "-0.01", "--b", "0.012", "--L", "1e-4",
                 "--sigma-o", "1e6", "--v-o", "1e-3", "--mu", "30e9",
@@ -167,6 +183,14 @@ class TestSweep:
         cfg.write_text(json.dumps({"q_minimum": 0.5}))
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "q_minimum" in capsys.readouterr().err
+
+    def test_integral_float_q_points_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"q_min": 0.5, "q_max": 2.0,
+                                   "q_points": 5.0, "b_over_a": 1.2,
+                                   "out": "-"}))
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert '"q_points": 5,' in capsys.readouterr().out
 
     def test_grid_validation(self, tmp_path, capsys):
         argv = ["sweep", "--q-min", "2.0", "--q-max", "0.5", "--q-points",
@@ -304,6 +328,38 @@ class TestVerify:
         assert main(["verify"]) == 0
 
 
+FRICTION_CFG = {"a": 0.01, "b": 0.012, "L": 1e-4, "sigma_o": 1e6,
+                "v_o": 8.94e-4}
+SWEEP_CFG = {"q_min": 0.5, "q_max": 2.0, "q_points": 5, "b_over_a": 1.2,
+             "out": "-"}
+
+
+@pytest.mark.parametrize("command,config,field", [
+    ("kcr", {"q": "1", "b_over_a": 1.2}, "q"),
+    ("kcr", {**FRICTION_CFG, "a": "0.01", "mu": 30e9, "c1": 3000.0}, "a"),
+    ("roots", {**FRICTION_CFG, "k": "1", "mu": 30e9, "c1": 3000.0}, "k"),
+    ("sweep", {**SWEEP_CFG, "b_over_a": None}, "b_over_a"),
+    ("sweep", {**SWEEP_CFG, "mu_ratio": "2"}, "mu_ratio"),
+    ("sweep", {**SWEEP_CFG, "q_points": True}, "q_points"),
+    ("simulate", {**FRICTION_CFG, "stiffness": "1e9", "out": "-"},
+     "stiffness"),
+    ("medium", {"c44": "30e9", "c55": 30e9, "rho": 3000.0}, "c44"),
+])
+def test_mistyped_config_value_is_input_error(tmp_path, capsys, command,
+                                              config, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {field} must be a ")
+
+
+def test_verify_takes_no_config():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", "x"])
+    assert exc.value.code == 2
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -315,3 +371,84 @@ def test_subcommand_required():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+class TestContract:
+    """The command-line surface and provenance headers, pinned literally."""
+
+    # per subcommand: flag[:type], float by default; "flag" marks a switch
+    # and a|b lists choices; dest is the flag in snake_case
+    FRICTION = "a b L sigma-o v-o f "
+    MATERIAL = "c44 c45 c55 rho c44-2 c45-2 c55-2 rho-2 "
+    SURFACE = {
+        "medium": MATERIAL + "config:str",
+        "kcr": ("q b-over-a mu-ratio speed-ratio " + FRICTION + MATERIAL
+                + "mu c1 mu-2 c1-2 config:str"),
+        "sweep": ("q-min q-max q-points:int log:flag mu-ratio speed-ratio "
+                  "b-over-a out:str config:str"),
+        "figures": "out:str config:str",
+        "roots": "k " + FRICTION + MATERIAL + "mu c1 mu-2 c1-2 config:str",
+        "simulate": ("stiffness mass law:ageing|slip duration tol perturb "
+                     "out:str " + FRICTION + "config:str"),
+        "verify": "",   # takes no inputs, so no --config
+    }
+
+    @staticmethod
+    def surface(sub):
+        # a type of None parses as str
+        return {(tuple(a.option_strings), a.dest, (a.type or str).__name__,
+                 tuple(a.choices) if a.choices else None, a.nargs)
+                for a in sub._actions}
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_flag_surface(self, command):
+        expected = {(("-h", "--help"), "help", "str", None, 0)}
+        for token in self.SURFACE[command].split():
+            flag, _, kind = token.partition(":")
+            dest = flag.replace("-", "_")
+            if kind == "flag":
+                row = ("str", None, 0)
+            elif "|" in kind:
+                row = ("str", tuple(kind.split("|")), None)
+            else:
+                row = (kind or "float", None, None)
+            expected.add(((f"--{flag}",), dest) + row)
+        subs = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        assert set(subs.choices) == set(self.SURFACE)
+        assert self.surface(subs.choices[command]) == expected
+
+    def test_sweep_header(self, capsys):
+        assert main(["sweep", "--q-min", "0.01", "--q-max", "10",
+                     "--q-points", "200", "--log", "--b-over-a", "1.2",
+                     "--speed-ratio", "1.2", "--out", "-"]) == 0
+        head = capsys.readouterr().out.splitlines()[:3]
+        assert head == [
+            f"# slipstab {__version__}",
+            '# config: {"b_over_a": 1.2, "log": true, "mode": "sweep", '
+            '"mu_ratio": 1.0, "q_max": 10.0, "q_min": 0.01, '
+            '"q_points": 200, "speed_ratio": 1.2}',
+            "q,branch,c_over_c1,k_hat"]
+
+    def test_figures_header(self, tmp_path):
+        assert main(["figures", "--out", str(tmp_path)]) == 0
+        head = (tmp_path / "fig1.csv").read_text().splitlines()[:3]
+        assert head == [
+            f"# slipstab {__version__}",
+            '# config: {"b_over_a": 1.2, "column": "k_hat", "log": true, '
+            '"mode": "figures", "mu_ratio": 1.0, "q_max": 10.0, '
+            '"q_min": 0.01, "q_points": 200, "speed_ratio": 1.2}',
+            "q,branch,k_hat"]
+
+    def test_simulate_header(self, capsys):
+        assert main(["simulate", "--stiffness", "5e8", "--perturb", "1e-3",
+                     "--duration", "0.2", "--out", "-"]
+                    + TestSimulate.FRICTION) == 0
+        head = capsys.readouterr().out.splitlines()[:3]
+        assert head == [
+            f"# slipstab {__version__}",
+            '# config: {"L": 1e-05, "a": 0.01, "b": 0.015, "blew_up": false, '
+            '"duration": 0.2, "law": "ageing", "mass": 0.0, '
+            '"mode": "simulate", "perturb": 0.001, "sigma_o": 1000000.0, '
+            '"stiffness": 500000000.0, "tol": 1e-10, "v_o": 0.001}',
+            "t,V,theta,tau"]

@@ -101,6 +101,16 @@ def test_intersonic_matches_on_axis_laplace(mild_contrast):
         assert f_intersonic(x, mild_contrast) == pytest.approx(direct, rel=1e-14)
 
 
+@pytest.mark.parametrize("re_p", [0.0, -0.0])
+@pytest.mark.parametrize("y", [0.5, 1.1, 3.0])
+def test_negative_imaginary_axis_is_limit_from_right(mild_contrast, re_p, y):
+    # below, between and beyond the two wave speeds, F on the lower axis is
+    # the conjugate of F on the upper axis and the limit from Re p > 0
+    lower = f_laplace(1.0, complex(re_p, -y), mild_contrast)
+    assert lower == f_laplace(1.0, complex(re_p, y), mild_contrast).conjugate()
+    assert abs(lower - f_laplace(1.0, complex(1e-12, -y), mild_contrast)) < 1e-10
+
+
 def test_intersonic_gap_shrinks_linearly(mild_contrast):
     """f_laplace off the axis approaches the branch value at O(eps)."""
     x = 1.1

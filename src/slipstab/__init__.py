@@ -11,8 +11,6 @@ from .errors import (
     BranchPole,
     ContourThroughZero,
     DomainError,
-    EmptyInterval,
-    EmptyIntervalWarning,
     Inconclusive,
     InputError,
     NonpositiveVelocity,
@@ -76,8 +74,8 @@ __all__ = [
     "__version__",
     # errors
     "SlipStabError", "NotPositiveDefinite", "NonpositiveVelocity", "DomainError",
-    "VelocityStrengthening", "BranchPole", "EmptyInterval", "EmptyIntervalWarning",
-    "ContourThroughZero", "StepFailure", "Inconclusive", "InputError",
+    "VelocityStrengthening", "BranchPole", "ContourThroughZero", "StepFailure",
+    "Inconclusive", "InputError",
     # materials
     "ShearStiffness", "EffectiveMedium", "BiMaterial",
     "effective_medium", "make_bimaterial",

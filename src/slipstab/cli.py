@@ -172,8 +172,12 @@ def _dimensional_bimaterial(cfg: dict) -> BiMaterial:
 
 def _write_csv(out: str, columns: Sequence[str],
                rows: Iterable[Sequence[Any]], config: dict) -> None:
-    with (contextlib.nullcontext(sys.stdout) if out == "-"
-          else open(out, "w", newline="")) as fh:
+    try:
+        stream = (contextlib.nullcontext(sys.stdout) if out == "-"
+                  else open(out, "w", newline=""))
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror}")
+    with stream as fh:
         fh.write(f"# slipstab {__version__}\n")
         fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -214,8 +218,8 @@ def _cmd_kcr(cfg: dict) -> int:
         q = cfg["q"]
         if not q > 0.0:
             raise InputError(f"q must be positive, got {q}")
-        bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
-                                    cfg.get("speed_ratio", 1.0))
+        bm = _checked(BiMaterial.from_ratios, cfg.get("mu_ratio", 1.0),
+                      cfg.get("speed_ratio", 1.0))
         verdict = critical_mode_q(q, _require(cfg, "b_over_a"), bm)
     else:
         bm = _dimensional_bimaterial(cfg)
@@ -262,8 +266,8 @@ def _cmd_sweep(cfg: dict) -> int:
     b_over_a = _require(cfg, "b_over_a")
     if b_over_a <= 1.0:
         raise InputError(f"b_over_a must exceed 1 for a sweep, got {b_over_a}")
-    bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
-                                cfg.get("speed_ratio", 1.0))
+    bm = _checked(BiMaterial.from_ratios, cfg.get("mu_ratio", 1.0),
+                  cfg.get("speed_ratio", 1.0))
     rows = sweep_q(grid, b_over_a, bm)
     _write_csv(cfg.get("out", "sweep.csv"),
                ("q", "branch", "c_over_c1", "k_hat"),
@@ -279,7 +283,10 @@ def write_figures(outdir: Path) -> list[Path]:
     Odd files hold (q, branch, k_hat), even files (q, branch, c_over_c1);
     consecutive pairs share one preset.  Returns the paths in order.
     """
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {outdir}: {exc.strerror}")
     grid_cfg = dict(zip(("q_min", "q_max", "q_points"), FIGURE_Q_GRID),
                     log=True)
     grid = _sweep_grid(grid_cfg)
@@ -330,7 +337,7 @@ def _cmd_simulate(cfg: dict) -> int:
         theta0 = friction.L / friction.v_o
         init = BlockState(v=v0, theta=theta0,
                           tau=friction_stress(friction, friction.v_o, theta0))
-    traj = simulate_spring_block(sb, law, init=init, **{
+    traj = _checked(simulate_spring_block, sb, law, init=init, **{
         k: cfg[k] for k in ("duration", "tol") if k in cfg})
     echo = {"mode": "simulate", "perturb": perturb,
             "duration": traj.t[-1] - traj.t[0],

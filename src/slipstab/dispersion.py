@@ -43,7 +43,7 @@ __all__ = [
     "polish_root",
 ]
 
-CROSSING_MARGIN = 0.05   # certify_crossing counts at (1 -/+ this)*k_cr
+CROSSING_MARGIN = 0.05   # certify_crossing and its gate count at (1 -/+ this)*k_cr
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class SlipStabError(Exception):
@@ -25,10 +25,6 @@ class BranchPole(SlipStabError, ArithmeticError):
     """Transfer-function denominator vanished; cannot happen for physical input."""
 
 
-class EmptyInterval(SlipStabError, ValueError):
-    """The intersonic speed interval (c1, c1') is empty: equal wave speeds."""
-
-
 class ContourThroughZero(SlipStabError, ArithmeticError):
     """A characteristic root sits on (or hugs) the counting contour after retries."""
 
@@ -49,7 +45,3 @@ class Inconclusive(SlipStabError, RuntimeError):
 
 class InputError(SlipStabError, ValueError):
     """Malformed run configuration. The message names the offending field."""
-
-
-class EmptyIntervalWarning(UserWarning):
-    """Intersonic search requested for equal wave speeds; result is trivially empty."""

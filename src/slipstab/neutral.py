@@ -19,18 +19,20 @@ Q does not depend on q and has one minimum q_w on (c1, c1') (Ranjith & Rice
 2001, JMPS 49, 341): no intersonic mode for q <= q_w, exactly two above it.
 Whole q grids are solved as arrays.  Every intersonic mode has k_hat <
 F(0)*q < subsonic k_hat (see critical_mode_q): the critical mode is subsonic.
+
+The solvers are nondimensional: they depend on q, b/a and the two material
+ratios only.  critical_mode alone attaches |k| and omega to its mode.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, EmptyIntervalWarning, SlipStabError
+from .errors import DomainError, SlipStabError
 from .friction import RateState, nondim_q
 from .materials import BiMaterial
 from .transfer import f_intersonic_parts, f_subsonic_denominator
@@ -60,8 +62,8 @@ class NeutralMode:
     """One neutrally propagating perturbation of steady sliding at
     nondimensional sliding velocity q.
 
-    q, c_over_c1 and k_hat are always set; k_mag (1/m) and omega (rad/s) are
-    populated only when the solve was given dimensional friction parameters.
+    q, c_over_c1 and k_hat are always set; only critical_mode fills in k_mag
+    (1/m) and omega (rad/s), from the friction parameters it was given.
     """
 
     q: float
@@ -79,18 +81,14 @@ class Stability(str, Enum):
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Outcome of the critical-mode search.
+    """Outcome of the critical-mode search: the neutral mode of largest
+    wavenumber, or None for b <= a, which is stable at every wavenumber."""
 
-    b <= a gives ALWAYS_STABLE with no mode; velocity weakening gives
-    CRITICAL_MODE carrying the neutral mode of largest wavenumber.
-    """
-
-    status: Stability
     mode: NeutralMode | None = None
 
-    def __post_init__(self):
-        if (self.mode is None) != (self.status is Stability.ALWAYS_STABLE):
-            raise DomainError(f"{self.status.value} verdict must carry a mode iff critical")
+    @property
+    def status(self) -> Stability:
+        return Stability.ALWAYS_STABLE if self.mode is None else Stability.CRITICAL_MODE
 
 
 def _bracketed_roots(f, a, fa, b, fb, rtol: float):
@@ -208,7 +206,7 @@ def _intersonic_window(m: float, r: float, b_over_a: float) -> tuple[float, floa
 
 
 def _intersonic_modes(qs: np.ndarray, m: float, r: float, b_over_a: float):
-    """(index into qs, c/c1, k_hat, omega*L/v_o) of the intersonic modes: per q
+    """(index into qs, c/c1, k_hat) of the intersonic modes: per q
     above the window, in qs order, the root closer to c1 first.  Each root
     is checked to a relative residual of 1e-10 in tau."""
     tau_w, q_w = _intersonic_window(m, r, b_over_a)
@@ -234,60 +232,37 @@ def _intersonic_modes(qs: np.ndarray, m: float, r: float, b_over_a: float):
     # omega*L/v_o = sqrt(ratio^2 + w) - ratio, rationalized
     omega_hat = w / (np.sqrt(ratio * ratio + w) + ratio)
     k_hat = q2 * (2.0 * m / (1.0 + m)) * omega_hat / (x * math.sqrt(w))
-    return index, x, k_hat, omega_hat
+    return index, x, k_hat
 
 
-def _modes(branch: Branch, qs, xs, k_hats, omega_hats, friction: RateState | None,
-           bm: BiMaterial) -> list[NeutralMode]:
-    """NeutralModes from arrays of q, c/c1, k_hat and omega*L/v_o (an array,
-    or one value for all); `friction` fills in omega and |k| = omega/c."""
-    omega_hats = np.broadcast_to(omega_hats, xs.shape)
-    modes = []
-    for q, x, k_hat, omega_hat in zip(qs.tolist(), xs.tolist(), k_hats.tolist(),
-                                      omega_hats.tolist()):
-        omega = None if friction is None else omega_hat * (friction.v_o / friction.L)
-        k_mag = None if friction is None else omega / (x * bm.slow.c1)
-        modes.append(NeutralMode(q=q, branch=branch, c_over_c1=x, k_hat=k_hat,
-                                 k_mag=k_mag, omega=omega))
-    return modes
+def _modes(branch: Branch, qs, xs, k_hats) -> list[NeutralMode]:
+    """NeutralModes from arrays of q, c/c1 and k_hat."""
+    return [NeutralMode(q=q, branch=branch, c_over_c1=x, k_hat=k_hat)
+            for q, x, k_hat in zip(qs.tolist(), xs.tolist(), k_hats.tolist())]
 
 
-def _check_q(q: float, friction: RateState | None, bm: BiMaterial) -> None:
-    """q must be positive, and the q of `friction`, if given, must agree."""
+def _check_q(q: float) -> None:
     if not q > 0.0:
         raise DomainError(f"q must be positive, got {q}")
-    if friction is None:
-        return
-    q_dim = nondim_q(friction, bm.slow)
-    if abs(q_dim - q) > 1e-9 * q:
-        raise DomainError(
-            f"friction parameters give q = {q_dim}, inconsistent with requested q = {q}"
-        )
 
 
-def solve_subsonic(q: float, bm: BiMaterial,
-                   friction: RateState | None = None) -> NeutralMode:
+def solve_subsonic(q: float, bm: BiMaterial) -> NeutralMode:
     """Locate the unique subsonic neutral mode for sliding velocity q > 0.
 
     Bracketed root search on the monotone form of the phase-velocity
     equation, run to adjacent floats, leaving a relative residual well under
-    1e-12; q outside about [1e-154, 1e154] raises DomainError.  Pass
-    `friction` (its q must agree with the q argument) to populate the
-    dimensional fields.
+    1e-12; q outside about [1e-154, 1e154] raises DomainError.
 
-    Returns a NeutralMode with k_hat = F(0)/F(c) >= 1 and, dimensionally,
-    |k| = sqrt((b-a)/a)*(v_o/L)/c and omega = |k|*c.
+    Returns a NeutralMode with k_hat = F(0)/F(c) >= 1 and no dimensional
+    fields; critical_mode adds |k| = sqrt((b-a)/a)*(v_o/L)/c and omega = |k|*c.
     """
-    _check_q(q, friction, bm)
+    _check_q(q)
     qs = np.array([float(q)])
-    x, k_hat = _subsonic_modes(qs, bm.mu_ratio, bm.speed_ratio)
-    # omega*L/v_o = sqrt((b-a)/a) on this branch
-    w = math.nan if friction is None else (friction.b - friction.a) / friction.a
-    return _modes(Branch.SUBSONIC, qs, x, k_hat, math.sqrt(w), friction, bm)[0]
+    return _modes(Branch.SUBSONIC, qs,
+                  *_subsonic_modes(qs, bm.mu_ratio, bm.speed_ratio))[0]
 
 
-def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial,
-                     friction: RateState | None = None) -> list[NeutralMode]:
+def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralMode]:
     """All intersonic neutral modes at sliding velocity q, sorted by c.
 
     The left side Q of the phase-velocity equation has one minimum q_w on
@@ -295,28 +270,21 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial,
     v = c1'/c1 - c/c1.  q <= q_w gives no mode, q > q_w one on each side
     of the minimum, solved in tau to a relative residual under 1e-10.
 
-    Equal wave speeds return [] under EmptyIntervalWarning.  The intersonic
+    Equal wave speeds leave no interval and return [].  The intersonic
     equations involve b/a on their own, hence the extra argument; it must be
-    > 1 (velocity weakening).
+    > 1 (velocity weakening).  The modes carry no dimensional fields.
     """
-    _check_q(q, friction, bm)
+    _check_q(q)
     if not b_over_a > 1.0:
         raise DomainError(f"intersonic modes require b/a > 1, got {b_over_a}")
-    if friction is not None and abs(friction.b / friction.a - b_over_a) > 1e-9 * b_over_a:
-        raise DomainError(f"friction parameters give b/a = {friction.b / friction.a}, "
-                          f"inconsistent with requested {b_over_a}")
     if bm.speed_ratio == 1.0:
-        warnings.warn("equal wave speeds: no intersonic interval",
-                      EmptyIntervalWarning, stacklevel=2)
         return []
     qs = np.array([float(q)])
-    index, xs, k_hats, omega_hats = _intersonic_modes(
-        qs, bm.mu_ratio, bm.speed_ratio, b_over_a)
-    return _modes(Branch.INTERSONIC, qs[index], xs, k_hats, omega_hats, friction, bm)
+    index, xs, k_hats = _intersonic_modes(qs, bm.mu_ratio, bm.speed_ratio, b_over_a)
+    return _modes(Branch.INTERSONIC, qs[index], xs, k_hats)
 
 
-def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial,
-                    friction: RateState | None = None) -> StabilityVerdict:
+def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdict:
     """Stability verdict at nondimensional sliding velocity q and ratio b/a.
 
     b/a <= 1 never destabilizes (ALWAYS_STABLE).  Otherwise perturbations
@@ -329,24 +297,27 @@ def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial,
         k_hat_inter = f0*q*omega_hat/(x*sqrt(w)) < f0*q/x < f0*q,
 
     as omega_hat = sqrt(x_t^2 + w) - x_t < sqrt(w) (x_t = (b/a)*F2/(2*F1) > 0)
-    and x = c/c1 > 1.  So only the subsonic branch is solved.  `friction`
-    (consistent with q) fills in the dimensional fields.
+    and x = c/c1 > 1.  So only the subsonic branch is solved, without
+    dimensional fields.
     """
     if not b_over_a > 1.0:
-        return StabilityVerdict(status=Stability.ALWAYS_STABLE)
-    return StabilityVerdict(status=Stability.CRITICAL_MODE,
-                            mode=solve_subsonic(q, bm, friction=friction))
+        return StabilityVerdict()
+    return StabilityVerdict(solve_subsonic(q, bm))
 
 
 def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
     """Stability verdict for steady sliding: the neutral mode of largest |k|.
 
-    critical_mode_q at q = nondim_q(p, bm.slow), with |k| and omega filled
+    critical_mode_q at q = nondim_q(p, bm.slow), with omega =
+    sqrt((b-a)/a)*v_o/L (on the subsonic branch) and |k| = omega/c filled
     in; b <= a is ALWAYS_STABLE.
     """
     if not p.weakening:
-        return StabilityVerdict(status=Stability.ALWAYS_STABLE)
-    return critical_mode_q(nondim_q(p, bm.slow), p.b / p.a, bm, friction=p)
+        return StabilityVerdict()
+    mode = critical_mode_q(nondim_q(p, bm.slow), p.b / p.a, bm).mode
+    omega = math.sqrt((p.b - p.a) / p.a) * (p.v_o / p.L)
+    return StabilityVerdict(replace(mode, omega=omega,
+                                    k_mag=omega / (mode.c_over_c1 * bm.slow.c1)))
 
 
 def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> list[NeutralMode]:
@@ -367,11 +338,10 @@ def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> list[NeutralMode]:
     if not b_over_a > 1.0:
         raise DomainError(f"sweep requires velocity weakening b/a > 1, got {b_over_a}")
     m, r = bm.mu_ratio, bm.speed_ratio
-    rows = [[mode] for mode in _modes(Branch.SUBSONIC, qs, *_subsonic_modes(qs, m, r),
-                                      math.nan, None, bm)]
+    rows = [[mode] for mode in _modes(Branch.SUBSONIC, qs, *_subsonic_modes(qs, m, r))]
     if r > 1.0:
-        index, xs, k_hats, _ = _intersonic_modes(qs, m, r, b_over_a)
-        modes = _modes(Branch.INTERSONIC, qs[index], xs, k_hats, math.nan, None, bm)
+        index, xs, k_hats = _intersonic_modes(qs, m, r, b_over_a)
+        modes = _modes(Branch.INTERSONIC, qs[index], xs, k_hats)
         for i, mode in zip(index.tolist(), modes):
             rows[i].append(mode)
     return [mode for group in rows for mode in group]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BranchPole, DomainError, EmptyInterval
+from .errors import BranchPole, DomainError
 from .materials import BiMaterial
 
 __all__ = ["f_laplace", "f_normalized", "f_subsonic", "f_intersonic"]
@@ -117,11 +117,9 @@ def f_intersonic(c_over_c1: float, bm: BiMaterial) -> complex:
         D  = (mu'*beta')^2 + (mu*s)^2,
 
     both strictly positive on the open interval.  Equal wave speeds leave no
-    interval at all and raise EmptyInterval.
+    interval, so every c/c1 raises DomainError.
     """
     r = bm.speed_ratio
-    if r == 1.0:
-        raise EmptyInterval("equal wave speeds: the intersonic interval is empty")
     if not 1.0 < c_over_c1 < r:
         raise DomainError(f"intersonic branch needs 1 < c/c1 < {r}, got {c_over_c1}")
     return complex(*f_intersonic_parts(c_over_c1 - 1.0, r - c_over_c1, bm.mu_ratio, r))

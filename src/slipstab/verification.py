@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .closed_forms import quasistatic_continuum, spring_block_critical
-from .dispersion import CharParams, count_unstable
+from .dispersion import CROSSING_MARGIN, CharParams, count_unstable
 from .friction import EvolutionLaw, RateState
 from .materials import (BiMaterial, EffectiveMedium, ShearStiffness,
                         effective_medium, make_bimaterial)
@@ -98,7 +98,7 @@ def check_subsonic_identity() -> VerifyResult:
         for q in grid:
             fr, bm = _dimensional_pair(float(q), FIGURE_B_OVER_A,
                                        speed_ratio, mu_ratio)
-            mode = solve_subsonic(float(q), bm, friction=fr)
+            mode = critical_mode(fr, bm).mode
             k_ident = f0 / f_laplace(1.0, 1j * mode.c_over_c1 * bm.slow.c1, bm).real
             worst_k = max(worst_k, abs(mode.k_hat - k_ident) / k_ident)
             w_ref = math.sqrt((fr.b - fr.a) / fr.a) * fr.v_o / fr.L
@@ -118,7 +118,7 @@ def check_quasistatic_limits() -> VerifyResult:
     worst_pair = 0.0
     for speed_ratio, mu_ratio in FIGURE_PRESETS:
         fr, bm = _dimensional_pair(1e-6, FIGURE_B_OVER_A, speed_ratio, mu_ratio)
-        mode = solve_subsonic(1e-6, bm, friction=fr)
+        mode = critical_mode(fr, bm).mode
         mu, mu_p = bm.slow.mu, bm.fast.mu
         k_ref = (fr.b - fr.a) * fr.sigma_o * (mu + mu_p) / (fr.L * mu * mu_p)
         worst_pair = max(worst_pair, abs(mode.k_mag - k_ref) / k_ref)
@@ -139,7 +139,7 @@ def check_quasistatic_limits() -> VerifyResult:
     err_closed = abs(k_closed - k_named) / k_named
     k_reduction = quasistatic_continuum(fr, mu_iso, orthotropic=orth)[0]
     err_reduction = abs(k_reduction - k_named) / k_named
-    mode = solve_subsonic(1e-6, bm, friction=fr)
+    mode = critical_mode(fr, bm).mode
     err_solver = abs(mode.k_mag - k_named) / k_named
 
     elapsed = time.perf_counter() - t0
@@ -163,10 +163,10 @@ def check_crossing_certification() -> VerifyResult:
                                        speed_ratio, mu_ratio)
             verdict = critical_mode(fr, bm)
             k_cr = verdict.mode.k_mag
-            above = count_unstable(
-                CharParams(k=1.05 * k_cr, friction=fr, bimaterial=bm))
-            below = count_unstable(
-                CharParams(k=0.95 * k_cr, friction=fr, bimaterial=bm))
+            above = count_unstable(CharParams(
+                k=(1.0 + CROSSING_MARGIN) * k_cr, friction=fr, bimaterial=bm))
+            below = count_unstable(CharParams(
+                k=(1.0 - CROSSING_MARGIN) * k_cr, friction=fr, bimaterial=bm))
             if above.n_unstable != 0 or below.n_unstable != 2:
                 bad.append(f"({speed_ratio},{mu_ratio},q={q}):"
                            f"{above.n_unstable}/{below.n_unstable}")
@@ -182,29 +182,22 @@ def check_intersonic_structure() -> VerifyResult:
     t0 = time.perf_counter()
     speed_ratio, mu_ratio = 1.2, 1.0
     problems: list[str] = []
-    for q in (0.01, 0.1, 0.5):
+    # (q, intersonic modes expected): below the window, then inside it
+    for q, expected in ((0.01, 0), (0.1, 0), (0.5, 0), (1.0, 2), (2.0, 2),
+                        (10.0, 2)):
         fr, bm = _dimensional_pair(q, FIGURE_B_OVER_A, speed_ratio, mu_ratio)
-        modes = solve_intersonic(q, FIGURE_B_OVER_A, bm, friction=fr)
-        if modes:
-            problems.append(f"q={q}: {len(modes)} modes below the window")
-    for q in (1.0, 2.0, 10.0):
-        fr, bm = _dimensional_pair(q, FIGURE_B_OVER_A, speed_ratio, mu_ratio)
-        modes = solve_intersonic(q, FIGURE_B_OVER_A, bm, friction=fr)
-        if len(modes) != 2:
-            problems.append(f"q={q}: {len(modes)} modes inside the window")
-            continue
-        sub = solve_subsonic(q, bm, friction=fr)
+        sub = critical_mode(fr, bm).mode
+        if sub.branch is not Branch.SUBSONIC or not sub.c_over_c1 < 1.0:
+            problems.append(f"q={q}: critical mode not below both wave speeds")
+        modes = solve_intersonic(q, FIGURE_B_OVER_A, bm)
+        if len(modes) != expected:
+            problems.append(f"q={q}: {len(modes)} modes "
+                            f"{'inside' if expected else 'below'} the window")
         for mo in modes:
             if not 1.0 < mo.c_over_c1 < speed_ratio:
                 problems.append(f"q={q}: c/c1={mo.c_over_c1} outside window")
             if not mo.k_hat < sub.k_hat:
                 problems.append(f"q={q}: intersonic k_hat not below subsonic")
-    for q in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0):
-        fr, bm = _dimensional_pair(q, FIGURE_B_OVER_A, speed_ratio, mu_ratio)
-        verdict = critical_mode(fr, bm)
-        if (verdict.mode.branch is not Branch.SUBSONIC
-                or not verdict.mode.c_over_c1 < 1.0):
-            problems.append(f"q={q}: critical mode not below both wave speeds")
     elapsed = time.perf_counter() - t0
     detail = ("0 modes at q in {0.01,0.1,0.5}, 2 at q in {1,2,10}, "
               "critical mode subsonic throughout" if not problems

@@ -6,9 +6,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slipstab
 from slipstab import (EffectiveMedium, RateState, __version__, critical_mode,
                       make_bimaterial)
 from slipstab.cli import _build_parser, main
@@ -95,6 +100,16 @@ class TestKcr:
             float(kv["k_mag"]) * float(kv["c"]), rel=1e-12)
         assert float(kv["c"]) == pytest.approx(
             3000.0 * float(kv["c_over_c1"]), rel=1e-12)
+
+    def test_readme_dimensional_example_lines(self, capsys):
+        assert main(["kcr", "--a", "0.01", "--b", "0.012", "--L", "1e-4",
+                     "--sigma-o", "1e6", "--v-o", "8.94e-4", "--mu", "30e9",
+                     "--c1", "3000", "--mu-2", "30e9", "--c1-2", "3600"]) == 0
+        assert capsys.readouterr().out == (
+            "status = critical-mode\nbranch = subsonic\n"
+            "c_over_c1 = 0.7321664786195814\nk_hat = 1.365157262904052\n"
+            "k_mag = 0.0018202096838720696\nc = 2196.499435858744\n"
+            "omega = 3.9980895437696238\n")
 
     def test_dimensional_always_stable(self, capsys):
         argv = ["kcr", "--a", "0.01", "--b", "0.008", "--L", "1e-4",
@@ -192,6 +207,25 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert '"q_points": 5,' in capsys.readouterr().out
 
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(self.BASE + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+
+    def test_closed_pipe_exits_zero(self):
+        # the reader stops after one line of a CSV larger than a pipe buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "slipstab.cli", "sweep", "--q-min", "0.5",
+             "--q-max", "2", "--q-points", "5000", "--b-over-a", "1.2",
+             "--out", "-"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(slipstab.__file__).parents[1])})
+        proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
     def test_grid_validation(self, tmp_path, capsys):
         argv = ["sweep", "--q-min", "2.0", "--q-max", "0.5", "--q-points",
                 "5", "--b-over-a", "1.2", "--out", str(tmp_path / "x.csv")]
@@ -284,6 +318,14 @@ class TestSimulate:
         assert main(argv) == 3
         assert "overflow" in capsys.readouterr().err
 
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        argv = (["simulate", "--stiffness", "1e9", "--duration", "0.01",
+                 "--out", str(out)] + self.FRICTION)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+
     def test_law_choices_enforced_by_parser(self, capsys):
         argv = (["simulate", "--stiffness", "1e9", "--law", "aging"]
                 + self.FRICTION)
@@ -307,6 +349,13 @@ class TestFigures:
         config2, header2, _ = read_csv(outdir / "fig2.csv")
         assert header2 == ["q", "branch", "c_over_c1"]
         assert config2["column"] == "c_over_c1"
+
+    def test_out_under_a_file_is_input_error(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        assert main(["figures", "--out", str(blocker / "figs")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {blocker / 'figs'}: Not a directory\n")
 
 
 class TestVerify:
@@ -352,6 +401,25 @@ def test_mistyped_config_value_is_input_error(tmp_path, capsys, command,
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: {field} must be a ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["kcr", "--q", "1", "--b-over-a", "1.2", "--mu-ratio", "-1"],
+     "mu_ratio must be positive, got -1.0"),
+    (["kcr", "--q", "1", "--b-over-a", "1.2", "--speed-ratio", "0.5"],
+     "speed_ratio must be >= 1 (slow side first), got 0.5"),
+    (TestSweep.BASE[:-1] + ["0.5", "--out", "-"],
+     "speed_ratio must be >= 1 (slow side first), got 0.5"),
+    (["simulate", "--stiffness", "1e9", "--duration", "0", "--out", "-"]
+     + TestSimulate.FRICTION, "duration must be positive, got 0.0"),
+    (["simulate", "--stiffness", "1e9", "--tol", "0", "--out", "-"]
+     + TestSimulate.FRICTION, "tol must be positive, got 0.0"),
+])
+def test_out_of_range_value_is_input_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_verify_takes_no_config():

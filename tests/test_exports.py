@@ -21,3 +21,16 @@ def test_module_exports_reach_the_package(module):
     mod = importlib.import_module(f"slipstab.{module}")
     assert all(hasattr(mod, name) for name in mod.__all__)
     assert set(mod.__all__) <= set(slipstab.__all__)
+
+
+# (module, attribute) pairs the benchmark's tracer rebinds to time each layer
+TRACED = [("cli", "sweep_q"), ("neutral", "sweep_q"),
+          ("neutral", "solve_subsonic"), ("neutral", "solve_intersonic"),
+          ("dispersion", "critical_mode"), ("dispersion", "count_unstable"),
+          ("dispersion", "f_normalized"),
+          ("simulate", "simulate_spring_block"), ("simulate", "solve_ivp")]
+
+
+@pytest.mark.parametrize("module,attr", TRACED)
+def test_traced_hook_points_exist(module, attr):
+    assert callable(getattr(importlib.import_module(f"slipstab.{module}"), attr))

@@ -10,8 +10,10 @@ pairs, and steady sliding is unstable at wavenumber k exactly when a root has
 Re(p) > 0.  Rather than chase individual roots, count_unstable integrates the
 argument of the left side around a rectangle hugging the imaginary axis and
 reports the winding number, which certifies the count without trusting any
-root-finder's convergence basin.  certify_crossing applies that counter just
-above and below a candidate critical wavenumber.
+root-finder's convergence basin.  The left side is conjugate symmetric, so
+the upper half of the rectangle carries half the phase change and is the
+only half sampled.  certify_crossing applies that counter just above and
+below a candidate critical wavenumber.
 
 All contour arithmetic runs in the nondimensional variables p_hat = p*L/v_o
 and z = p/(|k|*c1); in those terms the equation reads
@@ -56,8 +58,9 @@ class CharParams:
     bimaterial: BiMaterial
 
     def __post_init__(self):
-        if self.k == 0.0:
-            raise DomainError("characteristic equation needs k != 0")
+        if self.k == 0.0 or not math.isfinite(self.k):
+            raise DomainError(
+                f"characteristic equation needs a finite k != 0, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,9 @@ class RootCount:
     The contour is (re_min, re_max, |im|_max) in dimensional p (1/s).
     Roots off the real axis pair with their conjugates, and real unstable
     roots also arrive in pairs here (they split off a complex pair inside
-    the rectangle), so the count must be even.
+    the rectangle), so the count must be even.  samples is the number of
+    residual evaluations on the upper half of the contour, the only half
+    the counter walks (4097 when no segment needs refining).
     """
 
     n_unstable: int
@@ -119,74 +124,88 @@ class _NearContourZero(Exception):
     """Internal: a contour sample sat too close to a root."""
 
 
-def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
-                          kappa: float, nu: float, w: float,
-                          m: float, r: float) -> tuple[int, int]:
-    """Winding number of the nondimensional residual around the rectangle.
+def _spliced(old: np.ndarray, new: np.ndarray, at: np.ndarray,
+             kept: np.ndarray) -> np.ndarray:
+    """old with new inserted so that new lands at the indices at; kept is
+    False exactly there."""
+    out = np.empty(kept.size, dtype=old.dtype)
+    out[kept] = old
+    out[at] = new
+    return out
 
-    Starts from a uniform counterclockwise boundary sampling and bisects
-    every segment whose phase increment reaches pi/2, so a root sitting a
-    few 1e-5 away from an edge (weakly growing modes hug the left edge)
-    produces local refinement instead of a missed half-turn.  Once all
-    increments are small the whole boundary is doubled once more and the
-    integer must reproduce.  Returns (count, samples used).  Raises
-    _NearContourZero if any sample's residual is smaller than 1e-12 of its
-    term-magnitude scale or the refinement budget is exhausted, either of
+
+def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
+                          residual_at) -> tuple[int, int]:
+    """Winding number of the residual around the rectangle
+    [re_lo, re_hi] x [-im_max, im_max], taken from the upper half of it.
+
+    residual_at maps an array of points to the residual there.  The residual
+    is conjugate symmetric and real on the real axis, so the lower half of
+    the boundary, traversed counterclockwise, mirrors the upper half
+    traversed backwards and adds the same phase change.  The winding number
+    is therefore the phase change along the open path up the right edge
+    from (re_hi, 0), leftward along the top and down the left edge to
+    (re_lo, 0), divided by pi.
+
+    The path starts as 2049 uniform samples, 1/1024 of an edge apart, and
+    every segment whose phase increment reaches pi/2 is bisected, so a root
+    sitting a few 1e-5 away from an edge (weakly growing modes hug the left
+    edge) produces local refinement instead of a missed half-turn.  Once all
+    increments are small every segment is bisected once more and the
+    integer must reproduce.  Midpoints are spliced in at known places and
+    only the split segments' increments are recomputed.  Returns (count,
+    samples used).  Raises _NearContourZero if the phase change is not
+    within 1e-6 of a multiple of pi or the path would need more than 2**20
+    segments (the density of 2**21 samples on the whole boundary), either of
     which means a root (or something indistinguishable from one) touches
     the path.
     """
     width = re_hi - re_lo
     height = 2.0 * im_max
 
-    def boundary(ts: np.ndarray) -> np.ndarray:
-        # piecewise-linear map of [0, 4) onto the rectangle, counterclockwise
-        seg = np.floor(ts).astype(np.int64)
-        frac = ts - seg
-        pts = np.empty(ts.shape, dtype=complex)
-        sel = seg == 0
-        pts[sel] = (re_lo + width * frac[sel]) - 1j * im_max
-        sel = seg == 1
-        pts[sel] = re_hi + 1j * (-im_max + height * frac[sel])
-        sel = seg == 2
-        pts[sel] = (re_hi - width * frac[sel]) + 1j * im_max
-        sel = seg == 3
-        pts[sel] = re_lo + 1j * (im_max - height * frac[sel])
+    def path(us: np.ndarray) -> np.ndarray:
+        # us ascending: [0, 0.5) right edge, [0.5, 1.5) top, [1.5, 2] left
+        pts = np.empty(us.shape, dtype=complex)
+        i, j = np.searchsorted(us, (0.5, 1.5))
+        pts[:i] = re_hi + 1j * (-im_max + height * (us[:i] + 0.5))
+        pts[i:j] = (re_hi - width * (us[i:j] - 0.5)) + 1j * im_max
+        pts[j:] = re_lo + 1j * (im_max - height * (us[j:] - 1.5))
         return pts
 
-    def residual_at(ts: np.ndarray) -> np.ndarray:
-        resid, scale = _residual(boundary(ts), kappa, nu, w, m, r)
-        if np.any(np.abs(resid) < 1e-12 * scale):
-            raise _NearContourZero
-        return resid
-
-    ts = np.linspace(0.0, 4.0, 4096, endpoint=False)
-    vals = residual_at(ts)
-    budget = 2 ** 21
+    us = np.linspace(0.0, 2.0, 2049)
+    vals = residual_at(path(us))
+    incs = np.angle(vals[1:] / vals[:-1])
     confirmed = None
     while True:
-        gaps = np.roll(ts, -1) - ts
-        gaps[-1] += 4.0
-        incs = np.angle(np.roll(vals, -1) / vals)
-        coarse = np.abs(incs) >= 0.5 * math.pi
-        if coarse.any():
+        split = np.flatnonzero(np.abs(incs) >= 0.5 * math.pi)
+        if split.size:
             confirmed = None
-            mid_ts = (ts[coarse] + 0.5 * gaps[coarse]) % 4.0
         else:
-            winding = float(np.sum(incs)) / (2.0 * math.pi)
-            if abs(winding - round(winding)) >= 1e-6:
+            turns = float(np.sum(incs)) / math.pi
+            if abs(turns - round(turns)) >= 1e-6:
                 raise _NearContourZero
-            count = int(round(winding))
+            count = int(round(turns))
             if confirmed == count:
-                return count, ts.size
+                return count, us.size
             confirmed = count
-            mid_ts = (ts + 0.5 * gaps) % 4.0
-        if ts.size + mid_ts.size > budget:
+            split = np.arange(incs.size)
+        if incs.size + split.size > 2 ** 20:
             raise _NearContourZero
-        ts = np.concatenate([ts, mid_ts])
-        vals = np.concatenate([vals, residual_at(mid_ts)])
-        order = np.argsort(ts)
-        ts = ts[order]
-        vals = vals[order]
+        mid_us = us[split] + 0.5 * (us[split + 1] - us[split])
+        mid_vals = residual_at(path(mid_us))
+        # each midpoint, and the increment of its segment's second half,
+        # lands right after its segment's start, which moves up by the
+        # number of segments split before it
+        at = split + np.arange(1, split.size + 1)
+        kept = np.ones(us.size + split.size, dtype=bool)
+        kept[at] = False
+        before = np.angle(mid_vals / vals[split])
+        after = np.angle(vals[split + 1] / mid_vals)
+        us = _spliced(us, mid_us, at, kept)
+        vals = _spliced(vals, mid_vals, at, kept)
+        # one increment fewer than points; the last point is never new
+        incs = _spliced(incs, after, at, kept[:-1])
+        incs[at - 1] = before
 
 
 def count_unstable(cp: CharParams) -> RootCount:
@@ -195,13 +214,28 @@ def count_unstable(cp: CharParams) -> RootCount:
     The rectangle in p_hat = p*L/v_o spans Re in [1e-9, 10*max(1, |k|c1'L/v_o)]
     and |Im| up to 4*|k|*c1'*L/v_o, which contains every unstable root (the
     equation is quadratic-dominated well outside the shear-wave frequency
-    band).  If a root sits on the path the contour is dilated by 1% and the
-    count retried, up to five times, before ContourThroughZero escapes.
+    band).  Roots pair with their conjugates, so the count comes from the
+    upper half of the rectangle's boundary (see _winding_on_rectangle).  A
+    contour sample whose residual is smaller than 1e-12 of its term-magnitude
+    scale means a root sits on the path: the contour is then dilated by 1%
+    and the count retried, up to five times, before ContourThroughZero
+    escapes.  A k at which the residual overflows on the contour raises
+    DomainError.
     """
     kappa, nu, w, m, r = _hat_params(cp)
     fr = cp.friction
     lam = fr.v_o / fr.L
     wave_hat = abs(cp.k) * cp.bimaterial.fast.c1 / lam
+
+    def residual_at(p_hat: np.ndarray) -> np.ndarray:
+        resid, scale = _residual(p_hat, kappa, nu, w, m, r)
+        if not (np.isfinite(resid).all() and np.isfinite(scale).all()):
+            raise DomainError(
+                f"characteristic residual is not finite on the counting "
+                f"contour at k = {cp.k!r}")
+        if np.any(np.abs(resid) < 1e-12 * scale):
+            raise _NearContourZero
+        return resid
 
     re_lo0 = 1e-9
     re_hi0 = 10.0 * max(1.0, wave_hat)
@@ -212,8 +246,10 @@ def count_unstable(cp: CharParams) -> RootCount:
         re_hi = re_hi0 * grow
         im_max = im_max0 * grow
         try:
-            count, samples = _winding_on_rectangle(re_lo, re_hi, im_max,
-                                                   kappa, nu, w, m, r)
+            # an overflow shows as a non-finite residual, reported above
+            with np.errstate(all="ignore"):
+                count, samples = _winding_on_rectangle(re_lo, re_hi, im_max,
+                                                       residual_at)
         except _NearContourZero:
             continue
         return RootCount(

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,29 @@ class TestRoots:
         assert main(base + ["--k", repr(1.05 * k_cr)]) == 0
         above = parse_kv(capsys.readouterr().out)
         assert above["n_unstable"] == "0"
+
+    README = ["roots", "--k", "0.0017", "--a", "0.01", "--b", "0.012",
+              "--L", "1e-4", "--sigma-o", "1e6", "--v-o", "8.94e-4",
+              "--mu", "30e9", "--c1", "3000", "--mu-2", "30e9", "--c1-2", "3600"]
+
+    def test_readme_example_walks_half_contour(self, capsys):
+        """The count walks only the upper half of the rectangle: 2049
+        samples doubled once to confirm, no local refinement.  A counter
+        that walks the whole boundary needs about twice as many."""
+        assert main(self.README) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert kv["n_unstable"] == "2"
+        assert 4096 <= int(kv["samples"]) <= 4200
+
+    @pytest.mark.parametrize("k", ["inf", "-inf", "nan", "1e300", "1e-300"])
+    def test_unresolvable_k_is_input_error(self, capsys, k):
+        argv = ["roots", f"--k={k}"] + self.README[3:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k" in err
+        assert "RuntimeWarning" not in err
 
     def test_requires_friction(self, capsys):
         assert main(["roots", "--k", "1.0", "--mu", "30e9",

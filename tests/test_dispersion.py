@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from slipstab import (
     make_bimaterial,
     polish_root,
 )
+from slipstab.dispersion import _hat_params, _residual
 
 
 def pair(q, b_over_a=1.2, speed_ratio=1.2, mu_ratio=1.0, *,
@@ -44,6 +47,17 @@ def test_char_params_rejects_zero_k(q_one):
     fr, bm, _ = q_one
     with pytest.raises(DomainError):
         CharParams(k=0.0, friction=fr, bimaterial=bm)
+
+
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 1e300, 1e-300])
+def test_unresolvable_k_is_domain_error(q_one, k):
+    """A k that is not finite, or at which the residual overflows on the
+    contour, raises DomainError without a RuntimeWarning on the way."""
+    fr, bm, _ = q_one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="k"):
+            count_unstable(CharParams(k=k, friction=fr, bimaterial=bm))
 
 
 def test_root_count_must_be_even():
@@ -71,6 +85,26 @@ def test_residual_conjugate_symmetry(q_one):
         lhs = characteristic_residual(cp, p.conjugate())
         rhs = characteristic_residual(cp, p).conjugate()
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_residual_conjugate_symmetric_bit_for_bit():
+    """The counter walks only the upper half of its rectangle, which is
+    exact only if residual(conj p) == conj(residual(p)) and the residual is
+    real on the real axis, to the last bit."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        params = (10.0 ** rng.uniform(-4.0, 4.0), 10.0 ** rng.uniform(-4.0, 4.0),
+                  rng.uniform(-0.9, 3.0), 10.0 ** rng.uniform(-1.0, 1.0),
+                  rng.uniform(1.0, 5.0))
+        re = 10.0 ** rng.uniform(-10.0, 3.0, 500)
+        im = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-6.0, 4.0, 500)
+        p_hat = re + 1j * im
+        resid, scale = _residual(p_hat, *params)
+        resid_c, scale_c = _residual(np.conj(p_hat), *params)
+        assert np.array_equal(resid_c, np.conj(resid))
+        assert np.array_equal(scale_c, scale)
+        on_axis, _ = _residual(re + 0j, *params)
+        assert np.all(on_axis.imag == 0.0)
 
 
 def test_residual_on_axis_ignores_zero_sign(q_one):
@@ -166,3 +200,46 @@ def test_counts_certify_random_presets(q, b_over_a):
                                       friction=fr, bimaterial=bm))
     assert above.n_unstable == 0
     assert below.n_unstable >= 2
+
+
+def _full_contour_winding(cp, contour, n_per_edge):
+    """Winding number of the residual around all four edges of contour, each
+    sampled at n_per_edge uniform points, and the largest phase increment."""
+    lam = cp.friction.v_o / cp.friction.L
+    re_lo, re_hi, im_max = (x / lam for x in contour)
+    corners = [complex(re_lo, -im_max), complex(re_hi, -im_max),
+               complex(re_hi, im_max), complex(re_lo, im_max)]
+    s = np.arange(n_per_edge) / n_per_edge
+    pts = np.concatenate([a + (b - a) * s
+                          for a, b in zip(corners, corners[1:] + corners[:1])])
+    vals, _ = _residual(pts, *_hat_params(cp))
+    incs = np.angle(np.roll(vals, -1) / vals)
+    return float(np.sum(incs)) / (2.0 * math.pi), float(np.max(np.abs(incs)))
+
+
+def test_count_matches_full_contour_reference():
+    """count_unstable agrees with a dense uniform count over the whole
+    boundary of the same rectangle, at k/k_cr in {0.3, 0.95, 1.05, 3}.
+    Preset (1.2, 1) at q = 10 has 4 unstable roots at 0.3*k_cr."""
+    rng = np.random.default_rng(7)
+    sets = [(10.0, 1.2, 1.2, 1.0)]
+    for _ in range(5):
+        sets.append((10.0 ** rng.uniform(-1.3, 0.7), rng.uniform(1.1, 3.0),
+                     rng.uniform(1.05, 5.0), 10.0 ** rng.uniform(-1.0, 1.0)))
+    seen = set()
+    for q, b_over_a, speed_ratio, mu_ratio in sets:
+        fr, bm = pair(q, b_over_a, speed_ratio, mu_ratio)
+        k_cr = critical_mode(fr, bm).mode.k_mag
+        for factor in (0.3, 0.95, 1.05, 3.0):
+            cp = CharParams(k=factor * k_cr, friction=fr, bimaterial=bm)
+            count = count_unstable(cp)
+            n = 2 ** 14
+            winding, worst = _full_contour_winding(cp, count.contour, n)
+            while worst >= 0.25 * math.pi:
+                n *= 2
+                assert n <= 2 ** 18, "reference did not resolve the phase"
+                winding, worst = _full_contour_winding(cp, count.contour, n)
+            assert abs(winding - round(winding)) < 1e-6
+            assert count.n_unstable == round(winding)
+            seen.add(count.n_unstable)
+    assert seen == {0, 2, 4}

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -386,6 +387,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict]] = {
 }
 
 
+@functools.cache   # one parser per process; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slipstab",

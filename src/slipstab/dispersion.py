@@ -25,6 +25,7 @@ with kappa = mu*|k|*L/(2*a*sigma_o) and W = (b-a)/a.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -112,12 +113,19 @@ def characteristic_residual(cp: CharParams, p: complex) -> complex:
     The nondimensional residual times a*sigma_o*lam^2/v_o, lam = v_o/L, on
     the closed right half-plane of f_laplace (see closed_half_plane).
     Conjugate symmetric: residual(conj(p)) = conj(residual(p)).  The natural
-    magnitude scale near a neutral mode is sigma_o*a*|k*c|^2/v_o.
+    magnitude scale near a neutral mode is sigma_o*a*|k*c|^2/v_o.  A k at
+    which the residual overflows or is undefined (nan) raises DomainError.
     """
     fr = cp.friction
     lam = fr.v_o / fr.L
-    resid, _ = _residual(closed_half_plane(p) / lam, *_hat_params(cp))
-    return complex(resid) * (fr.a * fr.sigma_o * lam * lam / fr.v_o)
+    # an overflow shows as a non-finite residual, reported below
+    with np.errstate(all="ignore"):
+        resid, _ = _residual(closed_half_plane(p) / lam, *_hat_params(cp))
+    value = complex(resid) * (fr.a * fr.sigma_o * lam * lam / fr.v_o)
+    if not cmath.isfinite(value):
+        raise DomainError(
+            f"characteristic residual is not finite at k = {cp.k!r}, p = {p!r}")
+    return value
 
 
 class _NearContourZero(Exception):

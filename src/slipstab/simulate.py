@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, Inconclusive, StepFailure, VelocityStrengthening
 from .friction import EvolutionLaw, RateState, friction_stress
@@ -27,6 +26,15 @@ __all__ = [
     "simulate_spring_block",
     "estimate_critical_stiffness",
 ]
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: scipy.integrate
+    takes most of a cold start, and only the nonlinear oracle needs it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
 
 RUNAWAY_FACTOR = 1e6   # V above this multiple of v_o counts as instability
 CAP_GROWTH = 10.0      # estimator runs stop at ln(V/v_o) = 10*|ln(1 + perturbation)|

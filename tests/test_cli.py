@@ -465,6 +465,71 @@ def test_subcommand_required():
     assert exc.value.code == 2
 
 
+# Runs cli.main on each argv of a JSON list in one fresh process and prints,
+# per call, [exit code, stdout, stderr, whether any scipy module is loaded].
+_CALLS_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from slipstab.cli import main
+records = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    scipy = any(name.startswith("scipy") for name in sys.modules)
+    records.append([code, out.getvalue(), err.getvalue(), scipy])
+print(json.dumps(records))
+"""
+
+
+def calls_in_one_process(calls, cwd):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CALLS_IN_ONE_PROCESS, json.dumps(calls)],
+        cwd=cwd, capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(slipstab.__file__).parents[1])})
+    return json.loads(proc.stdout)
+
+
+def test_scipy_loads_only_for_the_oracle(tmp_path):
+    """The neutral-mode and counting commands never import scipy; the
+    spring-block integrator imports it on its first run."""
+    calls = [["kcr", "--q", "1", "--b-over-a", "1.2", "--speed-ratio", "1.2"],
+             TestSweep.BASE + ["--out", "sweep.csv"],
+             TestRoots.README,
+             ["medium", "--c44", "30e9", "--c55", "30e9", "--rho", "3000"],
+             ["simulate", "--stiffness", "5e8", "--perturb", "1e-3",
+              "--duration", "0.02", "--out", "-"] + TestSimulate.FRICTION]
+    records = calls_in_one_process(calls, tmp_path)
+    assert [code for code, *_ in records] == [0] * 5
+    assert [scipy for *_, scipy in records] == [False] * 4 + [True]
+
+
+def test_parser_reuse_leaves_each_call_unchanged(tmp_path):
+    """One process that runs rejected calls first, then valid ones, gives
+    every call the exit code, output and CSV bytes it has when run alone."""
+    calls = [["kcr", "--q", "1", "--c44", "1"],
+             ["verify", "--config", "x"],
+             ["kcr", "--q", "1", "--b-over-a", "1.2", "--speed-ratio", "1.2"],
+             TestSweep.BASE + ["--out", "one.csv"],
+             TestSweep.BASE + ["--out", "two.csv"]]
+    (tmp_path / "together").mkdir()
+    together = calls_in_one_process(calls, tmp_path / "together")
+    alone = []
+    for i, argv in enumerate(calls):
+        (tmp_path / f"alone{i}").mkdir()
+        alone += calls_in_one_process([argv], tmp_path / f"alone{i}")
+    assert together == alone
+    assert [code for code, *_ in together] == [2, 2, 0, 0, 0]
+    assert "not both" in together[0][2]
+    csv = (tmp_path / "together" / "one.csv").read_bytes()
+    assert (tmp_path / "together" / "two.csv").read_bytes() == csv
+    assert (tmp_path / "alone3" / "one.csv").read_bytes() == csv
+    assert (tmp_path / "alone4" / "two.csv").read_bytes() == csv
+
+
 class TestContract:
     """The command-line surface and provenance headers, pinned literally."""
 

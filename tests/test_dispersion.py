@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -105,6 +106,22 @@ def test_residual_conjugate_symmetric_bit_for_bit():
         assert np.array_equal(scale_c, scale)
         on_axis, _ = _residual(re + 0j, *params)
         assert np.all(on_axis.imag == 0.0)
+
+
+@pytest.mark.parametrize("k", [1e300, 1e-300])
+def test_unresolvable_k_residual_is_domain_error(k):
+    """At a k where the residual overflows or is nan, characteristic_residual
+    and polish_root raise DomainError naming k, with no RuntimeWarning."""
+    fr = RateState(a=0.010, b=0.012, L=1e-4, sigma_o=1e6, v_o=1e-3)
+    bm = make_bimaterial(EffectiveMedium(mu=30e9, c1=3000.0),
+                         EffectiveMedium(mu=36e9, c1=3600.0))
+    cp = CharParams(k=k, friction=fr, bimaterial=bm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"k = {k!r}")):
+            characteristic_residual(cp, 1 + 1j)
+        with pytest.raises(DomainError, match=re.escape(f"k = {k!r}")):
+            polish_root(cp, 1 + 1j)
 
 
 def test_residual_on_axis_ignores_zero_sign(q_one):

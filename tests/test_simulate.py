@@ -247,3 +247,23 @@ def test_unbracketed_seed_is_inconclusive(monkeypatch):
                         lambda p, m=0.0: (20.0 * k_true, w_true))
     with pytest.raises(Inconclusive, match="no growth at the soft end"):
         estimate_critical_stiffness(FR, EvolutionLaw.AGEING)
+
+
+def test_integrator_hook_is_the_module_global(monkeypatch):
+    """simulate_spring_block calls the module-level solve_ivp at run time, so
+    rebinding it (as a tracer does) sees every integration and changes no
+    sample."""
+    sb = SpringBlockParams(stiffness=2.0 * K_CR, mass=0.0, friction=FR)
+    plain = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
+    calls = []
+    original = simulate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(simulate, "solve_ivp", counted)
+    traced = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
+    assert calls == ["DOP853"]
+    for name in ("t", "v", "theta", "tau"):
+        assert np.array_equal(getattr(traced, name), getattr(plain, name))
+    assert traced.metadata == plain.metadata

@@ -31,8 +31,6 @@ from .friction import (
     RateState,
     friction_stress,
     nondim_q,
-    state_rate,
-    steady_state_stress,
 )
 from .transfer import f_intersonic, f_laplace, f_normalized, f_subsonic
 from .neutral import (
@@ -81,7 +79,7 @@ __all__ = [
     "effective_medium", "make_bimaterial",
     # friction
     "RateState", "EvolutionLaw",
-    "friction_stress", "steady_state_stress", "state_rate", "nondim_q",
+    "friction_stress", "nondim_q",
     # transfer
     "f_laplace", "f_normalized", "f_subsonic", "f_intersonic",
     # neutral modes

@@ -30,8 +30,9 @@ class ContourThroughZero(SlipStabError, ArithmeticError):
 
 
 class StepFailure(SlipStabError, RuntimeError):
-    """ODE integration failed: the step size underflowed (carrying the last
-    accepted state) or a trial step overflowed (carrying none)."""
+    """ODE integration failed: the step size underflowed or the evaluation
+    budget ran out (carrying the last accepted state), or a trial step
+    overflowed (carrying none)."""
 
     def __init__(self, message, last_state=None):
         super().__init__(message)

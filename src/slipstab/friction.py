@@ -1,8 +1,10 @@
 """Rate- and state-dependent friction.
 
-Constitutive law, state evolution (ageing and slip forms), the steady-state
-strength curve, and the nondimensional sliding-velocity parameter q that
-controls the continuum problem.
+The interface parameters, the constitutive law, the choice of state
+evolution law (ageing or slip form), and the nondimensional sliding-velocity
+parameter q that controls the continuum problem.  The evolution laws
+themselves are written out in `simulate._rhs`, the one place that
+integrates them.
 """
 
 from __future__ import annotations
@@ -75,38 +77,6 @@ def friction_stress(p: RateState, v: float, theta: float) -> float:
     return (p.tau_o
             + p.a * p.sigma_o * math.log(v / p.v_o)
             + p.b * p.sigma_o * math.log(p.v_o * theta / p.L))
-
-
-def steady_state_stress(p: RateState, v: float) -> float:
-    """Steady-state strength tau_o - (b - a)*sigma_o*ln(V/v_o).
-
-    Decreasing in V exactly when b > a.  Raises NonpositiveVelocity for V <= 0.
-    """
-    if not v > 0.0:
-        raise NonpositiveVelocity(f"V must be positive, got {v}")
-    return p.tau_o - (p.b - p.a) * p.sigma_o * math.log(v / p.v_o)
-
-
-def state_rate(law: EvolutionLaw, v: float, theta: float, L: float) -> float:
-    """d(theta)/dt under the chosen evolution law.
-
-    Ageing: 1 - V*theta/L (healing at V = 0).  Slip: -(V*theta/L)*ln(V*theta/L),
-    which requires V*theta > 0.  Both laws share the steady state theta = L/V.
-    """
-    if not L > 0.0:
-        raise DomainError(f"L must be positive, got {L}")
-    if v < 0.0:
-        raise NonpositiveVelocity(f"V must be nonnegative, got {v}")
-    if law is EvolutionLaw.AGEING:
-        if theta < 0.0:
-            raise DomainError(f"theta must be nonnegative, got {theta}")
-        return 1.0 - v * theta / L
-    if law is EvolutionLaw.SLIP:
-        x = v * theta / L
-        if not x > 0.0:
-            raise DomainError(f"slip law needs V*theta/L > 0, got {x}")
-        return -x * math.log(x)
-    raise DomainError(f"unknown evolution law {law!r}")
 
 
 def nondim_q(p: RateState, slow: EffectiveMedium) -> float:

@@ -6,7 +6,9 @@ perturbation of steady sliding grows or decays gives an estimate of the
 critical spring stiffness that never touches the linearization.  The
 integration runs in (ln V, ln theta) so the logarithmic friction law stays
 exactly linear in the state and positivity is automatic; the inertial case
-adds the spring stress as a third state.
+adds the spring stress as a third state.  The integrator is Hairer's DOP853
+on Python floats (`_dop853`), which `simulate_spring_block` calls through
+the module global `solve_ivp`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._dop853 import solve_ivp
 from .errors import DomainError, Inconclusive, StepFailure, VelocityStrengthening
 from .friction import EvolutionLaw, RateState, friction_stress
 from .closed_forms import SpringBlockParams, spring_block_critical
@@ -27,19 +30,11 @@ __all__ = [
     "estimate_critical_stiffness",
 ]
 
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use: scipy.integrate
-    takes most of a cold start, and only the nonlinear oracle needs it."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
-
-
 RUNAWAY_FACTOR = 1e6   # V above this multiple of v_o counts as instability
 CAP_GROWTH = 10.0      # estimator runs stop at ln(V/v_o) = 10*|ln(1 + perturbation)|
 ESTIMATE_TOL = 1e-8    # integrator tolerance of the estimator runs
 ESTIMATE_MAX_STEPS = 40   # regula falsi steps before the estimator gives up
+MAX_EVALUATIONS = 1_000_000   # right-side evaluations allowed per integration
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,8 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         Integration time in seconds; defaults to 200*L/v_o.
     tol : float
         Relative tolerance of the adaptive embedded Runge-Kutta integrator
-        (eighth order, fifth-order error estimate).  Absolute tolerance is
-        tol*1e-3 on the logarithmic states.
+        (DOP853: eighth order, fifth-order error estimate).  Absolute
+        tolerance is tol*1e-3 on the logarithmic states.
     runaway_factor : float
         The run halts at the first upward crossing of V = runaway_factor*v_o.
         Must exceed 1; defaults to RUNAWAY_FACTOR = 1e6.  The stiffness
@@ -146,9 +141,11 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     -------
     BlockTrajectory with at least ~64 samples per linear oscillation period.
     The run halts cleanly (metadata["blew_up"] = True) once V crosses
-    runaway_factor*v_o upward; samples stop at the last output time before
-    the crossing.  A step-size underflow raises StepFailure carrying the last
-    accepted state, an overflowing trial step StepFailure without one.
+    runaway_factor*v_o upward at an accepted step end; samples stop before
+    the crossing.  metadata["nfev"] counts every right-side evaluation.  A
+    step-size underflow, or a run that would exceed MAX_EVALUATIONS
+    evaluations, raises StepFailure carrying the last accepted state; an
+    overflowing trial step raises StepFailure without one.
     """
     p = sb.friction
     lam = p.v_o / p.L
@@ -170,8 +167,7 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
 
     u0 = math.log(v0 / p.v_o)
     w0 = math.log(p.v_o * theta0 / p.L)
-    inertial = sb.mass > 0.0
-    y0 = [u0, w0, tau0] if inertial else [u0, w0]
+    y0 = [u0, w0, tau0] if sb.mass > 0.0 else [u0, w0]
     rhs = _rhs(p, sb.stiffness, sb.mass, law)
 
     # output grid dense enough for envelope and period extraction
@@ -182,44 +178,41 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     if t_eval[-1] < duration:
         t_eval = np.append(t_eval, duration)
 
-    u_cap = math.log(runaway_factor)
-
-    def runaway(_t, y):
-        return y[0] - u_cap
-
-    runaway.terminal = True
-    runaway.direction = 1.0
-
     try:
-        sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
-                        t_eval=t_eval, rtol=tol, atol=tol * 1e-3,
-                        events=runaway, dense_output=False)
+        sol = solve_ivp(rhs, t_eval.tolist(), y0, tol, tol * 1e-3,
+                        math.log(runaway_factor), MAX_EVALUATIONS)
     except OverflowError as exc:
         # exp(u) overflowed in a trial step; the RHS stays unguarded (hot loop)
         raise StepFailure(f"integrator step overflowed: {exc}") from exc
-    u = sol.y[0]
-    w = sol.y[1]
-    v = p.v_o * np.exp(u)
-    theta = (p.L / p.v_o) * np.exp(w)
-    if inertial:
-        tau = sol.y[2]
-    else:
-        tau = p.tau_o + p.a * p.sigma_o * u + p.b * p.sigma_o * w
-    if sol.status == -1:
-        last = (BlockState(v=float(v[-1]), theta=float(theta[-1]), tau=float(tau[-1]))
-                if v.size else None)
-        raise StepFailure(f"integrator failed: {sol.message}", last_state=last)
+    if sol.failure is not None:
+        v, theta, tau = _physical(p, [[x] for x in sol.y_end])
+        raise StepFailure(f"integrator failed: {sol.failure}",
+                          last_state=BlockState(v=float(v[0]), theta=float(theta[0]),
+                                                tau=float(tau[0])))
+    v, theta, tau = _physical(p, sol.y)
     return BlockTrajectory(
-        t=sol.t, v=v, theta=theta, tau=tau,
+        t=t_eval[:v.size], v=v, theta=theta, tau=tau,
         metadata={
             "law": law.value,
             "stiffness": sb.stiffness,
             "mass": sb.mass,
             "tol": tol,
-            "blew_up": sol.status == 1,
-            "nfev": int(sol.nfev),
+            "blew_up": sol.capped,
+            "nfev": sol.nfev,
         },
     )
+
+
+def _physical(p: RateState, y: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, theta, tau) series from the integrator's (u, w[, tau]) series;
+    without inertia tau is the frictional strength."""
+    u = np.array(y[0])
+    w = np.array(y[1])
+    v = p.v_o * np.exp(u)
+    theta = (p.L / p.v_o) * np.exp(w)
+    if len(y) == 3:
+        return v, theta, np.array(y[2])
+    return v, theta, p.tau_o + p.a * p.sigma_o * u + p.b * p.sigma_o * w
 
 
 def _positive_peaks(t: np.ndarray, x: np.ndarray,

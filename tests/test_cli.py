@@ -16,7 +16,7 @@ import pytest
 
 import slipstab
 from slipstab import (EffectiveMedium, RateState, __version__, critical_mode,
-                      make_bimaterial)
+                      make_bimaterial, simulate)
 from slipstab.cli import _build_parser, main
 from slipstab.verification import VerifyResult
 
@@ -342,6 +342,17 @@ class TestSimulate:
         assert main(argv) == 3
         assert "overflow" in capsys.readouterr().err
 
+    def test_evaluation_budget_exits_three(self, tmp_path, capsys, monkeypatch):
+        # a light block makes the inertial equation stiff for the explicit
+        # integrator: at the full budget this run stops after about 1M
+        # evaluations instead of crawling through about 24M
+        monkeypatch.setattr(simulate, "MAX_EVALUATIONS", 20_000)
+        argv = (["simulate", "--stiffness", "5e8", "--mass", "5", "--perturb",
+                 "1e-2", "--law", "slip", "--out", str(tmp_path / "x.csv")]
+                + self.FRICTION)
+        assert main(argv) == 3
+        assert "evaluation budget 20000 spent" in capsys.readouterr().err
+
     def test_unwritable_out_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "t.csv"
         argv = (["simulate", "--stiffness", "1e9", "--duration", "0.01",
@@ -494,8 +505,9 @@ def calls_in_one_process(calls, cwd):
 
 
 def test_scipy_loads_only_for_the_oracle(tmp_path):
-    """The neutral-mode and counting commands never import scipy; the
-    spring-block integrator imports it on its first run."""
+    """No command imports scipy, the oracle included: the neutral-mode and
+    counting commands use numpy alone, and the spring-block integrator runs
+    on Python floats."""
     calls = [["kcr", "--q", "1", "--b-over-a", "1.2", "--speed-ratio", "1.2"],
              TestSweep.BASE + ["--out", "sweep.csv"],
              TestRoots.README,
@@ -504,7 +516,7 @@ def test_scipy_loads_only_for_the_oracle(tmp_path):
               "--duration", "0.02", "--out", "-"] + TestSimulate.FRICTION]
     records = calls_in_one_process(calls, tmp_path)
     assert [code for code, *_ in records] == [0] * 5
-    assert [scipy for *_, scipy in records] == [False] * 4 + [True]
+    assert [scipy for *_, scipy in records] == [False] * 5
 
 
 def test_parser_reuse_leaves_each_call_unchanged(tmp_path):

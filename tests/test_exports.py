@@ -4,6 +4,8 @@ of the solver modules is re-exported, so a deleted name cannot linger."""
 from __future__ import annotations
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +36,11 @@ TRACED = [("cli", "sweep_q"), ("neutral", "sweep_q"),
 @pytest.mark.parametrize("module,attr", TRACED)
 def test_traced_hook_points_exist(module, attr):
     assert callable(getattr(importlib.import_module(f"slipstab.{module}"), attr))
+
+
+def test_no_module_imports_scipy():
+    """numpy is the only runtime dependency; scipy serves the tests alone."""
+    src = Path(slipstab.__file__).parent
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if re.search(r"^\s*(import|from)\s+scipy\b", path.read_text(), re.M)]
+    assert offenders == []

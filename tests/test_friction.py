@@ -8,16 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slipstab import (
-    DomainError,
     EffectiveMedium,
-    EvolutionLaw,
-    NonpositiveVelocity,
     RateState,
     VelocityStrengthening,
     friction_stress,
     nondim_q,
-    state_rate,
-    steady_state_stress,
 )
 
 
@@ -60,39 +55,6 @@ def test_friction_stress_direct_and_state_terms(weakening):
     assert tau == pytest.approx(p.tau_o + p.a * p.sigma_o, rel=1e-12)
     tau = friction_stress(p, p.v_o, math.e * p.L / p.v_o)
     assert tau == pytest.approx(p.tau_o + p.b * p.sigma_o, rel=1e-12)
-
-
-def test_steady_state_slope(weakening):
-    p = weakening
-    # tau_ss(V) = tau_o - (b-a)*sigma_o*ln(V/v_o): weakening slope is negative
-    up = steady_state_stress(p, 10.0 * p.v_o)
-    assert up == pytest.approx(p.tau_o - (p.b - p.a) * p.sigma_o * math.log(10.0),
-                               rel=1e-12)
-    with pytest.raises(NonpositiveVelocity):
-        steady_state_stress(p, 0.0)
-
-
-def test_state_rate_zero_at_steady_state(weakening):
-    p = weakening
-    theta_ss = p.L / p.v_o
-    for law in EvolutionLaw:
-        assert state_rate(law, p.v_o, theta_ss, p.L) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_state_rate_signs(weakening):
-    p = weakening
-    theta_ss = p.L / p.v_o
-    for law in EvolutionLaw:
-        # above steady state the state relaxes downward
-        assert state_rate(law, p.v_o, 2.0 * theta_ss, p.L) < 0.0
-        assert state_rate(law, p.v_o, 0.5 * theta_ss, p.L) > 0.0
-
-
-def test_ageing_law_stationary_contact():
-    # V = 0: ageing grows at unit rate, slip law needs V*theta > 0
-    assert state_rate(EvolutionLaw.AGEING, 0.0, 1.0, 1e-4) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        state_rate(EvolutionLaw.SLIP, 0.0, 1.0, 1e-4)
 
 
 def test_nondim_q_worked_example():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from slipstab import (
     simulate_spring_block,
     spring_block_critical,
 )
-from slipstab import simulate
+from slipstab import _dop853, simulate
 
 FR = RateState(a=0.01, b=0.015, L=1e-5, sigma_o=1e6, v_o=1e-3)
 K_CR, W_CR = spring_block_critical(FR)
@@ -250,20 +252,111 @@ def test_unbracketed_seed_is_inconclusive(monkeypatch):
 
 
 def test_integrator_hook_is_the_module_global(monkeypatch):
-    """simulate_spring_block calls the module-level solve_ivp at run time, so
-    rebinding it (as a tracer does) sees every integration and changes no
-    sample."""
+    """simulate_spring_block calls the module-level solve_ivp at run time,
+    once per run, so rebinding it (as a tracer does) sees every integration
+    and changes no sample."""
     sb = SpringBlockParams(stiffness=2.0 * K_CR, mass=0.0, friction=FR)
     plain = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
     calls = []
     original = simulate.solve_ivp
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["method"])
+        calls.append(args[0])
         return original(*args, **kwargs)
     monkeypatch.setattr(simulate, "solve_ivp", counted)
     traced = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
-    assert calls == ["DOP853"]
+    assert len(calls) == 1 and callable(calls[0])
     for name in ("t", "v", "theta", "tau"):
         assert np.array_equal(getattr(traced, name), getattr(plain, name))
     assert traced.metadata == plain.metadata
+
+
+def test_evaluation_budget_bounds_each_run(monkeypatch):
+    """A run may use exactly MAX_EVALUATIONS right-side evaluations; one
+    fewer raises StepFailure carrying the last accepted state."""
+    sb = SpringBlockParams(stiffness=2.0 * K_CR, mass=0.0, friction=FR)
+    plain = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
+    nfev = plain.metadata["nfev"]
+    assert nfev < simulate.MAX_EVALUATIONS
+    monkeypatch.setattr(simulate, "MAX_EVALUATIONS", nfev)
+    exact = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
+    assert np.array_equal(exact.v, plain.v) and exact.metadata == plain.metadata
+    monkeypatch.setattr(simulate, "MAX_EVALUATIONS", nfev - 1)
+    with pytest.raises(StepFailure, match="evaluation budget") as exc:
+        simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
+    last = exc.value.last_state
+    assert isinstance(last, BlockState)
+    # the stiff spring damps the perturbation, so by the last step the block
+    # slides near steady state
+    assert abs(last.v / FR.v_o - 1.0) < 1e-3
+    assert last.tau == pytest.approx(friction_stress(FR, last.v, last.theta), rel=1e-12)
+
+
+def test_step_underflow_stops_the_integrator():
+    # at t = 1e15 the minimum step, 10 ulp(t), is 1.25, far longer than a
+    # decay rate of 1e6 allows, so every trial step is rejected until the
+    # step falls below it
+    sol = _dop853.solve_ivp(lambda _t, y: (-1e6 * y[0],), [1e15, 1e15 + 1e3],
+                            [1.0], 1e-8, 1e-11, 10.0, simulate.MAX_EVALUATIONS)
+    assert sol.failure.startswith("step size") and "below 10 ulp" in sol.failure
+    assert sol.y_end == [1.0] and sol.y == [[]] and not sol.capped
+    assert sol.nfev < 100
+
+
+# Agreement with scipy's DOP853, which the integrator reproduces step for
+# step.  Set before the integrator was tuned: equal evaluation counts and
+# sample times, |d ln V| and |d ln theta| within 1e-9, tau within 1e-11
+# relative.
+LN_TOL = 1e-9
+TAU_TOL = 1e-11
+
+
+def scipy_dop853(fun, t_eval, y0, rtol, atol, cap, max_nfev):
+    """simulate.solve_ivp's contract, on scipy.integrate.solve_ivp."""
+    from scipy.integrate import solve_ivp
+
+    def runaway(_t, y):
+        return y[0] - cap
+    runaway.terminal = True
+    runaway.direction = 1.0
+    sol = solve_ivp(fun, (t_eval[0], t_eval[-1]), y0, method="DOP853",
+                    t_eval=t_eval, rtol=rtol, atol=atol, events=runaway)
+    assert sol.status >= 0, sol.message
+    return _dop853.Solution([list(c) for c in sol.y], list(sol.y[:, -1]),
+                            sol.nfev, sol.status == 1, None)
+
+
+def _gate_runs():
+    """The estimator's seeded bracket runs on the ODE-oracle gate cases."""
+    cap = math.exp(simulate.CAP_GROWTH * abs(math.log1p(1e-3)))
+    for law in EvolutionLaw:
+        for mass in (0.0, INERTIAL_MASS):
+            k_ref = spring_block_critical(FR, mass)[0]
+            for factor in (0.9, 1.1):
+                yield pytest.param(
+                    SpringBlockParams(stiffness=factor * k_ref, mass=mass, friction=FR),
+                    law, perturbed(), simulate.ESTIMATE_TOL, cap,
+                    id=f"{law.value}-m{mass:g}-K{factor}")
+    # the README's `slipstab simulate` example
+    v0 = 1.001 * FR.v_o
+    yield pytest.param(
+        SpringBlockParams(stiffness=5e8, mass=0.0, friction=FR), EvolutionLaw.AGEING,
+        BlockState(v=v0, theta=FR.L / FR.v_o,
+                   tau=friction_stress(FR, FR.v_o, FR.L / FR.v_o)),
+        1e-10, simulate.RUNAWAY_FACTOR, id="readme")
+
+
+@pytest.mark.parametrize("sb, law, init, tol, runaway_factor", _gate_runs())
+def test_integrator_matches_scipy_dop853(monkeypatch, sb, law, init, tol,
+                                         runaway_factor):
+    pytest.importorskip("scipy.integrate")
+    ours = simulate_spring_block(sb, law, init=init, tol=tol,
+                                 runaway_factor=runaway_factor)
+    monkeypatch.setattr(simulate, "solve_ivp", scipy_dop853)
+    ref = simulate_spring_block(sb, law, init=init, tol=tol,
+                                runaway_factor=runaway_factor)
+    assert ours.metadata == ref.metadata
+    assert np.array_equal(ours.t, ref.t)
+    assert np.max(np.abs(np.log(ours.v / ref.v))) <= LN_TOL
+    assert np.max(np.abs(np.log(ours.theta / ref.theta))) <= LN_TOL
+    assert np.max(np.abs(ours.tau / ref.tau - 1.0)) <= TAU_TOL

@@ -36,7 +36,6 @@ from .transfer import f_intersonic, f_laplace, f_normalized, f_subsonic
 from .neutral import (
     Branch,
     NeutralMode,
-    Stability,
     StabilityVerdict,
     critical_mode,
     critical_mode_q,
@@ -83,7 +82,7 @@ __all__ = [
     # transfer
     "f_laplace", "f_normalized", "f_subsonic", "f_intersonic",
     # neutral modes
-    "Branch", "NeutralMode", "Stability", "StabilityVerdict",
+    "Branch", "NeutralMode", "StabilityVerdict",
     "solve_subsonic", "solve_intersonic", "critical_mode", "critical_mode_q",
     "sweep_q",
     # closed forms

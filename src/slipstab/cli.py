@@ -42,7 +42,7 @@ from .errors import InputError, SlipStabError
 from .friction import EvolutionLaw, RateState, friction_stress
 from .materials import (BiMaterial, EffectiveMedium, ShearStiffness,
                         effective_medium, make_bimaterial)
-from .neutral import Stability, critical_mode, critical_mode_q, sweep_q
+from .neutral import critical_mode, critical_mode_q, sweep_q
 from .simulate import BlockState, simulate_spring_block
 from .closed_forms import SpringBlockParams
 from .verification import (FIGURE_B_OVER_A, FIGURE_PRESETS, FIGURE_Q_GRID,
@@ -221,15 +221,15 @@ def _cmd_kcr(cfg: dict) -> int:
             raise InputError(f"q must be positive, got {q}")
         bm = _checked(BiMaterial.from_ratios, cfg.get("mu_ratio", 1.0),
                       cfg.get("speed_ratio", 1.0))
-        verdict = critical_mode_q(q, _require(cfg, "b_over_a"), bm)
+        verdict = _checked(critical_mode_q, q, _require(cfg, "b_over_a"), bm)
     else:
         bm = _dimensional_bimaterial(cfg)
         verdict = critical_mode(friction, bm)
-    if verdict.status is Stability.ALWAYS_STABLE:
+    mode = verdict.mode
+    if mode is None:
         print("always-stable")
         return 0
-    mode = verdict.mode
-    _print_kv(status=verdict.status.value, branch=mode.branch.value,
+    _print_kv(status="critical-mode", branch=mode.branch.value,
               c_over_c1=mode.c_over_c1, k_hat=mode.k_hat)
     if not nondim:
         _print_kv(k_mag=mode.k_mag, c=mode.c_over_c1 * bm.slow.c1,
@@ -265,7 +265,7 @@ def _sweep_echo(mode: str, cfg: dict, bm: BiMaterial, b_over_a: float) -> dict:
 def _cmd_sweep(cfg: dict) -> int:
     grid = _sweep_grid(cfg)
     b_over_a = _require(cfg, "b_over_a")
-    if b_over_a <= 1.0:
+    if not b_over_a > 1.0:
         raise InputError(f"b_over_a must exceed 1 for a sweep, got {b_over_a}")
     bm = _checked(BiMaterial.from_ratios, cfg.get("mu_ratio", 1.0),
                   cfg.get("speed_ratio", 1.0))

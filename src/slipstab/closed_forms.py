@@ -1,8 +1,11 @@
 """Closed-form stability results used as anchors for the numerical solvers.
 
 Spring-block critical stiffness (with and without inertia), the quasi-static
-continuum limits (identical solids, dissimilar solids, orthotropic sliding on
-isotropic), and the fully dynamic identical-isotropic solution.
+continuum limit (identical or dissimilar solids, orthotropic sliding on
+isotropic through its effective modulus), and the fully dynamic
+identical-isotropic solution.  Each formula is written once: omega in
+spring_block_critical, k_cr in quasistatic_continuum, and the dynamic form
+on top of the quasi-static one.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .friction import RateState, nondim_q
-from .materials import EffectiveMedium, ShearStiffness
+from .materials import EffectiveMedium
 
 __all__ = [
     "SpringBlockParams",
@@ -32,10 +35,15 @@ class SpringBlockParams:
     friction: RateState
 
     def __post_init__(self):
-        if not self.stiffness > 0.0:
-            raise DomainError(f"spring stiffness must be positive, got {self.stiffness}")
-        if self.mass < 0.0:
-            raise DomainError(f"mass must be nonnegative, got {self.mass}")
+        if not 0.0 < self.stiffness < math.inf:
+            raise DomainError(
+                f"spring stiffness must be positive and finite, got {self.stiffness}")
+        _check_mass(self.mass)
+
+
+def _check_mass(mass: float) -> None:
+    if not 0.0 <= mass < math.inf:
+        raise DomainError(f"mass must be nonnegative and finite, got {mass}")
 
 
 def spring_block_critical(p: RateState, mass: float = 0.0):
@@ -44,65 +52,48 @@ def spring_block_critical(p: RateState, mass: float = 0.0):
     K_cr = sigma_o*(b-a)/L * [1 + m*v_o^2/(a*sigma_o*L)] and the frequency at
     neutral stability is omega = sqrt((b-a)/a)*v_o/L regardless of the mass.
     Velocity strengthening (b <= a) is stable at every stiffness: returns None.
+    This omega is the one every other closed form and critical_mode use.
     """
-    if mass < 0.0:
-        raise DomainError(f"mass must be nonnegative, got {mass}")
+    _check_mass(mass)
     if not p.weakening:
         return None
     k_cr = (p.sigma_o * (p.b - p.a) / p.L
             * (1.0 + mass * p.v_o ** 2 / (p.a * p.sigma_o * p.L)))
-    omega = math.sqrt((p.b - p.a) / p.a) * p.v_o / p.L
+    omega = math.sqrt((p.b - p.a) / p.a) * (p.v_o / p.L)
     return k_cr, omega
 
 
-def quasistatic_continuum(p: RateState, mu: float, mu_prime: float | None = None,
-                          orthotropic: ShearStiffness | None = None):
+def quasistatic_continuum(p: RateState, mu: float, mu_prime: float | None = None):
     """Quasi-static critical wavenumber (k_cr, c, omega), or None if b <= a.
 
     A slip mode of wavenumber k loads the interface like a spring of
     stiffness mu*mu'*|k|/(mu + mu'), so the spring-block threshold translates
-    directly:
-
-    * identical solids (mu_prime omitted): k_cr = 2*(b-a)*sigma_o/(mu*L) and
-      c = mu*v_o / (2*sqrt(a*(b-a))*sigma_o);
-    * dissimilar: k_cr = (b-a)*sigma_o*(mu + mu') / (L*mu*mu');
-    * orthotropic on isotropic (pass `orthotropic` with c45 = 0 for the
-      other side): k_cr = sigma_o*(b-a)/L * (1 + mu/sqrt(c55*c44)) / mu.
-
-    omega = k_cr*c = sqrt((b-a)/a)*v_o/L in every case, so c follows from
-    omega/k_cr whenever the solids differ.
+    directly: k_cr = (b-a)*sigma_o*(mu + mu')/(L*mu*mu'), with mu' = mu
+    (identical solids) when mu_prime is omitted.  Orthotropic sliding on
+    isotropic takes mu' = effective_medium(orthotropic).mu, which is
+    sqrt(c44*c55) when c45 = 0.  omega is spring_block_critical's, and
+    c = omega/k_cr.
     """
+    if mu_prime is None:
+        mu_prime = mu
     if not mu > 0.0:
         raise DomainError(f"mu must be positive, got {mu}")
-    if not p.weakening:
-        return None
-    omega = math.sqrt((p.b - p.a) / p.a) * p.v_o / p.L
-    if orthotropic is not None:
-        if mu_prime is not None:
-            raise DomainError("pass either mu_prime or orthotropic stiffnesses, not both")
-        if orthotropic.c45 != 0.0:
-            raise DomainError(
-                f"orthotropic reduction assumes c45 = 0, got {orthotropic.c45}"
-            )
-        k_cr = (p.sigma_o * (p.b - p.a) / p.L
-                * (1.0 + mu / math.sqrt(orthotropic.c55 * orthotropic.c44)) / mu)
-        return k_cr, omega / k_cr, omega
-    if mu_prime is None or mu_prime == mu:
-        k_cr = 2.0 * (p.b - p.a) * p.sigma_o / (mu * p.L)
-        c = mu * p.v_o / (2.0 * math.sqrt(p.a * (p.b - p.a)) * p.sigma_o)
-        return k_cr, c, omega
     if not mu_prime > 0.0:
         raise DomainError(f"mu_prime must be positive, got {mu_prime}")
+    if not p.weakening:
+        return None
     k_cr = (p.b - p.a) * p.sigma_o * (mu + mu_prime) / (p.L * mu * mu_prime)
+    omega = spring_block_critical(p)[1]
     return k_cr, omega / k_cr, omega
 
 
 def identical_isotropic_dynamic(p: RateState, mu: float, c_s: float):
     """Dynamic critical mode for identical isotropic half-spaces, or None.
 
-    With q = nondim_q(p, EffectiveMedium(mu, c_s)):
-    k_cr = 2*(b-a)*sigma_o*sqrt(1+q^2)/(mu*L) and c = q*c_s/sqrt(1+q^2).
-    Reduces to the quasi-static answer as q -> 0.
+    With q = nondim_q(p, EffectiveMedium(mu, c_s)): k_cr is the quasi-static
+    identical-solids value times sqrt(1+q^2), that is
+    2*(b-a)*sigma_o*sqrt(1+q^2)/(mu*L), and c = q*c_s/sqrt(1+q^2).
+    Reduces to the quasi-static answer as q -> 0, and never falls below it.
     """
     if not (mu > 0.0 and c_s > 0.0):
         raise DomainError(f"need mu > 0 and c_s > 0, got mu={mu}, c_s={c_s}")
@@ -110,7 +101,4 @@ def identical_isotropic_dynamic(p: RateState, mu: float, c_s: float):
         return None
     q = nondim_q(p, EffectiveMedium(mu=mu, c1=c_s))
     root = math.sqrt(1.0 + q * q)
-    k_cr = 2.0 * (p.b - p.a) * p.sigma_o * root / (mu * p.L)
-    c = q * c_s / root
-    return k_cr, c
-
+    return quasistatic_continuum(p, mu)[0] * root, q * c_s / root

@@ -270,6 +270,16 @@ def count_unstable(cp: CharParams) -> RootCount:
     )
 
 
+def _crossing_counts(p: RateState, bm: BiMaterial) -> tuple[int, int]:
+    """Unstable-root counts (above, below) at (1 +/- CROSSING_MARGIN)*k_cr,
+    k_cr from critical_mode; velocity weakening only."""
+    k_cr = critical_mode(p, bm).mode.k_mag
+    above, below = (
+        count_unstable(CharParams(k=factor * k_cr, friction=p, bimaterial=bm))
+        for factor in (1.0 + CROSSING_MARGIN, 1.0 - CROSSING_MARGIN))
+    return above.n_unstable, below.n_unstable
+
+
 def certify_crossing(p: RateState, bm: BiMaterial) -> bool:
     """Certify the predicted critical wavenumber against the root counter.
 
@@ -280,12 +290,8 @@ def certify_crossing(p: RateState, bm: BiMaterial) -> bool:
     """
     if not p.weakening:
         return True
-    k_cr = critical_mode(p, bm).mode.k_mag
-    above = count_unstable(CharParams(k=(1.0 + CROSSING_MARGIN) * k_cr,
-                                      friction=p, bimaterial=bm))
-    below = count_unstable(CharParams(k=(1.0 - CROSSING_MARGIN) * k_cr,
-                                      friction=p, bimaterial=bm))
-    return above.n_unstable == 0 and below.n_unstable >= 2
+    above, below = _crossing_counts(p, bm)
+    return above == 0 and below >= 2
 
 
 def polish_root(cp: CharParams, p_seed: complex, steps: int = 60,

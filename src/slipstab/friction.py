@@ -44,18 +44,24 @@ class RateState:
     f: float = 0.6
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise DomainError(f"direct-effect coefficient a must be positive, got {self.a}")
-        if not self.b > 0.0:
-            raise DomainError(f"evolution coefficient b must be positive, got {self.b}")
-        if not self.L > 0.0:
-            raise DomainError(f"state evolution distance L must be positive, got {self.L}")
-        if not self.sigma_o > 0.0:
-            raise DomainError(f"normal stress sigma_o must be positive, got {self.sigma_o}")
-        if not self.v_o > 0.0:
-            raise NonpositiveVelocity(f"reference velocity v_o must be positive, got {self.v_o}")
-        if not self.f >= 0.0:
-            raise DomainError(f"friction coefficient f must be nonnegative, got {self.f}")
+        if not 0.0 < self.a < math.inf:
+            raise DomainError(
+                f"direct-effect coefficient a must be positive and finite, got {self.a}")
+        if not 0.0 < self.b < math.inf:
+            raise DomainError(
+                f"evolution coefficient b must be positive and finite, got {self.b}")
+        if not 0.0 < self.L < math.inf:
+            raise DomainError(
+                f"state evolution distance L must be positive and finite, got {self.L}")
+        if not 0.0 < self.sigma_o < math.inf:
+            raise DomainError(
+                f"normal stress sigma_o must be positive and finite, got {self.sigma_o}")
+        if not 0.0 < self.v_o < math.inf:
+            raise NonpositiveVelocity(
+                f"reference velocity v_o must be positive and finite, got {self.v_o}")
+        if not 0.0 <= self.f < math.inf:
+            raise DomainError(
+                f"friction coefficient f must be nonnegative and finite, got {self.f}")
 
     @property
     def tau_o(self) -> float:

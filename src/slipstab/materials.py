@@ -55,9 +55,10 @@ class EffectiveMedium:
     c1: float
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and self.c1 > 0.0):
+        if not (0.0 < self.mu < math.inf and 0.0 < self.c1 < math.inf):
             raise NotPositiveDefinite(
-                f"effective medium requires mu > 0 and c1 > 0, got mu={self.mu}, c1={self.c1}"
+                f"effective medium requires finite mu > 0 and c1 > 0, "
+                f"got mu={self.mu}, c1={self.c1}"
             )
 
 
@@ -98,6 +99,9 @@ class BiMaterial:
     @classmethod
     def from_ratios(cls, mu_ratio: float, speed_ratio: float) -> "BiMaterial":
         """Synthetic pair with a unit slow side, for nondimensional runs."""
+        for name, ratio in (("mu_ratio", mu_ratio), ("speed_ratio", speed_ratio)):
+            if math.isinf(ratio):
+                raise NotPositiveDefinite(f"{name} must be finite, got {ratio}")
         if not mu_ratio > 0.0:
             raise NotPositiveDefinite(f"mu_ratio must be positive, got {mu_ratio}")
         slow = EffectiveMedium(mu=1.0, c1=1.0)

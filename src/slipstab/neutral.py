@@ -32,14 +32,14 @@ from enum import Enum
 
 import numpy as np
 
+from .closed_forms import spring_block_critical
 from .errors import DomainError, SlipStabError
 from .friction import RateState, nondim_q
 from .materials import BiMaterial
 from .transfer import f_intersonic_parts, f_subsonic_denominator
 
-__all__ = ["Branch", "NeutralMode", "Stability", "StabilityVerdict",
-           "solve_subsonic", "solve_intersonic", "critical_mode",
-           "critical_mode_q", "sweep_q"]
+__all__ = ["Branch", "NeutralMode", "StabilityVerdict", "solve_subsonic",
+           "solve_intersonic", "critical_mode", "critical_mode_q", "sweep_q"]
 
 _FLOAT = np.finfo(float)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -74,21 +74,12 @@ class NeutralMode:
     omega: float | None = None
 
 
-class Stability(str, Enum):
-    ALWAYS_STABLE = "always-stable"
-    CRITICAL_MODE = "critical-mode"
-
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of the critical-mode search: the neutral mode of largest
     wavenumber, or None for b <= a, which is stable at every wavenumber."""
 
     mode: NeutralMode | None = None
-
-    @property
-    def status(self) -> Stability:
-        return Stability.ALWAYS_STABLE if self.mode is None else Stability.CRITICAL_MODE
 
 
 def _bracketed_roots(f, a, fa, b, fb, rtol: float):
@@ -287,7 +278,8 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
 def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdict:
     """Stability verdict at nondimensional sliding velocity q and ratio b/a.
 
-    b/a <= 1 never destabilizes (ALWAYS_STABLE).  Otherwise perturbations
+    b/a <= 1 never destabilizes (no mode); b/a must be positive, as for
+    every RateState, else DomainError.  Otherwise perturbations
     of wavenumber above the critical one decay and below it grow, so the
     neutral mode of largest |k| over both branches is the critical mode.
     It is always the subsonic one: with f0 = F(0) = 2m/(1+m), w = b/a - 1
@@ -300,6 +292,8 @@ def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdi
     and x = c/c1 > 1.  So only the subsonic branch is solved, without
     dimensional fields.
     """
+    if not b_over_a > 0.0:
+        raise DomainError(f"b/a must be positive, got {b_over_a}")
     if not b_over_a > 1.0:
         return StabilityVerdict()
     return StabilityVerdict(solve_subsonic(q, bm))
@@ -308,14 +302,14 @@ def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdi
 def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
     """Stability verdict for steady sliding: the neutral mode of largest |k|.
 
-    critical_mode_q at q = nondim_q(p, bm.slow), with omega =
-    sqrt((b-a)/a)*v_o/L (on the subsonic branch) and |k| = omega/c filled
-    in; b <= a is ALWAYS_STABLE.
+    critical_mode_q at q = nondim_q(p, bm.slow), with omega from
+    spring_block_critical (sqrt((b-a)/a)*v_o/L on the subsonic branch) and
+    |k| = omega/c filled in; b <= a has no mode.
     """
     if not p.weakening:
         return StabilityVerdict()
     mode = critical_mode_q(nondim_q(p, bm.slow), p.b / p.a, bm).mode
-    omega = math.sqrt((p.b - p.a) / p.a) * (p.v_o / p.L)
+    omega = spring_block_critical(p)[1]
     return StabilityVerdict(replace(mode, omega=omega,
                                     k_mag=omega / (mode.c_over_c1 * bm.slow.c1)))
 

@@ -457,6 +457,61 @@ def test_out_of_range_value_is_input_error(capsys, argv, message):
     assert captured.out == ""
 
 
+README_KCR = ["kcr"] + TestRoots.README[3:]
+
+
+def _with(argv, flag, value):
+    """argv with the value after flag replaced."""
+    i = argv.index(flag)
+    return argv[:i + 1] + [value] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (_with(README_KCR, "--L", "inf"), "L"),
+    (_with(README_KCR, "--sigma-o", "inf"), "sigma_o"),
+    (_with(README_KCR, "--b", "inf"), "b"),
+    (_with(README_KCR, "--mu-2", "inf"), "mu=inf"),
+    (_with(README_KCR, "--c1-2", "inf"), "c1=inf"),
+    (["kcr", "--q", "1", "--b-over-a", "1.2", "--mu-ratio", "inf"], "mu_ratio"),
+    (["kcr", "--q", "1", "--b-over-a", "1.2", "--speed-ratio", "inf"],
+     "speed_ratio"),
+    (["simulate", "--stiffness", "inf", "--out", "-"] + TestSimulate.FRICTION,
+     "stiffness"),
+])
+def test_infinite_input_is_input_error(capsys, argv, field):
+    """An infinite input is rejected where it is read, naming the field,
+    with no solver warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err and "finite" in captured.err
+
+
+def test_nan_mass_is_input_error(capsys):
+    argv = (["simulate", "--stiffness", "1e8", "--mass", "nan", "--out", "-"]
+            + TestSimulate.FRICTION)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mass must be nonnegative and finite, got nan\n"
+
+
+@pytest.mark.parametrize("b_over_a", ["nan", "0", "-1"])
+def test_nonpositive_b_over_a_is_input_error(capsys, b_over_a):
+    assert main(["kcr", "--q", "1", "--b-over-a", b_over_a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: b/a must be positive")
+
+
+def test_sweep_nan_b_over_a_is_input_error(capsys):
+    assert main(TestSweep.BASE[:8] + ["nan", "--out", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error: b_over_a must exceed 1")
+
+
 def test_verify_takes_no_config():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--config", "x"])

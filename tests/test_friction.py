@@ -43,6 +43,14 @@ def test_invalid_parameters_rejected(field, value):
         RateState(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["a", "b", "L", "sigma_o", "v_o", "f"])
+def test_infinite_parameters_rejected(field):
+    kwargs = dict(a=0.01, b=0.015, L=1e-4, sigma_o=1e6, v_o=1e-3)
+    kwargs[field] = math.inf
+    with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+        RateState(**kwargs)
+
+
 def test_friction_stress_at_reference_point(weakening):
     p = weakening
     # V = v_o and theta = L/v_o zero both logarithms

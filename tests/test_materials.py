@@ -115,6 +115,17 @@ class TestBiMaterial:
         with pytest.raises(ValueError):
             BiMaterial.from_ratios(1.0, 0.8)
 
+    @pytest.mark.parametrize("field", ["mu_ratio", "speed_ratio"])
+    def test_from_ratios_rejects_infinite(self, field):
+        ratios = {"mu_ratio": 1.0, "speed_ratio": 1.2, field: math.inf}
+        with pytest.raises(NotPositiveDefinite, match=f"{field} must be finite"):
+            BiMaterial.from_ratios(**ratios)
+
+    @pytest.mark.parametrize("mu,c1", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_effective_medium_rejects_infinite(self, mu, c1):
+        with pytest.raises(NotPositiveDefinite, match="finite"):
+            EffectiveMedium(mu=mu, c1=c1)
+
     def test_speed_ratio_at_least_one(self):
         bm = make_bimaterial(EffectiveMedium(mu=1.0, c1=2.0),
                              EffectiveMedium(mu=1.0, c1=1.0))

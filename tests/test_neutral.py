@@ -24,7 +24,6 @@ from slipstab import (
     DomainError,
     EffectiveMedium,
     RateState,
-    Stability,
     critical_mode,
     critical_mode_q,
     f_subsonic,
@@ -199,14 +198,13 @@ class TestCriticalMode:
         soft = RateState(a=friction.a, b=0.8 * friction.a, L=friction.L,
                          sigma_o=friction.sigma_o, v_o=friction.v_o)
         verdict = critical_mode(soft, bm)
-        assert verdict.status is Stability.ALWAYS_STABLE
         assert verdict.mode is None
 
     def test_subsonic_wins(self):
         for q in (0.1, 1.0, 10.0):
             friction, bm = dimensional(q)
             verdict = critical_mode(friction, bm)
-            assert verdict.status is Stability.CRITICAL_MODE
+            assert verdict.mode is not None
             assert verdict.mode.branch is Branch.SUBSONIC
             assert verdict.mode.c_over_c1 < 1.0
 
@@ -227,7 +225,13 @@ class TestCriticalMode:
         friction, bm = dimensional(2.0)
         verdict = critical_mode_q(2.0, 1.2, bm)
         assert verdict.mode.k_hat == critical_mode(friction, bm).mode.k_hat
-        assert critical_mode_q(2.0, 1.0, bm).status is Stability.ALWAYS_STABLE
+        assert critical_mode_q(2.0, 1.0, bm).mode is None
+
+    @pytest.mark.parametrize("b_over_a", [math.nan, 0.0, -1.0])
+    def test_nonpositive_b_over_a_rejected(self, b_over_a):
+        # no RateState gives such a b/a
+        with pytest.raises(DomainError, match="b/a"):
+            critical_mode_q(1.0, b_over_a, MILD)
 
     @staticmethod
     def contract_cases():

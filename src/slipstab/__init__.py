@@ -37,6 +37,7 @@ from .neutral import (
     Branch,
     NeutralMode,
     StabilityVerdict,
+    SweepTable,
     critical_mode,
     critical_mode_q,
     solve_intersonic,
@@ -82,7 +83,7 @@ __all__ = [
     # transfer
     "f_laplace", "f_normalized", "f_subsonic", "f_intersonic",
     # neutral modes
-    "Branch", "NeutralMode", "StabilityVerdict",
+    "Branch", "NeutralMode", "StabilityVerdict", "SweepTable",
     "solve_subsonic", "solve_intersonic", "critical_mode", "critical_mode_q",
     "sweep_q",
     # closed forms

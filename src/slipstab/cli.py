@@ -23,8 +23,6 @@ success, 2 input error, 3 solver or verification failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import dataclasses
 import functools
 import json
@@ -42,7 +40,7 @@ from .errors import InputError, SlipStabError
 from .friction import EvolutionLaw, RateState, friction_stress
 from .materials import (BiMaterial, EffectiveMedium, ShearStiffness,
                         effective_medium, make_bimaterial)
-from .neutral import critical_mode, critical_mode_q, sweep_q
+from .neutral import SweepTable, critical_mode, critical_mode_q, sweep_q
 from .simulate import BlockState, simulate_spring_block
 from .closed_forms import SpringBlockParams
 from .verification import (FIGURE_B_OVER_A, FIGURE_PRESETS, FIGURE_Q_GRID,
@@ -171,21 +169,28 @@ def _dimensional_bimaterial(cfg: dict) -> BiMaterial:
     return make_bimaterial(one, two)
 
 
-def _write_csv(out: str, columns: Sequence[str],
-               rows: Iterable[Sequence[Any]], config: dict) -> None:
+def _write_csv(out: str, columns: dict[str, Sequence], config: dict) -> None:
+    """Write the equal-length named columns as CSV after the two `#` header
+    lines, in one write: floats by repr, strings as they are (unquoted)."""
+    cells = [col if isinstance(col[0], str) else map(repr, col)
+             for col in columns.values()]
+    text = "\n".join([f"# slipstab {__version__}",
+                      "# config: " + json.dumps(config, sort_keys=True),
+                      ",".join(columns), *map(",".join, zip(*cells)), ""])
+    if out == "-":
+        sys.stdout.write(text)
+        return
     try:
-        stream = (contextlib.nullcontext(sys.stdout) if out == "-"
-                  else open(out, "w", newline=""))
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc.strerror}")
-    with stream as fh:
-        fh.write(f"# slipstab {__version__}\n")
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+
+
+def _sweep_columns(table: SweepTable) -> dict[str, Sequence]:
+    """The sweep CSV columns of table, each branch by its plain name."""
+    return {"q": table.q, "branch": [b.value for b in table.branch],
+            "c_over_c1": table.c_over_c1, "k_hat": table.k_hat}
 
 
 def _print_kv(**record: Any) -> None:
@@ -217,8 +222,8 @@ def _cmd_kcr(cfg: dict) -> int:
                              f"fields, not both")
     if nondim:
         q = cfg["q"]
-        if not q > 0.0:
-            raise InputError(f"q must be positive, got {q}")
+        if not 0.0 < q < math.inf:
+            raise InputError(f"q must be positive and finite, got {q}")
         bm = _checked(BiMaterial.from_ratios, cfg.get("mu_ratio", 1.0),
                       cfg.get("speed_ratio", 1.0))
         verdict = _checked(critical_mode_q, q, _require(cfg, "b_over_a"), bm)
@@ -238,11 +243,10 @@ def _cmd_kcr(cfg: dict) -> int:
 
 
 def _sweep_grid(cfg: dict) -> list[float]:
-    q_min = _require(cfg, "q_min")
-    q_max = _require(cfg, "q_max")
-    points = _require(cfg, "q_points")
-    if not q_min > 0.0:
-        raise InputError(f"q_min must be positive, got {q_min}")
+    q_min, q_max, points = (_require(cfg, k) for k in ("q_min", "q_max", "q_points"))
+    for key, val in (("q_min", q_min), ("q_max", q_max)):
+        if not 0.0 < val < math.inf:
+            raise InputError(f"{key} must be positive and finite, got {val}")
     if not q_min < q_max:
         raise InputError(f"q_min must be below q_max, got {q_min} >= {q_max}")
     if int(points) != points or points < 2:
@@ -269,11 +273,8 @@ def _cmd_sweep(cfg: dict) -> int:
         raise InputError(f"b_over_a must exceed 1 for a sweep, got {b_over_a}")
     bm = _checked(BiMaterial.from_ratios, cfg.get("mu_ratio", 1.0),
                   cfg.get("speed_ratio", 1.0))
-    rows = sweep_q(grid, b_over_a, bm)
-    _write_csv(cfg.get("out", "sweep.csv"),
-               ("q", "branch", "c_over_c1", "k_hat"),
-               ((row.q, row.branch.value, row.c_over_c1, row.k_hat)
-                for row in rows),
+    table = _checked(sweep_q, grid, b_over_a, bm)
+    _write_csv(cfg.get("out", "sweep.csv"), _sweep_columns(table),
                _sweep_echo("sweep", cfg, bm, b_over_a))
     return 0
 
@@ -294,13 +295,12 @@ def write_figures(outdir: Path) -> list[Path]:
     paths: list[Path] = []
     for i, (speed_ratio, mu_ratio) in enumerate(FIGURE_PRESETS):
         bm = BiMaterial.from_ratios(mu_ratio, speed_ratio)
-        rows = sweep_q(grid, FIGURE_B_OVER_A, bm)
+        columns = _sweep_columns(sweep_q(grid, FIGURE_B_OVER_A, bm))
         base = _sweep_echo("figures", grid_cfg, bm, FIGURE_B_OVER_A)
         for offset, column in ((1, "k_hat"), (2, "c_over_c1")):
             path = outdir / f"fig{2 * i + offset}.csv"
-            _write_csv(str(path), ("q", "branch", column),
-                       ((row.q, row.branch.value, getattr(row, column))
-                        for row in rows),
+            _write_csv(str(path),
+                       {name: columns[name] for name in ("q", "branch", column)},
                        {**base, "column": column})
             paths.append(path)
     return paths
@@ -346,10 +346,9 @@ def _cmd_simulate(cfg: dict) -> int:
                for k in ("law", "stiffness", "mass", "tol", "blew_up")},
             **{k: getattr(friction, k)
                for k in ("a", "b", "L", "sigma_o", "v_o")}}
-    _write_csv(cfg.get("out", "trajectory.csv"), ("t", "V", "theta", "tau"),
-               ((float(t), float(v), float(th), float(ta)) for t, v, th, ta
-                in zip(traj.t, traj.v, traj.theta, traj.tau)),
-               echo)
+    series = {"t": traj.t, "V": traj.v, "theta": traj.theta, "tau": traj.tau}
+    _write_csv(cfg.get("out", "trajectory.csv"),
+               {name: values.tolist() for name, values in series.items()}, echo)
     return 0
 
 

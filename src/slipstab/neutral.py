@@ -38,8 +38,8 @@ from .friction import RateState, nondim_q
 from .materials import BiMaterial
 from .transfer import f_intersonic_parts, f_subsonic_denominator
 
-__all__ = ["Branch", "NeutralMode", "StabilityVerdict", "solve_subsonic",
-           "solve_intersonic", "critical_mode", "critical_mode_q", "sweep_q"]
+__all__ = ["Branch", "NeutralMode", "StabilityVerdict", "SweepTable", "sweep_q",
+           "solve_subsonic", "solve_intersonic", "critical_mode", "critical_mode_q"]
 
 _FLOAT = np.finfo(float)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,6 +80,18 @@ class StabilityVerdict:
     wavenumber, or None for b <= a, which is stable at every wavenumber."""
 
     mode: NeutralMode | None = None
+
+
+@dataclass(frozen=True)
+class SweepTable:
+    """Neutral modes over a q grid as equal-length columns, one row per mode:
+    Python floats and Branch members.  Rows are in grid order, each q's
+    subsonic mode first, then its intersonic modes by ascending c."""
+
+    q: tuple[float, ...]
+    branch: tuple[Branch, ...]
+    c_over_c1: tuple[float, ...]
+    k_hat: tuple[float, ...]
 
 
 def _bracketed_roots(f, a, fa, b, fb, rtol: float):
@@ -132,7 +144,7 @@ def _subsonic_modes(qs: np.ndarray, m: float, r: float):
     1e-12, are clamped to the normal floats, and a root t cannot represent
     raises DomainError.
     """
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         def resid(t):
             # (g^2 - q^2)/q: the sign of g - q, nearly linear in t
             g = np.sqrt(t) * f_subsonic_denominator(t, m, r) / (2.0 * m)
@@ -266,8 +278,8 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
     > 1 (velocity weakening).  The modes carry no dimensional fields.
     """
     _check_q(q)
-    if not b_over_a > 1.0:
-        raise DomainError(f"intersonic modes require b/a > 1, got {b_over_a}")
+    if not 1.0 < b_over_a < math.inf:
+        raise DomainError(f"intersonic modes require a finite b/a > 1, got {b_over_a}")
     if bm.speed_ratio == 1.0:
         return []
     qs = np.array([float(q)])
@@ -278,8 +290,8 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
 def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdict:
     """Stability verdict at nondimensional sliding velocity q and ratio b/a.
 
-    b/a <= 1 never destabilizes (no mode); b/a must be positive, as for
-    every RateState, else DomainError.  Otherwise perturbations
+    b/a <= 1 never destabilizes (no mode); b/a must be positive and finite,
+    as for every RateState, else DomainError.  Otherwise perturbations
     of wavenumber above the critical one decay and below it grow, so the
     neutral mode of largest |k| over both branches is the critical mode.
     It is always the subsonic one: with f0 = F(0) = 2m/(1+m), w = b/a - 1
@@ -292,8 +304,8 @@ def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdi
     and x = c/c1 > 1.  So only the subsonic branch is solved, without
     dimensional fields.
     """
-    if not b_over_a > 0.0:
-        raise DomainError(f"b/a must be positive, got {b_over_a}")
+    if not 0.0 < b_over_a < math.inf:
+        raise DomainError(f"b/a must be positive and finite, got {b_over_a}")
     if not b_over_a > 1.0:
         return StabilityVerdict()
     return StabilityVerdict(solve_subsonic(q, bm))
@@ -314,28 +326,26 @@ def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
                                     k_mag=omega / (mode.c_over_c1 * bm.slow.c1)))
 
 
-def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> list[NeutralMode]:
-    """Neutral modes over a grid of q values, in grid order, without
-    dimensional fields.
-
-    Each q contributes its subsonic mode first, then any intersonic modes in
-    ascending phase velocity.  The grid must be positive and sorted
-    ascending; both branches are solved for the whole grid at once.
-    """
+def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> SweepTable:
+    """Neutral modes at every q of a grid, as one SweepTable without
+    dimensional fields.  The grid must be positive, finite and sorted
+    ascending, and b/a finite and > 1; both branches are solved at once."""
     qs = np.array([float(v) for v in q_grid])
     if qs.size == 0:
         raise DomainError("q grid is empty")
-    if not np.all(qs > 0.0):
-        raise DomainError("q grid must be strictly positive")
+    if not np.all((qs > 0.0) & (qs < math.inf)):
+        raise DomainError("q grid must be positive and finite")
     if np.any(qs[1:] < qs[:-1]):
         raise DomainError("q grid must be sorted ascending")
-    if not b_over_a > 1.0:
-        raise DomainError(f"sweep requires velocity weakening b/a > 1, got {b_over_a}")
+    if not 1.0 < b_over_a < math.inf:
+        raise DomainError(f"sweep requires a finite b/a > 1, got {b_over_a}")
     m, r = bm.mu_ratio, bm.speed_ratio
-    rows = [[mode] for mode in _modes(Branch.SUBSONIC, qs, *_subsonic_modes(qs, m, r))]
+    # one group of rows per q: its subsonic mode, then its intersonic modes
+    q_list = qs.tolist()
+    groups = [[(q, Branch.SUBSONIC, x, k)] for q, x, k in
+              zip(q_list, *(a.tolist() for a in _subsonic_modes(qs, m, r)))]
     if r > 1.0:
         index, xs, k_hats = _intersonic_modes(qs, m, r, b_over_a)
-        modes = _modes(Branch.INTERSONIC, qs[index], xs, k_hats)
-        for i, mode in zip(index.tolist(), modes):
-            rows[i].append(mode)
-    return [mode for group in rows for mode in group]
+        for i, x, k in zip(index.tolist(), xs.tolist(), k_hats.tolist()):
+            groups[i].append((q_list[i], Branch.INTERSONIC, x, k))
+    return SweepTable(*zip(*(row for group in groups for row in group)))

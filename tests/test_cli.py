@@ -4,6 +4,7 @@ deterministic output."""
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -15,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import slipstab
-from slipstab import (EffectiveMedium, RateState, __version__, critical_mode,
-                      make_bimaterial, simulate)
+from slipstab import (EffectiveMedium, RateState, SlipStabError, __version__,
+                      critical_mode, make_bimaterial, simulate)
 from slipstab.cli import _build_parser, main
 from slipstab.verification import VerifyResult
 
@@ -393,6 +394,47 @@ class TestFigures:
             f"error: cannot write {blocker / 'figs'}: Not a directory\n")
 
 
+class TestBytePins:
+    """SHA-256 digests of CSV outputs, recorded before the columnar sweep
+    writer replaced csv.writer rows: the bytes, `#` header lines included,
+    must stay the same (a new version string would change them too)."""
+
+    FIGURES = {
+        "fig1.csv": "1f34928015e13f7fe3e4d49d58223b76a90d935491446b6b882fdbb78142b2be",
+        "fig2.csv": "57cfa06a4d4885b7949b7672aa98a8e693ce86a44865bd631b11a90c87c9ab0b",
+        "fig3.csv": "91d25bc18e94cda6b692859bd6899597a605531471aef24b46e4f1eca87db672",
+        "fig4.csv": "9d6657933c4168fe9e6fa2eb1007bb994a0b8eed624a765a600b92317bcc725f",
+        "fig5.csv": "2631c44c4e0c36ee12ebac432c36e787209376a68d756f835cf5723c88863f35",
+        "fig6.csv": "31262cce734942709bf71436d44a4a7490792c02785cfdeb036f3a13dee201d3",
+        "fig7.csv": "4ea6b0515faabab07a0d714c666ad85556a2833a8cab3ae8a7be8e2249d39900",
+        "fig8.csv": "f96d4c85c200fd46200c97695a9128ee83b3806de5eb4279e420b6b22541f512",
+    }
+    # the (5, 0.1) preset over 200 log-spaced q, and the README simulate run
+    OUTPUTS = [
+        (["sweep", "--q-min", "0.01", "--q-max", "10", "--q-points", "200",
+          "--log", "--b-over-a", "1.2", "--speed-ratio", "5", "--mu-ratio", "0.1"],
+         "b4846ec54410d2428c6117f695ae30a796802afdb930600f7f7b8bd6e7ed9386"),
+        (["simulate", "--stiffness", "5e8", "--perturb", "1e-3"]
+         + TestSimulate.FRICTION,
+         "d833dd595b0fbccfb9156b7efb27aeba15d17f98f9e918e6fe6246079fc86004"),
+    ]
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_figures(self, tmp_path, capsys):
+        assert main(["figures", "--out", str(tmp_path)]) == 0
+        assert {name: self.digest(tmp_path / name)
+                for name in self.FIGURES} == self.FIGURES
+
+    @pytest.mark.parametrize("argv,sha256", OUTPUTS, ids=["sweep", "simulate"])
+    def test_output(self, tmp_path, argv, sha256):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert self.digest(out) == sha256
+
+
 class TestVerify:
     def test_failure_exits_three(self, capsys, monkeypatch):
         import slipstab.cli as cli
@@ -477,6 +519,11 @@ def _with(argv, flag, value):
      "speed_ratio"),
     (["simulate", "--stiffness", "inf", "--out", "-"] + TestSimulate.FRICTION,
      "stiffness"),
+    (["kcr", "--q", "inf", "--b-over-a", "1.2"], "q"),
+    (["kcr", "--q", "1", "--b-over-a", "inf"], "b/a"),
+    (_with(TestSweep.BASE, "--b-over-a", "inf") + ["--out", "-"], "b/a"),
+    (_with(TestSweep.BASE, "--q-min", "inf") + ["--out", "-"], "q_min"),
+    (_with(TestSweep.BASE, "--q-max", "inf") + ["--out", "-"], "q_max"),
 ])
 def test_infinite_input_is_input_error(capsys, argv, field):
     """An infinite input is rejected where it is read, naming the field,
@@ -510,6 +557,54 @@ def test_nonpositive_b_over_a_is_input_error(capsys, b_over_a):
 def test_sweep_nan_b_over_a_is_input_error(capsys):
     assert main(TestSweep.BASE[:8] + ["nan", "--out", "-"]) == 2
     assert capsys.readouterr().err.startswith("error: b_over_a must exceed 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kcr", "--q", "1e200", "--b-over-a", "1.2"],
+    _with(TestSweep.BASE, "--q-max", "1e300") + ["--log", "--out", "-"],
+])
+def test_q_beyond_the_solver_range_is_input_error(capsys, argv):
+    """kcr and sweep report a q the subsonic solve cannot resolve alike:
+    exit 2, one error line, no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: q = ") and captured.err.count("\n") == 1
+    assert "outside the range" in captured.err
+
+
+def test_sweep_solver_failure_exits_three(capsys, monkeypatch):
+    """Only a rejected value is an input error; other solver failures of a
+    sweep still exit 3."""
+    import slipstab.cli as cli
+
+    def failing(*args):
+        raise SlipStabError("neutral-mode root search did not converge")
+    monkeypatch.setattr(cli, "sweep_q", failing)
+    assert main(TestSweep.BASE + ["--out", "-"]) == 3
+    assert capsys.readouterr().err == (
+        "solver error: neutral-mode root search did not converge\n")
+
+
+def test_sweep_q_called_once_per_sweep_through_the_module(tmp_path, monkeypatch,
+                                                          capsys):
+    """sweep and figures call cli.sweep_q, the name the benchmark's tracer
+    rebinds, once per sweep: one for `sweep`, one per preset for `figures`."""
+    import slipstab.cli as cli
+
+    calls = []
+    original = cli.sweep_q
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(cli, "sweep_q", counting)
+    assert main(TestSweep.BASE + ["--out", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 1
+    assert main(["figures", "--out", str(tmp_path / "figs")]) == 0
+    assert len(calls) == 1 + 4
 
 
 def test_verify_takes_no_config():

@@ -233,6 +233,14 @@ class TestCriticalMode:
         with pytest.raises(DomainError, match="b/a"):
             critical_mode_q(1.0, b_over_a, MILD)
 
+    @pytest.mark.parametrize("solve", [critical_mode_q, solve_intersonic])
+    def test_infinite_b_over_a_rejected(self, solve):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                solve(1.0, math.inf, MILD)
+        assert "b/a" in str(info.value) and "finite" in str(info.value)
+
     @staticmethod
     def contract_cases():
         """The 4 presets at q in {0.1, 1, 10}, then 200 seeded weakening sets."""
@@ -272,17 +280,25 @@ class TestCriticalMode:
         assert verdict.mode.k_mag == pytest.approx(k_ref, rel=1e-4)
 
 
+def table_rows(table):
+    """The rows of a SweepTable, after checking its four columns line up."""
+    columns = (table.q, table.branch, table.c_over_c1, table.k_hat)
+    assert all(isinstance(col, tuple) for col in columns)
+    assert len({len(col) for col in columns}) == 1
+    return list(zip(*columns))
+
+
 class TestSweep:
     def test_rows_in_grid_order_subsonic_first(self):
-        rows = sweep_q([0.5, 1.0, 2.0], 1.2, MILD)
-        qs = [row.q for row in rows]
-        assert qs == sorted(qs)
+        table = sweep_q([0.5, 1.0, 2.0], 1.2, MILD)
+        assert list(table.q) == sorted(table.q)
         by_q = {}
-        for row in rows:
-            by_q.setdefault(row.q, []).append(row)
-        assert [row.branch for row in by_q[0.5]] == [Branch.SUBSONIC]
-        assert [row.branch for row in by_q[1.0]] == [
-            Branch.SUBSONIC, Branch.INTERSONIC, Branch.INTERSONIC]
+        for q, branch, _, _ in table_rows(table):
+            by_q.setdefault(q, []).append(branch)
+        assert by_q[0.5] == [Branch.SUBSONIC]
+        assert by_q[1.0] == [Branch.SUBSONIC, Branch.INTERSONIC, Branch.INTERSONIC]
+        assert all(branch is Branch.SUBSONIC or branch is Branch.INTERSONIC
+                   for branch in table.branch)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -296,19 +312,32 @@ class TestSweep:
 
     def test_rows_equal_single_solves(self):
         grid = [float(v) for v in np.logspace(-2, 1, 40)]
-        rows = sweep_q(grid, 1.2, MILD)
+        table = sweep_q(grid, 1.2, MILD)
         expected = []
         for q in grid:
             for mo in [solve_subsonic(q, MILD)] + solve_intersonic(q, 1.2, MILD):
                 expected.append((q, mo.branch, mo.c_over_c1, mo.k_hat))
-        assert [(r.q, r.branch, r.c_over_c1, r.k_hat) for r in rows] == expected
+        assert table_rows(table) == expected
+        # Python floats, whose repr the CSV writer relies on
+        assert {type(v) for col in (table.q, table.c_over_c1, table.k_hat)
+                for v in col} == {float}
 
     def test_identical_media_no_intersonic_rows(self):
         bm = BiMaterial.from_ratios(1.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = sweep_q([0.5, 1.0], 1.2, bm)
-        assert all(row.branch is Branch.SUBSONIC for row in rows)
+            table = sweep_q([0.5, 1.0], 1.2, bm)
+        assert table.branch == (Branch.SUBSONIC, Branch.SUBSONIC)
+        assert table.q == (0.5, 1.0)
+
+    @pytest.mark.parametrize("grid,b_over_a,named", [
+        ([0.5, math.inf], 1.2, "finite"), ([math.nan, 1.0], 1.2, "finite"),
+        ([0.5, 1.0], math.inf, "b/a"), ([0.5, 1.0], math.nan, "b/a")])
+    def test_non_finite_input_rejected(self, grid, b_over_a, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=named):
+                sweep_q(grid, b_over_a, MILD)
 
 
 def scan_phase_q(tau, m, r, b_over_a):

@@ -7,9 +7,19 @@ II.10): a 12-stage eighth-order step, a fifth-order error estimate
 corrected by a third-order one, and a seventh-order interpolant from three
 more stages.  The step-size control is the one of
 `scipy.integrate.solve_ivp(method="DOP853")`, rule for rule, so both take
-the same steps and count the same right-side evaluations.  On two or three
-states the work per step is a few hundred float operations; a general
-solver's per-step array machinery would cost many times that.
+the same steps and count the same right-side evaluations.
+
+On two or three states the work per step is a few hundred float
+operations, so per-component loops over the tableau would cost several
+times the arithmetic.  The step and the dense output are therefore
+straight-line Python functions, generated from the tableau once per state
+count on first use: every stage value is a local, every coefficient a
+literal (its `repr`), and every weighted sum is written
+`0.0 + c0*k0 + c1*k1 + ...` from left to right.  That is the order of
+operations of `sum(map(operator.mul, row, k))` over the row, so the
+kernels round exactly as that loop does.  Terms whose coefficient is 0.0
+are left out; with finite stage values each adds a signed zero to a sum
+that starts at +0.0, which changes no bit of it.
 
 The tableau is copied, digit for digit, from scipy's
 `scipy/integrate/_ivp/dop853_coefficients.py` (scipy 1.17.1; BSD-3-Clause,
@@ -19,11 +29,11 @@ transcribes Hairer's dop853.f.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import mul
 
 SAFETY = 0.9        # times the asymptotically optimal step
 MIN_FACTOR = 0.2    # largest step decrease
@@ -171,6 +181,75 @@ class Solution:
     failure: str | None    # why the run stopped short of t_eval[-1]
 
 
+def _weighted(row, i: int) -> str:
+    """The sum of row[j]*k_j over the stages, for component i: the terms
+    and the order of `sum(map(mul, row, k))`, without the zero weights."""
+    return "0.0" + "".join(f" + {c!r}*k{j}_{i}" for j, c in enumerate(row) if c)
+
+
+def _names(prefix: str, n: int) -> str:
+    """`p0, p1, ..., ` for n components, a target list for unpacking."""
+    return "".join(f"{prefix}{i}, " for i in range(n))
+
+
+def _stage(s: int, c: float, row, n: int) -> str:
+    """Stage s: the derivative at t + c*h, from y and the stages before it."""
+    state = ", ".join(f"y{i} + ({_weighted(row, i)})*h" for i in range(n))
+    return f"    {_names(f'k{s}_', n)}= fun(t + {c!r}*h, [{state}])\n"
+
+
+def _step_source(n: int) -> str:
+    """`step(fun, t, t_new, h, y, f, rtol, atol)`: one attempted step from
+    (t, y) with derivative f.  Returns y_new, f_new = fun(t_new, y_new), the
+    squared error norms err5 and err3, and the 13 stage values k0-k12,
+    component-minor, for `dense`."""
+    src = ("def step(fun, t, t_new, h, y, f, rtol, atol):\n"
+           f"    {_names('y', n)}= y\n"
+           f"    {_names('k0_', n)}= f\n")
+    src += "".join(_stage(s, c, row, n) for s, (c, row) in enumerate(STAGES, 1))
+    src += "".join(f"    z{i} = y{i} + h*({_weighted(B, i)})\n" for i in range(n))
+    src += (f"    y_new = [{_names('z', n)}]\n"
+            "    f_new = fun(t_new, y_new)\n"
+            f"    {_names('k12_', n)}= f_new\n")
+    for i in range(n):
+        src += (f"    s = atol + max(abs(y{i}), abs(z{i}))*rtol\n"
+                f"    e{i} = ({_weighted(E5, i)})/s\n"
+                f"    d{i} = ({_weighted(E3, i)})/s\n")
+    err5 = "".join(f" + e{i}*e{i}" for i in range(n))
+    err3 = "".join(f" + d{i}*d{i}" for i in range(n))
+    stages = "".join(_names(f"k{s}_", n) for s in range(13))
+    return src + f"    return y_new, f_new, 0.0{err5}, 0.0{err3}, ({stages})\n"
+
+
+def _dense_source(n: int) -> str:
+    """`dense(fun, t, h, y, y_new, k)`: the three extra stages of the step
+    from (t, y) to (t + h, y_new) with stages k, and per component the
+    seven coefficients f0-f6 of the interpolant."""
+    stages = "".join(_names(f"k{s}_", n) for s in range(13))
+    src = ("def dense(fun, t, h, y, y_new, k):\n"
+           f"    {_names('y', n)}= y\n"
+           f"    {_names('z', n)}= y_new\n"
+           f"    {stages}= k\n")
+    src += "".join(_stage(s, c, row, n) for s, (c, row) in enumerate(EXTRA, 13))
+    src += "".join(f"    dy{i} = z{i} - y{i}\n" for i in range(n))
+    rows = [", ".join([f"dy{i}", f"h*k0_{i} - dy{i}", f"2.0*dy{i} - h*(k12_{i} + k0_{i})",
+                       *(f"h*({_weighted(row, i)})" for row in D)])
+            for i in range(n)]
+    return src + "    return (" + "".join(f"({row}), " for row in rows) + ")\n"
+
+
+def _define(source: str, name: str):
+    namespace: dict = {}
+    exec(compile(source, f"<dop853 {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _kernels(n: int):
+    """`step` and `dense` for n states, generated and compiled on first use."""
+    return _define(_step_source(n), "step"), _define(_dense_source(n), "dense")
+
+
 def _rms(values, scale) -> float:
     squares = sum((v / s) * (v / s) for v, s in zip(values, scale))
     return math.sqrt(squares) / len(scale) ** 0.5
@@ -212,6 +291,7 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     """
     rtol = max(rtol, MIN_RTOL)
     n = len(y0)
+    step, dense = _kernels(n)
     t, t_end = t_eval[0], t_eval[-1]
     y = list(y0)
     f = fun(t, y)
@@ -232,24 +312,8 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
                                 f"evaluation budget {max_nfev} spent at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            ks = [[d] for d in f]   # stage derivatives, one list per component
-            for c, a in STAGES:
-                stage = fun(t + c * h, [v + sum(map(mul, a, k)) * h
-                                        for v, k in zip(y, ks)])
-                for k, d in zip(ks, stage):
-                    k.append(d)
-            y_new = [v + h * sum(map(mul, B, k)) for v, k in zip(y, ks)]
-            f_new = fun(t_new, y_new)
+            y_new, f_new, err5, err3, ks = step(fun, t, t_new, h, y, f, rtol, atol)
             nfev += 12
-            for k, d in zip(ks, f_new):
-                k.append(d)
-            err5 = err3 = 0.0
-            for v, v_new, k in zip(y, y_new, ks):
-                scale = atol + max(abs(v), abs(v_new)) * rtol
-                e5 = sum(map(mul, E5, k)) / scale
-                e3 = sum(map(mul, E3, k)) / scale
-                err5 += e5 * e5
-                err3 += e3 * e3
             if err5 == 0.0 and err3 == 0.0:
                 error = 0.0
             else:
@@ -262,28 +326,19 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
             h_abs = h * max(MIN_FACTOR, SAFETY * error ** EXPONENT)
             rejected = True
 
-        t_old, y_old, f_old = t, y, f
+        t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         capped = y_old[0] <= cap <= y[0]
         i_end = bisect_right(t_eval, t, i_out)   # output times up to t
         if capped or i_end > i_out:
-            for c, a in EXTRA:
-                stage = fun(t_old + c * h, [v + sum(map(mul, a, k)) * h
-                                            for v, k in zip(y_old, ks)])
-                for k, d in zip(ks, stage):
-                    k.append(d)
             nfev += 3
             xs = [(te - t_old) / h for te in t_eval[i_out:i_end]]
             xms = [1.0 - x for x in xs]
-            samples = []
-            for v_old, v, d_old, d, k in zip(y_old, y, f_old, f, ks):
-                f0 = v - v_old
-                f1 = h * d_old - f0
-                f2 = 2.0 * f0 - h * (d + d_old)
-                f3, f4, f5, f6 = (h * sum(map(mul, row, k)) for row in D)
-                samples.append([((((((f6 * x + f5) * xm + f4) * x + f3) * xm + f2) * x
-                                  + f1) * xm + f0) * x + v_old
-                                for x, xm in zip(xs, xms)])
+            samples = [[((((((f6 * x + f5) * xm + f4) * x + f3) * xm + f2) * x
+                          + f1) * xm + f0) * x + v_old
+                        for x, xm in zip(xs, xms)]
+                       for v_old, (f0, f1, f2, f3, f4, f5, f6)
+                       in zip(y_old, dense(fun, t_old, h, y_old, y, ks))]
             if capped:   # keep the samples before the crossing
                 i_end = i_out + next((i for i, u in enumerate(samples[0]) if u >= cap),
                                      len(xs))

@@ -48,6 +48,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # brackets, where u or v is (r - 1)*e^-600 and Q about 1e130
 _TAU_WINDOW = 40.0
 _TAU_END = 600.0
+# largest b/a of the intersonic solvers: above about 1e154 the square of
+# 0.5*(b/a)*F2 in the window's phase equation overflows, and at 1e150 the
+# k_hat of q near 1e100 does; up to 1e100 no tested (m, r, q) overflows
+_MAX_B_OVER_A = 1e100
 
 
 class Branch(str, Enum):
@@ -275,11 +279,13 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
 
     Equal wave speeds leave no interval and return [].  The intersonic
     equations involve b/a on their own, hence the extra argument; it must be
-    > 1 (velocity weakening).  The modes carry no dimensional fields.
+    > 1 (velocity weakening) and at most 1e100, beyond which the phase
+    equation overflows.  The modes carry no dimensional fields.
     """
     _check_q(q)
-    if not 1.0 < b_over_a < math.inf:
-        raise DomainError(f"intersonic modes require a finite b/a > 1, got {b_over_a}")
+    if not 1.0 < b_over_a <= _MAX_B_OVER_A:
+        raise DomainError(f"intersonic modes require a finite b/a > 1 and at most "
+                          f"{_MAX_B_OVER_A:g}, got {b_over_a}")
     if bm.speed_ratio == 1.0:
         return []
     qs = np.array([float(q)])
@@ -329,7 +335,8 @@ def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
 def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> SweepTable:
     """Neutral modes at every q of a grid, as one SweepTable without
     dimensional fields.  The grid must be positive, finite and sorted
-    ascending, and b/a finite and > 1; both branches are solved at once."""
+    ascending, and b/a > 1 and at most 1e100, as for solve_intersonic;
+    both branches are solved at once."""
     qs = np.array([float(v) for v in q_grid])
     if qs.size == 0:
         raise DomainError("q grid is empty")
@@ -337,8 +344,9 @@ def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> SweepTable:
         raise DomainError("q grid must be positive and finite")
     if np.any(qs[1:] < qs[:-1]):
         raise DomainError("q grid must be sorted ascending")
-    if not 1.0 < b_over_a < math.inf:
-        raise DomainError(f"sweep requires a finite b/a > 1, got {b_over_a}")
+    if not 1.0 < b_over_a <= _MAX_B_OVER_A:
+        raise DomainError(f"sweep requires a finite b/a > 1 and at most "
+                          f"{_MAX_B_OVER_A:g}, got {b_over_a}")
     m, r = bm.mu_ratio, bm.speed_ratio
     # one group of rows per q: its subsonic mode, then its intersonic modes
     q_list = qs.tolist()

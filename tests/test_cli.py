@@ -559,6 +559,20 @@ def test_sweep_nan_b_over_a_is_input_error(capsys):
     assert capsys.readouterr().err.startswith("error: b_over_a must exceed 1")
 
 
+def test_sweep_b_over_a_above_the_bound_is_input_error(capsys):
+    # b/a = 1e300 overflowed a term of the intersonic window, and the sweep
+    # wrote modes computed without it
+    argv = ["sweep", "--q-min", "0.5", "--q-max", "2", "--q-points", "3",
+            "--b-over-a", "1e300", "--speed-ratio", "1.2", "--out", "-"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "b/a" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["kcr", "--q", "1e200", "--b-over-a", "1.2"],
     _with(TestSweep.BASE, "--q-max", "1e300") + ["--log", "--out", "-"],

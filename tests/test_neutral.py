@@ -339,6 +339,17 @@ class TestSweep:
             with pytest.raises(DomainError, match=named):
                 sweep_q(grid, b_over_a, MILD)
 
+    @pytest.mark.parametrize("solve", [
+        solve_intersonic, lambda q, b_over_a, bm: sweep_q([q], b_over_a, bm)])
+    def test_b_over_a_bound(self, solve):
+        # above about 1e154 the window's phase equation overflows; the
+        # solvers take b/a up to 1e100 and refuse more
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve(2.0, 1e100, MILD)
+            with pytest.raises(DomainError, match="b/a"):
+                solve(2.0, 1.0000000000000002e100, MILD)
+
 
 def scan_phase_q(tau, m, r, b_over_a):
     """Intersonic phase-equation left side at tau = ln(u/v), written from

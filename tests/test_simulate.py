@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slipstab
 from slipstab import (
     BlockState,
     DomainError,
@@ -290,6 +296,69 @@ def test_evaluation_budget_bounds_each_run(monkeypatch):
     # slides near steady state
     assert abs(last.v / FR.v_o - 1.0) < 1e-3
     assert last.tau == pytest.approx(friction_stress(FR, last.v, last.theta), rel=1e-12)
+
+
+# (K, omega) of the four ODE-oracle gate cases, as repr, and the evaluation
+# count of each estimator run, recorded from the integrator's earlier
+# per-component loops over the tableau; the generated kernels must repeat
+# that arithmetic bit for bit.
+PINNED_ESTIMATES = [
+    (EvolutionLaw.AGEING, 0.0,
+     "(500077985.75141317, 70.71618675022664)", [1415, 3140, 3494]),
+    (EvolutionLaw.AGEING, INERTIAL_MASS,
+     "(749731436.3413976, 70.68485293334722)", [2675, 3341, 3713]),
+    (EvolutionLaw.SLIP, 0.0,
+     "(500094419.32833606, 70.71734494952592)", [1415, 3140, 3521]),
+    (EvolutionLaw.SLIP, INERTIAL_MASS,
+     "(749736831.7691091, 70.6851519607848)", [2573, 3341, 3701]),
+]
+
+
+@pytest.mark.parametrize("law, mass, estimate, nfev", PINNED_ESTIMATES)
+def test_estimator_is_bit_identical(monkeypatch, law, mass, estimate, nfev):
+    counts = []
+    run = simulate.simulate_spring_block
+
+    def counted(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        counts.append(traj.metadata["nfev"])
+        return traj
+    monkeypatch.setattr(simulate, "simulate_spring_block", counted)
+    assert repr(estimate_critical_stiffness(FR, law, mass=mass)) == estimate
+    assert counts == nfev
+
+
+# Prints the number of kernel pairs built after `import slipstab`, after a
+# kcr and a sweep through the CLI, after two massless runs and after one
+# run with inertia.
+_KERNEL_BUILDS = """
+import json
+from slipstab import (RateState, EvolutionLaw, SpringBlockParams, _dop853, cli,
+                      simulate_spring_block, spring_block_critical)
+built = [_dop853._kernels.cache_info().currsize]
+assert cli.main(["kcr", "--q", "1", "--b-over-a", "1.2", "--speed-ratio", "1.2"]) == 0
+assert cli.main(["sweep", "--q-min", "0.5", "--q-max", "2.0", "--q-points", "5",
+                 "--b-over-a", "1.2", "--speed-ratio", "1.2", "--out", "sweep.csv"]) == 0
+built.append(_dop853._kernels.cache_info().currsize)
+fr = RateState(a=0.01, b=0.015, L=1e-5, sigma_o=1e6, v_o=1e-3)
+for mass in (0.0, 0.0, 5e4):
+    sb = SpringBlockParams(stiffness=spring_block_critical(fr, mass)[0], mass=mass,
+                           friction=fr)
+    simulate_spring_block(sb, EvolutionLaw.AGEING)
+    built.append(_dop853._kernels.cache_info().misses)
+print(json.dumps(built))
+"""
+
+
+def test_kernels_are_built_once_per_state_count_on_first_use(tmp_path):
+    """Commands that integrate nothing build no kernel, so importing slipstab
+    and the neutral-mode commands do not pay for the code generation; each
+    state count is built once, by its first integration."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_BUILDS], cwd=tmp_path, capture_output=True,
+        text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(slipstab.__file__).parents[1])})
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 1, 1, 2]
 
 
 def test_step_underflow_stops_the_integrator():

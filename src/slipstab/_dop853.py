@@ -21,6 +21,15 @@ kernels round exactly as that loop does.  Terms whose coefficient is 0.0
 are left out; with finite stage values each adds a signed zero to a sum
 that starts at +0.0, which changes no bit of it.
 
+A run has several output times per step, so the stepping loop does not
+evaluate the interpolant.  Each step that holds an output time (or the
+crossing of the cap) appends one row to flat float buffers: t_old, h, the
+state at the step start and the seven interpolant coefficients of every
+component.  When the run ends, however it ends, one numpy pass repeats
+each row once per output time of its step and evaluates the interpolant's
+Horner form elementwise, in the order a per-sample loop would, so each
+sample rounds exactly as that loop's float arithmetic does.
+
 The tableau is copied, digit for digit, from scipy's
 `scipy/integrate/_ivp/dop853_coefficients.py` (scipy 1.17.1; BSD-3-Clause,
 Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), which
@@ -32,8 +41,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 SAFETY = 0.9        # times the asymptotically optimal step
 MIN_FACTOR = 0.2    # largest step decrease
@@ -174,7 +186,7 @@ class Solution:
     """One integration: samples at a prefix of the output times, and why it
     stopped."""
 
-    y: list[list[float]]   # per component, at t_eval[:len(y[0])]
+    y: np.ndarray          # (components, samples): y at t_eval[:y.shape[1]]
     y_end: list[float]     # state at the last accepted step end
     nfev: int              # right-side evaluations, scipy's count
     capped: bool           # y[0] crossed the cap upward
@@ -281,13 +293,17 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol, events=...)` with
     a terminal upward event y[0] - cap: 2 evaluations to start, 12 per
     attempted step and 3 more for the interpolant of each step that holds
-    an output time or the crossing.  The crossing is tested at each
-    accepted step end; the samples of that step stop at the first one
-    whose interpolated y[0] reaches the cap.  The run stops short, with
-    `failure` set, when the step size falls below 10 ulp(t) or when the
+    an output time or the crossing.  Such a step records its row (t_old,
+    h, y_old and the interpolant coefficients); the samples are evaluated
+    from the recorded rows in one numpy pass when the run returns, and
+    `Solution.y` holds them as a float64 array, one row per component.
+    The crossing is tested at each accepted step end; the samples of that
+    step stop at the first one whose interpolated y[0] reaches the cap.
+    The run stops short, with `failure` set and the samples of its
+    completed steps, when the step size falls below 10 ulp(t) or when the
     next step could take the evaluation count past max_nfev.  rtol is
     raised to 100 machine epsilons if smaller, as scipy does.  An
-    OverflowError of fun propagates.
+    exception of fun (an OverflowError, say) propagates.
     """
     rtol = max(rtol, MIN_RTOL)
     n = len(y0)
@@ -297,7 +313,8 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
     nfev = 2
-    out: list[list[float]] = [[] for _ in range(n)]
+    rows = array("d")    # per recorded step: t_old, h, y_old, f0-f6 of each y_i
+    counts = array("q")  # output times up to the end of each recorded step
     i_out = 0   # next output time
     while True:
         min_step = 10.0 * math.ulp(t)
@@ -305,11 +322,11 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
         rejected = False
         while True:   # attempt steps until one is accepted
             if h_abs < min_step:
-                return Solution(out, y, nfev, False,
-                                f"step size {h_abs:.3g} below 10 ulp at t = {t!r}")
+                return _solution(t_eval, rows, counts, y, nfev, cap, False,
+                                 f"step size {h_abs:.3g} below 10 ulp at t = {t!r}")
             if nfev + 15 > max_nfev:
-                return Solution(out, y, nfev, False,
-                                f"evaluation budget {max_nfev} spent at t = {t!r}")
+                return _solution(t_eval, rows, counts, y, nfev, cap, False,
+                                 f"evaluation budget {max_nfev} spent at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             y_new, f_new, err5, err3, ks = step(fun, t, t_new, h, y, f, rtol, atol)
@@ -332,18 +349,40 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
         i_end = bisect_right(t_eval, t, i_out)   # output times up to t
         if capped or i_end > i_out:
             nfev += 3
-            xs = [(te - t_old) / h for te in t_eval[i_out:i_end]]
-            xms = [1.0 - x for x in xs]
-            samples = [[((((((f6 * x + f5) * xm + f4) * x + f3) * xm + f2) * x
-                          + f1) * xm + f0) * x + v_old
-                        for x, xm in zip(xs, xms)]
-                       for v_old, (f0, f1, f2, f3, f4, f5, f6)
-                       in zip(y_old, dense(fun, t_old, h, y_old, y, ks))]
-            if capped:   # keep the samples before the crossing
-                i_end = i_out + next((i for i, u in enumerate(samples[0]) if u >= cap),
-                                     len(xs))
-            for column, values in zip(out, samples):
-                column.extend(values[:i_end - i_out])
+            rows.extend((t_old, h, *y_old))
+            for coefficients in dense(fun, t_old, h, y_old, y, ks):
+                rows.extend(coefficients)
+            counts.append(i_end - i_out)
             i_out = i_end
         if capped or t == t_end:
-            return Solution(out, y, nfev, capped, None)
+            return _solution(t_eval, rows, counts, y, nfev, cap, capped, None)
+
+
+def _solution(t_eval, rows, counts, y_end, nfev, cap, capped, failure) -> Solution:
+    """Evaluate the recorded interpolants at their output times in one pass.
+
+    Each output time takes the row of the step that holds it, and the
+    Horner form of the interpolant, `((((((f6*x + f5)*xm + f4)*x + f3)*xm
+    + f2)*x + f1)*xm + f0)*x + y_old` with x = (t - t_old)/h and xm = 1 - x,
+    is evaluated elementwise in that order.  Each array operation rounds
+    each element once, as the float operation does, so every sample is
+    bit for bit the value a per-sample evaluation gives.  The coefficients
+    are gathered one at a time, so the pass holds a few sample-length
+    arrays at once, not the whole repeated table.  The samples of a capped
+    last step stop at the first whose y[0] reaches the cap.
+    """
+    n = len(y_end)
+    table = np.frombuffer(rows).reshape(-1, 2 + 8 * n).T
+    step = np.repeat(np.arange(table.shape[1]), np.frombuffer(counts, dtype=np.int64))
+    x = (np.array(t_eval[:step.size]) - table[0, step]) / table[1, step]
+    xm = 1.0 - x
+    ys = np.empty((n, step.size))
+    for i, (f0, f1, f2, f3, f4, f5, f6) in enumerate(table[2 + n:].reshape(n, 7, -1)):
+        ys[i] = ((((((f6[step] * x + f5[step]) * xm + f4[step]) * x + f3[step]) * xm
+                   + f2[step]) * x + f1[step]) * xm + f0[step]) * x + table[2 + i, step]
+    if capped:   # keep the samples before the crossing
+        first = step.size - counts[-1]
+        reached = np.flatnonzero(ys[0, first:] >= cap)
+        if reached.size:
+            ys = ys[:, :first + reached[0]]
+    return Solution(ys, y_end, nfev, capped, failure)

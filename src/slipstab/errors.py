@@ -32,7 +32,7 @@ class ContourThroughZero(SlipStabError, ArithmeticError):
 class StepFailure(SlipStabError, RuntimeError):
     """ODE integration failed: the step size underflowed or the evaluation
     budget ran out (carrying the last accepted state), or a trial step
-    overflowed (carrying none)."""
+    overflowed or divided by an underflowed zero (carrying none)."""
 
     def __init__(self, message, last_state=None):
         super().__init__(message)

@@ -144,8 +144,9 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     runaway_factor*v_o upward at an accepted step end; samples stop before
     the crossing.  metadata["nfev"] counts every right-side evaluation.  A
     step-size underflow, or a run that would exceed MAX_EVALUATIONS
-    evaluations, raises StepFailure carrying the last accepted state; an
-    overflowing trial step raises StepFailure without one.
+    evaluations, raises StepFailure carrying the last accepted state; a
+    trial step that overflows exp(u), or with inertia underflows m*v_o*exp(u)
+    to zero, raises StepFailure without one.
     """
     p = sb.friction
     lam = p.v_o / p.L
@@ -184,6 +185,9 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     except OverflowError as exc:
         # exp(u) overflowed in a trial step; the RHS stays unguarded (hot loop)
         raise StepFailure(f"integrator step overflowed: {exc}") from exc
+    except ZeroDivisionError as exc:
+        # with inertia, m*v_o*exp(u) underflowed to 0 in a trial step
+        raise StepFailure(f"integrator step underflowed: {exc}") from exc
     if sol.failure is not None:
         v, theta, tau = _physical(p, [[x] for x in sol.y_end])
         raise StepFailure(f"integrator failed: {sol.failure}",
@@ -203,15 +207,14 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     )
 
 
-def _physical(p: RateState, y: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(V, theta, tau) series from the integrator's (u, w[, tau]) series;
+def _physical(p: RateState, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, theta, tau) series from the integrator's (u, w[, tau]) rows;
     without inertia tau is the frictional strength."""
-    u = np.array(y[0])
-    w = np.array(y[1])
+    u, w = np.asarray(y[0]), np.asarray(y[1])
     v = p.v_o * np.exp(u)
     theta = (p.L / p.v_o) * np.exp(w)
     if len(y) == 3:
-        return v, theta, np.array(y[2])
+        return v, theta, np.asarray(y[2])
     return v, theta, p.tau_o + p.a * p.sigma_o * u + p.b * p.sigma_o * w
 
 

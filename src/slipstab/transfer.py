@@ -82,6 +82,10 @@ def f_subsonic(c_over_c1: float, bm: BiMaterial) -> float:
     F = 2*mu'*beta'*beta / (mu*beta + mu'*beta') with beta = sqrt(1 - c^2/c1^2)
     and beta' = sqrt(1 - c^2/c1'^2).  Strictly decreasing in c, from
     2*mu'/(mu + mu') at c = 0 to 0 at c = c1.
+
+    Nothing in slipstab calls it: the solvers work with
+    `f_subsonic_denominator` directly.  It is kept as the public form of
+    the paper's subsonic transfer function.
     """
     x = c_over_c1
     if not 0.0 <= x < 1.0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -368,8 +369,93 @@ def test_step_underflow_stops_the_integrator():
     sol = _dop853.solve_ivp(lambda _t, y: (-1e6 * y[0],), [1e15, 1e15 + 1e3],
                             [1.0], 1e-8, 1e-11, 10.0, simulate.MAX_EVALUATIONS)
     assert sol.failure.startswith("step size") and "below 10 ulp" in sol.failure
-    assert sol.y_end == [1.0] and sol.y == [[]] and not sol.capped
-    assert sol.nfev < 100
+    assert sol.y_end == [1.0] and len(sol.y) == 1 and len(sol.y[0]) == 0
+    assert not sol.capped and sol.nfev < 100
+
+
+def test_underflowing_step_raises_step_failure():
+    # m*v_o*exp(u) underflows to 0 in a trial step of this heavy, stiff
+    # slip-law block; that used to escape as a bare ZeroDivisionError
+    sb = SpringBlockParams(stiffness=5.0025e8, mass=50.0, friction=FR)
+    init = BlockState(v=1.001e-3, theta=1e-2, tau=friction_stress(FR, 1.001e-3, 1e-2))
+    with pytest.raises(StepFailure, match="integrator step underflowed") as exc:
+        simulate_spring_block(sb, EvolutionLaw.SLIP, init=init, tol=1e-10,
+                              duration=2e-3)
+    assert exc.value.last_state is None
+
+
+def digest(*arrays):
+    """SHA-256 of the float64 bytes of the arrays, one after the other."""
+    return hashlib.sha256(b"".join(np.asarray(a, dtype=np.float64).tobytes()
+                                   for a in arrays)).hexdigest()
+
+
+# SHA-256 of the t, v, theta and tau bytes of the estimator's soft bracket
+# run on each ODE-oracle gate case (0.9 K_cr, stopped at the estimator's
+# cap), recorded from the integrator that evaluated each step's interpolant
+# as it went: the last step's samples stop at the cap.
+PINNED_CAPPED_RUNS = [
+    (EvolutionLaw.AGEING, 0.0, 545,
+     "95846af353af8ad41ad786344e368338308c8c83744d8f6cd342e2c337143b44"),
+    (EvolutionLaw.AGEING, INERTIAL_MASS, 1022,
+     "a83f4bace02192441e167da196b9e3ff4167132d07ef2d2241971d53731dcb80"),
+    (EvolutionLaw.SLIP, 0.0, 545,
+     "9fd0ad69a82be60b1a72438b30b30f7b5a06dc02edc91beaa8193b9b2448a8bf"),
+    (EvolutionLaw.SLIP, INERTIAL_MASS, 959,
+     "c8a77bbeae8822893bfe0803e1c8b7894c532c740ea3599792d758f76da42909"),
+]
+
+
+@pytest.mark.parametrize("law, mass, samples, sha256", PINNED_CAPPED_RUNS)
+def test_capped_run_is_bit_identical(law, mass, samples, sha256):
+    sb = SpringBlockParams(stiffness=0.9 * spring_block_critical(FR, mass)[0],
+                           mass=mass, friction=FR)
+    cap = math.exp(simulate.CAP_GROWTH * abs(math.log1p(1e-3)))
+    traj = simulate_spring_block(sb, law, init=perturbed(), tol=simulate.ESTIMATE_TOL,
+                                 runaway_factor=cap)
+    assert traj.blew_up and traj.t.size == samples
+    assert digest(traj.t, traj.v, traj.theta, traj.tau) == sha256
+
+
+def _stiff_block_run(t_eval, max_nfev=simulate.MAX_EVALUATIONS):
+    """A perturbed massless ageing block on 2 K_cr, over 200 L/v_o."""
+    rhs = simulate._rhs(FR, 2.0 * K_CR, 0.0, EvolutionLaw.AGEING)
+    return _dop853.solve_ivp(rhs, t_eval, [math.log(1.001), 0.0], 1e-8, 1e-11,
+                             100.0, max_nfev)
+
+
+DURATION = 200.0 * FR.L / FR.v_o
+DENSE_T = np.linspace(0.0, DURATION, 2001).tolist()
+
+
+def test_sparse_output_is_bit_identical():
+    """Six output times, far fewer than the steps.  Both runs take the same
+    steps (they end in the same state), and the sparse one builds the
+    interpolant (3 evaluations) only on the steps that hold an output
+    time, 69 fewer than the run with 2001.  The samples and nfev were
+    recorded from the integrator that evaluated each interpolant as it
+    went."""
+    sparse = _stiff_block_run([i * DURATION / 5 for i in range(6)])
+    dense = _stiff_block_run(DENSE_T)
+    assert sparse.failure is None and dense.failure is None
+    assert (sparse.nfev, dense.nfev) == (980, 980 + 3 * 69)
+    assert sparse.y_end == dense.y_end
+    assert digest(sparse.y) == (
+        "0556b3ca6dda083ef56ead0a7f44245be7f76185ab54eb56088cfb847340ed0a")
+
+
+def test_budget_stop_keeps_the_sample_prefix():
+    """A run stopped by its evaluation budget returns the samples of every
+    step it completed, bit for bit as recorded from the integrator that
+    evaluated each interpolant as it went, and they are a prefix of the
+    full run's."""
+    full = _stiff_block_run(DENSE_T)
+    cut = _stiff_block_run(DENSE_T, max_nfev=593)
+    assert cut.failure == "evaluation budget 593 spent at t = 0.360472941782686"
+    assert cut.nfev == 587 and cut.y.shape == (2, 361)
+    assert digest(cut.y) == (
+        "f86cfd89c014937dc8b049f55076e1e6f691f371f65cfa4c549c4c6ad97f9606")
+    assert np.array_equal(cut.y, full.y[:, :361])
 
 
 # Agreement with scipy's DOP853, which the integrator reproduces step for

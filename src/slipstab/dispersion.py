@@ -48,6 +48,10 @@ __all__ = [
 
 CROSSING_MARGIN = 0.05   # certify_crossing and its gate count at (1 -/+ this)*k_cr
 
+# the counter's initial path parameters: 2049 points over the upper half
+_PATH_START = np.linspace(0.0, 2.0, 2049)
+_PATH_START.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class CharParams:
@@ -89,11 +93,19 @@ class RootCount:
 
 def _residual(p_hat, kappa: float, nu: float, w: float, m: float, r: float):
     """Nondimensional left side kappa*(p_hat + 1)*F(nu*p_hat) + p_hat*(p_hat - W)
-    and its term-magnitude scale, at a complex scalar or ndarray p_hat."""
+    and its term-magnitude scale, at a complex scalar or ndarray p_hat.
+
+    Every complex product keeps its operand order: numpy's array complex
+    multiply is fused (FMA), so a*b and b*a can differ in the last bit, and
+    the counter's samples are pinned.  In-place updates only ever put the
+    new factor on the right."""
     f_val = f_normalized(p_hat * nu, m, r)
-    resid = kappa * (p_hat + 1.0) * f_val + p_hat * (p_hat - w)
-    scale = (kappa * np.abs(p_hat + 1.0) * np.abs(f_val)
-             + np.abs(p_hat) * (np.abs(p_hat) + abs(w)))
+    p1 = p_hat + 1.0
+    abs_p = np.abs(p_hat)
+    resid = kappa * p1 * f_val
+    resid += p_hat * (p_hat - w)
+    scale = kappa * np.abs(p1) * np.abs(f_val)
+    scale += abs_p * (abs_p + abs(w))
     return resid, scale
 
 
@@ -142,6 +154,12 @@ def _spliced(old: np.ndarray, new: np.ndarray, at: np.ndarray,
     return out
 
 
+def _phase_steps(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Phase increments arg(num/den) in (-pi, pi], as np.angle takes them."""
+    ratio = num / den
+    return np.arctan2(ratio.imag, ratio.real)
+
+
 def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
                           residual_at) -> tuple[int, int]:
     """Winding number of the residual around the rectangle
@@ -180,16 +198,16 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
         pts[j:] = re_lo + 1j * (im_max - height * (us[j:] - 1.5))
         return pts
 
-    us = np.linspace(0.0, 2.0, 2049)
+    us = _PATH_START
     vals = residual_at(path(us))
-    incs = np.angle(vals[1:] / vals[:-1])
+    incs = _phase_steps(vals[1:], vals[:-1])
     confirmed = None
     while True:
         split = np.flatnonzero(np.abs(incs) >= 0.5 * math.pi)
         if split.size:
             confirmed = None
         else:
-            turns = float(np.sum(incs)) / math.pi
+            turns = float(incs.sum()) / math.pi
             if abs(turns - round(turns)) >= 1e-6:
                 raise _NearContourZero
             count = int(round(turns))
@@ -207,8 +225,8 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
         at = split + np.arange(1, split.size + 1)
         kept = np.ones(us.size + split.size, dtype=bool)
         kept[at] = False
-        before = np.angle(mid_vals / vals[split])
-        after = np.angle(vals[split + 1] / mid_vals)
+        before = _phase_steps(mid_vals, vals[split])
+        after = _phase_steps(vals[split + 1], mid_vals)
         us = _spliced(us, mid_us, at, kept)
         vals = _spliced(vals, mid_vals, at, kept)
         # one increment fewer than points; the last point is never new

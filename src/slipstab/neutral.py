@@ -52,6 +52,8 @@ _TAU_END = 600.0
 # 0.5*(b/a)*F2 in the window's phase equation overflows, and at 1e150 the
 # k_hat of q near 1e100 does; up to 1e100 no tested (m, r, q) overflows
 _MAX_B_OVER_A = 1e100
+# step cap of the regula falsi; reaching it raises SlipStabError
+_MAX_STEPS = 200
 
 
 class Branch(str, Enum):
@@ -99,7 +101,8 @@ class SweepTable:
 
 
 def _bracketed_roots(f, a, fa, b, fb, rtol: float):
-    """Elementwise root of f between a and b, by Anderson-Bjorck regula falsi.
+    """Root of f between a and b, by Anderson-Bjorck regula falsi: one root
+    for float ends, one per element for arrays.
 
     fa = f(a) and fb = f(b) lie on opposite sides of zero in every element,
     f = 0 counting as negative.  A regula falsi point not strictly inside
@@ -108,9 +111,36 @@ def _bracketed_roots(f, a, fa, b, fb, rtol: float):
     bisection; rtol > 0 stops at a bracket no wider than rtol*(1 + |b|) or
     a residual within rtol of zero.  Returns the end with the smaller
     residual (the negative one on a tie).
+
+    The loop has two forms, same steps in the same order: one on np.float64
+    ends, which keep numpy's inf/nan arithmetic but skip its per-call array
+    overhead, and one on arrays.  Each step evaluates f once; the unscaled
+    f(a) is kept beside the scaled fa, so picking an end evaluates nothing.
     """
+    ra = fa   # f(a) as evaluated; fa is scaled down while a stays put
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(200):
+        if isinstance(a, float):
+            for _ in range(_MAX_STEPS):
+                d = b - a
+                mid = a + 0.5 * d
+                if mid == a or mid == b or (rtol and not (
+                        abs(d) > rtol * (1.0 + abs(b)) and abs(fb) > rtol)):
+                    break
+                c = b - fb * (d / (fb - fa))
+                if not (c - a) * (c - b) < 0.0:
+                    c = np.nextafter(b, a) if c == b else mid
+                fc = f(c)
+                if (fc > 0.0) ^ (fb > 0.0):
+                    a, fa, ra = b, fb, fb
+                else:
+                    shrink = 1.0 - fc / fb
+                    fa = (shrink if shrink > 0.0 else 0.5) * fa
+                b, fb = c, fc
+            else:
+                raise SlipStabError("neutral-mode root search did not converge")
+            pick_a = abs(ra) < abs(fb) or (abs(ra) == abs(fb) and ra <= 0.0)
+            return a if pick_a else b
+        for _ in range(_MAX_STEPS):
             d = b - a
             mid = a + 0.5 * d
             live = (mid != a) & (mid != b)
@@ -128,17 +158,18 @@ def _bracketed_roots(f, a, fa, b, fb, rtol: float):
             swap = (fc > 0.0) != (fb > 0.0)
             shrink = 1.0 - fc / fb
             fa = np.where(swap, fb, np.where(shrink > 0.0, shrink, 0.5) * fa)
+            ra = np.where(swap, fb, ra)
             a = np.where(swap, b, a)
             b, fb = c, fc
         else:
             raise SlipStabError("neutral-mode root search did not converge")
-    ra, rb = f(a), f(b)
-    pick_a = (np.abs(ra) < np.abs(rb)) | ((np.abs(ra) == np.abs(rb)) & (ra <= 0.0))
+    pick_a = (np.abs(ra) < np.abs(fb)) | ((np.abs(ra) == np.abs(fb)) & (ra <= 0.0))
     return np.where(pick_a, a, b)
 
 
-def _subsonic_modes(qs: np.ndarray, m: float, r: float):
-    """(c/c1, k_hat) arrays of the subsonic modes at every q in qs.
+def _subsonic_modes(qs, m: float, r: float):
+    """(c/c1, k_hat) of the subsonic modes at q: Python floats for a float q,
+    lists of them for an array of q.
 
     With t = x^2/(1 - x^2), x = c/c1, and h + m = f_subsonic_denominator(t),
     x/F(c) = q becomes the increasing g(t) = sqrt(t)*(h + m)/(2m) = q; t keeps
@@ -146,8 +177,11 @@ def _subsonic_modes(qs: np.ndarray, m: float, r: float):
     increases and fixes the root, and h falls from 1 towards 0, so T of
     (2mq/(1 + m))^2 and of (2q)^2 bracket it; these brackets, widened by
     1e-12, are clamped to the normal floats, and a root t cannot represent
-    raises DomainError.
+    raises DomainError.  A float q runs as an np.float64 through the same
+    brackets, residual and k_hat, and the scalar loop of _bracketed_roots,
+    so it gets the bits of the matching array element.
     """
+    qs = np.float64(qs) if isinstance(qs, float) else qs
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         def resid(t):
             # (g^2 - q^2)/q: the sign of g - q, nearly linear in t
@@ -155,23 +189,26 @@ def _subsonic_modes(qs: np.ndarray, m: float, r: float):
             return (g - qs) * (g / qs + 1.0)
 
         def image(s):  # T(t), from s = h(t) + m
-            return (2.0 * m * qs / s) ** 2
+            root = 2.0 * m * qs / s
+            return root * root
 
         t_lo = image(f_subsonic_denominator(image(1.0 + m), m, r)) * (1.0 - 1e-12)
         t_hi = image(f_subsonic_denominator(image(m), m, r)) * (1.0 + 1e-12)
-        t_lo, t_hi = (np.clip(t, _FLOAT.tiny, _FLOAT.max) for t in (t_lo, t_hi))
+        t_lo, t_hi = (np.minimum(np.maximum(t, _FLOAT.tiny), _FLOAT.max)
+                      for t in (t_lo, t_hi))
 
         r_lo, r_hi = resid(t_lo), resid(t_hi)
         outside = ~((r_lo <= 0.0) & (r_hi > 0.0))
         if outside.any():
-            raise DomainError(f"q = {float(qs[outside][0])} lies outside the range "
-                              f"(about 1e-154 to 1e154) the subsonic solve resolves")
+            raise DomainError(f"q = {float(np.extract(outside, qs)[0])} lies outside"
+                              f" the range (about 1e-154 to 1e154) the subsonic"
+                              f" solve resolves")
         t = _bracketed_roots(resid, t_lo, r_lo, t_hi, r_hi, 0.0)
         # k_hat = F(0)/F(c) = F(0)*(h + m)/(2m*beta), from t so no accuracy is
         # lost as c -> c1
         k_hat = (2.0 * m / (1.0 + m) * f_subsonic_denominator(t, m, r)
                  * np.sqrt(1.0 + t) / (2.0 * m))
-        return np.sqrt(t / (1.0 + t)), k_hat
+        return np.sqrt(t / (1.0 + t)).tolist(), k_hat.tolist()
 
 
 def _intersonic_terms(tau, m: float, r: float, b_over_a: float):
@@ -242,12 +279,6 @@ def _intersonic_modes(qs: np.ndarray, m: float, r: float, b_over_a: float):
     return index, x, k_hat
 
 
-def _modes(branch: Branch, qs, xs, k_hats) -> list[NeutralMode]:
-    """NeutralModes from arrays of q, c/c1 and k_hat."""
-    return [NeutralMode(q=q, branch=branch, c_over_c1=x, k_hat=k_hat)
-            for q, x, k_hat in zip(qs.tolist(), xs.tolist(), k_hats.tolist())]
-
-
 def _check_q(q: float) -> None:
     if not q > 0.0:
         raise DomainError(f"q must be positive, got {q}")
@@ -264,9 +295,9 @@ def solve_subsonic(q: float, bm: BiMaterial) -> NeutralMode:
     fields; critical_mode adds |k| = sqrt((b-a)/a)*(v_o/L)/c and omega = |k|*c.
     """
     _check_q(q)
-    qs = np.array([float(q)])
-    return _modes(Branch.SUBSONIC, qs,
-                  *_subsonic_modes(qs, bm.mu_ratio, bm.speed_ratio))[0]
+    q = float(q)
+    x, k_hat = _subsonic_modes(q, bm.mu_ratio, bm.speed_ratio)
+    return NeutralMode(q=q, branch=Branch.SUBSONIC, c_over_c1=x, k_hat=k_hat)
 
 
 def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralMode]:
@@ -288,9 +319,11 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
                           f"{_MAX_B_OVER_A:g}, got {b_over_a}")
     if bm.speed_ratio == 1.0:
         return []
-    qs = np.array([float(q)])
-    index, xs, k_hats = _intersonic_modes(qs, bm.mu_ratio, bm.speed_ratio, b_over_a)
-    return _modes(Branch.INTERSONIC, qs[index], xs, k_hats)
+    q = float(q)
+    _, xs, k_hats = _intersonic_modes(np.array([q]), bm.mu_ratio, bm.speed_ratio,
+                                      b_over_a)
+    return [NeutralMode(q=q, branch=Branch.INTERSONIC, c_over_c1=x, k_hat=k_hat)
+            for x, k_hat in zip(xs.tolist(), k_hats.tolist())]
 
 
 def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdict:
@@ -351,7 +384,7 @@ def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> SweepTable:
     # one group of rows per q: its subsonic mode, then its intersonic modes
     q_list = qs.tolist()
     groups = [[(q, Branch.SUBSONIC, x, k)] for q, x, k in
-              zip(q_list, *(a.tolist() for a in _subsonic_modes(qs, m, r)))]
+              zip(q_list, *_subsonic_modes(qs, m, r))]
     if r > 1.0:
         index, xs, k_hats = _intersonic_modes(qs, m, r, b_over_a)
         for i, x, k in zip(index.tolist(), xs.tolist(), k_hats.tolist()):

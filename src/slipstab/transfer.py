@@ -41,11 +41,16 @@ def f_normalized(z, mu_ratio: float, speed_ratio: float):
     # division turns the -0.0 of Im z^2 on the lower imaginary axis into +0.0
     one = complex(1.0, -0.0)
     w_slow = np.sqrt(z2 + one)
-    w_fast = np.sqrt(z2 * (1.0 / (speed_ratio * speed_ratio)) + one)
-    denom = w_slow + mu_ratio * w_fast
+    # in place, each product's operand order kept (see dispersion._residual)
+    z2 *= 1.0 / (speed_ratio * speed_ratio)
+    z2 += one
+    w_fast = np.sqrt(z2)
+    denom = mu_ratio * w_fast
+    denom += w_slow
     if np.any(denom == 0.0):
         raise BranchPole("transfer-function denominator vanished")
-    out = 2.0 * mu_ratio * w_fast * w_slow / denom
+    out = 2.0 * mu_ratio * w_fast * w_slow
+    out /= denom
     if out.ndim == 0:
         return complex(out)
     return out

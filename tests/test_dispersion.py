@@ -24,7 +24,7 @@ from slipstab import (
     make_bimaterial,
     polish_root,
 )
-from slipstab.dispersion import _hat_params, _residual
+from slipstab.dispersion import CROSSING_MARGIN, _hat_params, _residual
 
 
 def pair(q, b_over_a=1.2, speed_ratio=1.2, mu_ratio=1.0, *,
@@ -260,3 +260,49 @@ def test_count_matches_full_contour_reference():
             assert count.n_unstable == round(winding)
             seen.add(count.n_unstable)
     assert seen == {0, 2, 4}
+
+
+# (speed ratio, modulus ratio, q): (n_unstable, samples) of count_unstable
+# at (1 + CROSSING_MARGIN)*k_cr and at (1 - CROSSING_MARGIN)*k_cr, b/a = 1.2.
+# The first 12 are verify's crossing cases, the rest certify's hard set;
+# several of those miss the root pair below k_cr (ROADMAP item 1).  These
+# pin today's sample set, wrong counts included: a change that only speeds
+# the counter up keeps them, and one that changes the contour says so.
+PINNED_COUNTS = {
+    (1.2, 1.0, 0.1): ((0, 4103), (2, 4101)),
+    (1.2, 1.0, 1.0): ((0, 4097), (2, 4097)),
+    (1.2, 1.0, 10.0): ((0, 4111), (2, 4113)),
+    (5.0, 1.0, 0.1): ((0, 4105), (2, 4103)),
+    (5.0, 1.0, 1.0): ((0, 4099), (2, 4101)),
+    (5.0, 1.0, 10.0): ((0, 4109), (2, 4113)),
+    (5.0, 10.0, 0.1): ((0, 4103), (2, 4105)),
+    (5.0, 10.0, 1.0): ((0, 4099), (2, 4101)),
+    (5.0, 10.0, 10.0): ((0, 4113), (2, 4111)),
+    (5.0, 0.1, 0.1): ((0, 4109), (2, 4111)),
+    (5.0, 0.1, 1.0): ((0, 4105), (2, 4103)),
+    (5.0, 0.1, 10.0): ((0, 8203), (2, 8207)),
+    (1.2, 1.0, 30.0): ((0, 4125), (2, 4125)),
+    (1.2, 1.0, 100.0): ((0, 4115), (0, 4117)),
+    (1.2, 1.0, 1e3): ((0, 4127), (0, 4131)),
+    (5.0, 1.0, 30.0): ((0, 4097), (0, 4097)),
+    (5.0, 1.0, 100.0): ((0, 4099), (0, 4099)),
+    (5.0, 1.0, 1e3): ((0, 4111), (0, 4113)),
+    (5.0, 10.0, 30.0): ((0, 4125), (2, 4125)),
+    (5.0, 10.0, 100.0): ((0, 8265), (2, 4143)),
+    (5.0, 10.0, 1e3): ((0, 4125), (0, 4125)),
+    (5.0, 0.1, 30.0): ((0, 4097), (0, 4097)),
+    (5.0, 0.1, 100.0): ((0, 4097), (0, 4097)),
+    (5.0, 0.1, 1e3): ((0, 4099), (0, 4099)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COUNTS))
+def test_counter_sample_set_pinned(case):
+    speed_ratio, mu_ratio, q = case
+    fr, bm = pair(q, 1.2, speed_ratio, mu_ratio)
+    k_cr = critical_mode(fr, bm).mode.k_mag
+    counts = tuple(
+        (c.n_unstable, c.samples) for c in (
+            count_unstable(CharParams(k=factor * k_cr, friction=fr, bimaterial=bm))
+            for factor in (1.0 + CROSSING_MARGIN, 1.0 - CROSSING_MARGIN)))
+    assert counts == PINNED_COUNTS[case]

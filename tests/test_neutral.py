@@ -33,6 +33,8 @@ from slipstab import (
     solve_subsonic,
     sweep_q,
 )
+from slipstab import SlipStabError, neutral
+from slipstab.neutral import _subsonic_modes
 
 MILD = BiMaterial.from_ratios(1.0, 1.2)
 PRESETS = ((1.2, 1.0), (5.0, 1.0), (5.0, 10.0), (5.0, 0.1))
@@ -413,3 +415,78 @@ class TestIntersonicWindowProperties:
         for mo in solve_intersonic(q, 1.0 + w, bm):
             assert 1.0 < mo.c_over_c1 < bm.speed_ratio
             assert mo.k_hat < f0 * q
+
+
+def _subsonic_outcome(solve):
+    """A solve's result, or the text of the DomainError it raised."""
+    try:
+        return solve()
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestRootFinderForms:
+    """The np.float64 loop of one-q solves against the array loop of sweeps,
+    and the regula falsi's work per step."""
+
+    def test_scalar_path_is_array_path(self):
+        rng = np.random.default_rng(20261019)
+        n = 1000
+        ms = 10.0 ** rng.uniform(-2.0, 2.0, n)
+        rs = np.where(np.arange(n) % 4 == 0, 1.0, rng.uniform(1.001, 32.6, n))
+        qs = 10.0 ** rng.uniform(-154.0, 154.0, n)
+        cases = list(zip(ms.tolist(), rs.tolist(), qs.tolist()))
+        # both ends of the range, and beyond them, for both kinds of pair
+        cases += [(m, r, q) for m, r in ((0.01, 1.0), (100.0, 32.6), (1.0, 1.2))
+                  for q in (1e-154, 1e154, 1e-170, 1e170)]
+        refused = 0
+        for m, r, q in cases:
+            bm = BiMaterial.from_ratios(m, r)
+
+            def one():
+                mode = solve_subsonic(q, bm)
+                return mode.c_over_c1, mode.k_hat
+
+            def row():
+                xs, k_hats = _subsonic_modes(np.array([q]), m, r)
+                return xs[0], k_hats[0]
+
+            scalar, array = _subsonic_outcome(one), _subsonic_outcome(row)
+            if isinstance(array, str):
+                refused += 1
+                assert scalar == array
+                continue
+            assert [type(v) for v in scalar + array] == [float] * 4
+            assert [v.hex() for v in scalar] == [v.hex() for v in array]
+        assert refused >= 6   # at least the q = 1e-170 and 1e170 cases
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_subsonic(3.0, MILD),
+        lambda: solve_intersonic(3.0, 1.2, MILD)], ids=["subsonic", "intersonic"])
+    def test_one_evaluation_per_step(self, monkeypatch, solve):
+        """Every evaluation of f inside _bracketed_roots is at a point not
+        seen before (an evaluation after the loop would repeat an end), and
+        n of them mean n steps that evaluate plus the step that stops: a
+        step cap of n + 1 reaches the same root and a cap of n does not."""
+        seen = []
+        bracketed = neutral._bracketed_roots
+
+        def counting(f, a, fa, b, fb, rtol):
+            seen[:] = [np.atleast_1d(a), np.atleast_1d(b)]
+
+            def f_counted(x):
+                x1 = np.atleast_1d(x)
+                assert not any(np.array_equal(x1, y) for y in seen)
+                seen.append(x1)
+                return f(x)
+            return bracketed(f_counted, a, fa, b, fb, rtol)
+
+        monkeypatch.setattr(neutral, "_bracketed_roots", counting)
+        expected = solve()
+        n = len(seen) - 2
+        assert n > 0
+        monkeypatch.setattr(neutral, "_MAX_STEPS", n + 1)
+        assert solve() == expected
+        monkeypatch.setattr(neutral, "_MAX_STEPS", n)
+        with pytest.raises(SlipStabError, match="did not converge"):
+            solve()

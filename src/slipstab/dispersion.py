@@ -154,6 +154,15 @@ def _spliced(old: np.ndarray, new: np.ndarray, at: np.ndarray,
     return out
 
 
+def _interleaved(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """even[0], odd[0], even[1], odd[1], ...; even holds as many elements as
+    odd or one more."""
+    out = np.empty(even.size + odd.size, dtype=even.dtype)
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
 def _phase_steps(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Phase increments arg(num/den) in (-pi, pi], as np.angle takes them."""
     ratio = num / den
@@ -178,8 +187,10 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
     sitting a few 1e-5 away from an edge (weakly growing modes hug the left
     edge) produces local refinement instead of a missed half-turn.  Once all
     increments are small every segment is bisected once more and the
-    integer must reproduce.  Midpoints are spliced in at known places and
-    only the split segments' increments are recomputed.  Returns (count,
+    integer must reproduce.  A refinement round splices its midpoints in at
+    known places and recomputes only the split segments' increments; the
+    confirm round, which splits every segment, interleaves the midpoints
+    and the halves' increments with the old arrays.  Returns (count,
     samples used).  Raises _NearContourZero if the phase change is not
     within 1e-6 of a multiple of pi or the path would need more than 2**20
     segments (the density of 2**21 samples on the whole boundary), either of
@@ -190,12 +201,16 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
     height = 2.0 * im_max
 
     def path(us: np.ndarray) -> np.ndarray:
-        # us ascending: [0, 0.5) right edge, [0.5, 1.5) top, [1.5, 2] left
+        # us ascending: [0, 0.5) right edge, [0.5, 1.5) top, [1.5, 2] left;
+        # an edge with no points costs nothing
         pts = np.empty(us.shape, dtype=complex)
         i, j = np.searchsorted(us, (0.5, 1.5))
-        pts[:i] = re_hi + 1j * (-im_max + height * (us[:i] + 0.5))
-        pts[i:j] = (re_hi - width * (us[i:j] - 0.5)) + 1j * im_max
-        pts[j:] = re_lo + 1j * (im_max - height * (us[j:] - 1.5))
+        if i:
+            pts[:i] = re_hi + 1j * (-im_max + height * (us[:i] + 0.5))
+        if j > i:
+            pts[i:j] = (re_hi - width * (us[i:j] - 0.5)) + 1j * im_max
+        if j < us.size:
+            pts[j:] = re_lo + 1j * (im_max - height * (us[j:] - 1.5))
         return pts
 
     us = _PATH_START
@@ -204,9 +219,7 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
     confirmed = None
     while True:
         split = np.flatnonzero(np.abs(incs) >= 0.5 * math.pi)
-        if split.size:
-            confirmed = None
-        else:
+        if not split.size:
             turns = float(incs.sum()) / math.pi
             if abs(turns - round(turns)) >= 1e-6:
                 raise _NearContourZero
@@ -214,7 +227,18 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
             if confirmed == count:
                 return count, us.size
             confirmed = count
-            split = np.arange(incs.size)
+            # confirm round: every segment splits, so the midpoints and
+            # the two halves' increments interleave with the old arrays
+            if 2 * incs.size > 2 ** 20:
+                raise _NearContourZero
+            mid_us = us[:-1] + 0.5 * (us[1:] - us[:-1])
+            mid_vals = residual_at(path(mid_us))
+            incs = _interleaved(_phase_steps(mid_vals, vals[:-1]),
+                                _phase_steps(vals[1:], mid_vals))
+            us = _interleaved(us, mid_us)
+            vals = _interleaved(vals, mid_vals)
+            continue
+        confirmed = None
         if incs.size + split.size > 2 ** 20:
             raise _NearContourZero
         mid_us = us[split] + 0.5 * (us[split + 1] - us[split])
@@ -259,7 +283,7 @@ def count_unstable(cp: CharParams) -> RootCount:
             raise DomainError(
                 f"characteristic residual is not finite on the counting "
                 f"contour at k = {cp.k!r}")
-        if np.any(np.abs(resid) < 1e-12 * scale):
+        if (np.abs(resid) < 1e-12 * scale).any():
             raise _NearContourZero
         return resid
 

@@ -135,7 +135,9 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         The run halts at the first upward crossing of V = runaway_factor*v_o.
         Must exceed 1; defaults to RUNAWAY_FACTOR = 1e6.  The stiffness
         estimator passes exp(CAP_GROWTH*|ln(1 + perturbation)|), so a
-        growing run stops as soon as its growth is certain.
+        growing run stops as soon as its growth is certain.  An initial V
+        at or above runaway_factor*v_o leaves no sample and raises
+        DomainError.
 
     Returns
     -------
@@ -167,6 +169,11 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         tau0 = init.tau
 
     u0 = math.log(v0 / p.v_o)
+    cap = math.log(runaway_factor)
+    if u0 >= cap:   # the integrator's cap test: not even the start is kept
+        raise DomainError(
+            f"initial V = {v0!r} is at or above the runaway threshold "
+            f"{runaway_factor!r}*v_o; the run has no sample before it")
     w0 = math.log(p.v_o * theta0 / p.L)
     y0 = [u0, w0, tau0] if sb.mass > 0.0 else [u0, w0]
     rhs = _rhs(p, sb.stiffness, sb.mass, law)
@@ -180,8 +187,8 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         t_eval = np.append(t_eval, duration)
 
     try:
-        sol = solve_ivp(rhs, t_eval.tolist(), y0, tol, tol * 1e-3,
-                        math.log(runaway_factor), MAX_EVALUATIONS)
+        sol = solve_ivp(rhs, t_eval.tolist(), y0, tol, tol * 1e-3, cap,
+                        MAX_EVALUATIONS)
     except OverflowError as exc:
         # exp(u) overflowed in a trial step; the RHS stays unguarded (hot loop)
         raise StepFailure(f"integrator step overflowed: {exc}") from exc

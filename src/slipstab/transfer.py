@@ -47,7 +47,7 @@ def f_normalized(z, mu_ratio: float, speed_ratio: float):
     w_fast = np.sqrt(z2)
     denom = mu_ratio * w_fast
     denom += w_slow
-    if np.any(denom == 0.0):
+    if (denom == 0.0).any():
         raise BranchPole("transfer-function denominator vanished")
     out = 2.0 * mu_ratio * w_fast * w_slow
     out /= denom

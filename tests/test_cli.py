@@ -217,16 +217,18 @@ class TestSweep:
 
     def test_closed_pipe_exits_zero(self):
         # the reader stops after one line of a CSV larger than a pipe buffer
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "slipstab.cli", "sweep", "--q-min", "0.5",
-             "--q-max", "2", "--q-points", "5000", "--b-over-a", "1.2",
-             "--out", "-"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**os.environ,
-                 "PYTHONPATH": str(Path(slipstab.__file__).parents[1])})
-        proc.stdout.readline()
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 0
-        assert proc.stderr.read() == b""
+        with subprocess.Popen(
+                [sys.executable, "-m", "slipstab.cli", "sweep", "--q-min",
+                 "0.5", "--q-max", "2", "--q-points", "5000", "--b-over-a",
+                 "1.2", "--out", "-"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ,
+                     "PYTHONPATH": str(Path(slipstab.__file__).parents[1])}
+        ) as proc:
+            proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
 
     def test_grid_validation(self, tmp_path, capsys):
         argv = ["sweep", "--q-min", "2.0", "--q-max", "0.5", "--q-points",
@@ -333,6 +335,20 @@ class TestSimulate:
         assert main(argv) == 0
         config, _, _ = read_csv(out)
         assert config["blew_up"] is True
+
+    @pytest.mark.parametrize("perturb", ["999999", "1e6", "1e7"])
+    def test_start_at_the_runaway_threshold_is_input_error(
+            self, tmp_path, capsys, perturb):
+        # V0 >= RUNAWAY_FACTOR*v_o leaves no sample before the crossing: this
+        # used to end in an IndexError traceback (999999) or exit 3 (above)
+        out = tmp_path / "x.csv"
+        argv = (["simulate", "--stiffness", "5e8", "--perturb", perturb,
+                 "--out", str(out)] + self.FRICTION)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial V = ")
+        assert "runaway threshold" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_overflowing_step_exits_three(self, tmp_path, capsys):
         # a light block: a trial step overflows exp(u) within the first

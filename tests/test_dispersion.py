@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import warnings
@@ -24,6 +25,7 @@ from slipstab import (
     make_bimaterial,
     polish_root,
 )
+import slipstab.dispersion as dispersion
 from slipstab.dispersion import CROSSING_MARGIN, _hat_params, _residual
 
 
@@ -297,12 +299,64 @@ PINNED_COUNTS = {
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_COUNTS))
-def test_counter_sample_set_pinned(case):
+def test_counter_sample_set_pinned(case, monkeypatch):
+    """The pinned counts, and every sample evaluated exactly once: the
+    residual receives as many points as the count reports samples."""
     speed_ratio, mu_ratio, q = case
     fr, bm = pair(q, 1.2, speed_ratio, mu_ratio)
     k_cr = critical_mode(fr, bm).mode.k_mag
-    counts = tuple(
-        (c.n_unstable, c.samples) for c in (
-            count_unstable(CharParams(k=factor * k_cr, friction=fr, bimaterial=bm))
-            for factor in (1.0 + CROSSING_MARGIN, 1.0 - CROSSING_MARGIN)))
-    assert counts == PINNED_COUNTS[case]
+    received = []
+
+    def counting_residual(p_hat, *args):
+        received.append(np.size(p_hat))
+        return _residual(p_hat, *args)
+
+    monkeypatch.setattr(dispersion, "_residual", counting_residual)
+    counts = []
+    for factor in (1.0 + CROSSING_MARGIN, 1.0 - CROSSING_MARGIN):
+        received.clear()
+        c = count_unstable(CharParams(k=factor * k_cr, friction=fr, bimaterial=bm))
+        assert sum(received) == c.samples
+        counts.append((c.n_unstable, c.samples))
+    assert tuple(counts) == PINNED_COUNTS[case]
+
+
+def _counter_outcomes():
+    """(n_unstable, repr(contour), samples), or (exception type, text), of
+    400 count_unstable calls: the four presets at six q and 74 seeded draws,
+    each at k/k_cr in {0.3, 0.95, 1.05, 3}, and k = 1e-300 and 1e300 on
+    every 25th set."""
+    rng = np.random.default_rng(2024)
+    sets = [(q, 1.2, r, m)
+            for r, m in ((1.2, 1.0), (5.0, 1.0), (5.0, 10.0), (5.0, 0.1))
+            for q in (0.1, 1.0, 10.0, 30.0, 100.0, 1e3)]
+    for _ in range(74):
+        sets.append((10.0 ** rng.uniform(-2.0, math.log10(5.0)),
+                     rng.uniform(1.1, 3.0), rng.uniform(1.05, 5.0),
+                     10.0 ** rng.uniform(-1.0, 1.0)))
+    for i, (q, b_over_a, speed_ratio, mu_ratio) in enumerate(sets):
+        fr, bm = pair(q, b_over_a, speed_ratio, mu_ratio)
+        k_cr = critical_mode(fr, bm).mode.k_mag
+        ks = [factor * k_cr for factor in (0.3, 0.95, 1.05, 3.0)]
+        if i % 25 == 0:
+            ks += [1e-300, 1e300]
+        for k in ks:
+            try:
+                c = count_unstable(CharParams(k=k, friction=fr, bimaterial=bm))
+            except SlipStabError as exc:
+                yield type(exc).__name__, str(exc)
+            else:
+                yield c.n_unstable, repr(c.contour), c.samples
+
+
+# SHA-256 of the outcomes above, recorded before the confirm round was
+# interleaved: a change that only speeds the counter up keeps it
+COUNTER_OUTCOMES_SHA256 = (
+    "d64932ea41e71ca60d15d1e74a38f3a83ee8fc6b75690e7f614ac137a23b8db0")
+
+
+def test_counter_outcomes_pinned():
+    digest = hashlib.sha256()
+    for outcome in _counter_outcomes():
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == COUNTER_OUTCOMES_SHA256

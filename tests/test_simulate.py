@@ -188,6 +188,18 @@ def test_runaway_factor_validation(factor):
         simulate_spring_block(sb, EvolutionLaw.AGEING, runaway_factor=factor)
 
 
+@pytest.mark.parametrize("rel, factor", [(999999.0, simulate.RUNAWAY_FACTOR),
+                                         (1e7, simulate.RUNAWAY_FACTOR),
+                                         (0.02, 1.01)])
+def test_start_at_the_runaway_threshold_is_domain_error(rel, factor):
+    # V0 = 1e6*v_o used to return a trajectory with no samples, and a start
+    # above the threshold integrated on until a step overflowed
+    sb = SpringBlockParams(stiffness=0.5 * K_CR, mass=0.0, friction=FR)
+    with pytest.raises(DomainError, match="runaway threshold"):
+        simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed(rel),
+                              runaway_factor=factor)
+
+
 def test_estimator_rejects_zero_perturbation():
     with pytest.raises(DomainError):
         estimate_critical_stiffness(FR, EvolutionLaw.AGEING, perturbation=0.0)

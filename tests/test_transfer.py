@@ -192,6 +192,13 @@ def test_normalized_vectorizes(mild_contrast):
     assert complex(out[2]) == pytest.approx(complex(scalar))
 
 
+def test_normalized_takes_real_arrays():
+    x = np.array([0.0, 0.5, 2.0, 1e3])
+    out = f_normalized(x, 2.0, 1.5)
+    assert out.dtype == np.complex128
+    assert np.array_equal(out, f_normalized(x.astype(complex), 2.0, 1.5))
+
+
 def test_real_axis_values_are_real(mild_contrast):
     # positive real p keeps every square root real: F real and above F(0)
     for y in (0.1, 1.0, 10.0):

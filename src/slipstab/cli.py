@@ -188,8 +188,15 @@ def _write_csv(out: str, columns: dict[str, Sequence], config: dict) -> None:
 
 
 def _sweep_columns(table: SweepTable) -> dict[str, Sequence]:
-    """The sweep CSV columns of table, each branch by its plain name."""
-    return {"q": table.q, "branch": [b.value for b in table.branch],
+    """The sweep CSV columns of table.  A q's rows are adjacent, so its
+    repr is taken once for all of them; Branch members join as their plain
+    names."""
+    q_text, last, text = [], None, ""
+    for q in table.q:
+        if q != last:
+            last, text = q, repr(q)
+        q_text.append(text)
+    return {"q": q_text, "branch": table.branch,
             "c_over_c1": table.c_over_c1, "k_hat": table.k_hat}
 
 

@@ -17,8 +17,10 @@ On the subsonic branch k_hat = F(0)/F(c) identically.
 
 Q does not depend on q and has one minimum q_w on (c1, c1') (Ranjith & Rice
 2001, JMPS 49, 341): no intersonic mode for q <= q_w, exactly two above it.
-Whole q grids are solved as arrays.  Every intersonic mode has k_hat <
-F(0)*q < subsonic k_hat (see critical_mode_q): the critical mode is subsonic.
+sweep_q solves a whole q grid in one bracketed root search, the subsonic
+root of every q and the intersonic roots of every q above q_w as elements
+of one array.  Every intersonic mode has k_hat < F(0)*q < subsonic k_hat
+(see critical_mode_q): the critical mode is subsonic.
 
 The solvers are nondimensional: they depend on q, b/a and the two material
 ratios only.  critical_mode alone attaches |k| and omega to its mode.
@@ -54,6 +56,9 @@ _TAU_END = 600.0
 _MAX_B_OVER_A = 1e100
 # step cap of the regula falsi; reaching it raises SlipStabError
 _MAX_STEPS = 200
+# tolerance of the intersonic root search in tau; the subsonic one runs to
+# adjacent floats (0)
+_INTERSONIC_RTOL = 2.0 * _FLOAT.eps
 
 
 class Branch(str, Enum):
@@ -100,7 +105,7 @@ class SweepTable:
     k_hat: tuple[float, ...]
 
 
-def _bracketed_roots(f, a, fa, b, fb, rtol: float):
+def _bracketed_roots(f, a, fa, b, fb, rtol):
     """Root of f between a and b, by Anderson-Bjorck regula falsi: one root
     for float ends, one per element for arrays.
 
@@ -114,8 +119,9 @@ def _bracketed_roots(f, a, fa, b, fb, rtol: float):
 
     The loop has two forms, same steps in the same order: one on np.float64
     ends, which keep numpy's inf/nan arithmetic but skip its per-call array
-    overhead, and one on arrays.  Each step evaluates f once; the unscaled
-    f(a) is kept beside the scaled fa, so picking an end evaluates nothing.
+    overhead, and one on arrays, where rtol may also be an array, one
+    tolerance per element.  Each step evaluates f once; the unscaled f(a) is
+    kept beside the scaled fa, so picking an end evaluates nothing.
     """
     ra = fa   # f(a) as evaluated; fa is scaled down while a stays put
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -140,12 +146,12 @@ def _bracketed_roots(f, a, fa, b, fb, rtol: float):
                 raise SlipStabError("neutral-mode root search did not converge")
             pick_a = abs(ra) < abs(fb) or (abs(ra) == abs(fb) and ra <= 0.0)
             return a if pick_a else b
+        exact = rtol == 0.0   # these elements run on while fb == 0
         for _ in range(_MAX_STEPS):
             d = b - a
             mid = a + 0.5 * d
-            live = (mid != a) & (mid != b)
-            if rtol:
-                live &= (np.abs(d) > rtol * (1.0 + np.abs(b))) & (np.abs(fb) > rtol)
+            live = (mid != a) & (mid != b) & (exact | (
+                (np.abs(d) > rtol * (1.0 + np.abs(b))) & (np.abs(fb) > rtol)))
             if not live.any():
                 break
             c = b - fb * (d / (fb - fa))
@@ -167,61 +173,77 @@ def _bracketed_roots(f, a, fa, b, fb, rtol: float):
     return np.where(pick_a, a, b)
 
 
+def _subsonic_brackets(qs, m: float, r: float):
+    """(residual, t_lo, r_lo, t_hi, r_hi): the root search of the subsonic
+    modes at q, an np.float64 or an array, in t = x^2/(1 - x^2), x = c/c1.
+
+    With h + m = f_subsonic_denominator(t), x/F(c) = q becomes the
+    increasing g(t) = sqrt(t)*(h + m)/(2m) = q; t keeps x and 1 - x^2 (hence
+    k_hat) accurate for all q.  T(t) = (2mq/(h + m))^2 increases and fixes
+    the root, and h falls from 1 towards 0, so T of (2mq/(1 + m))^2 and of
+    (2q)^2 bracket it; these brackets, widened by 1e-12, are clamped to the
+    normal floats, and a root t cannot represent raises DomainError: it
+    needs about F(0)*q = 2mq/(1 + m) >= 1e-154 and q <= 1e154.  Called,
+    like _subsonic_finish, with overflow, underflow and invalid ignored.
+    """
+    def resid(t):
+        # (g^2 - q^2)/q: the sign of g - q, nearly linear in t
+        g = np.sqrt(t) * f_subsonic_denominator(t, m, r) / (2.0 * m)
+        return (g - qs) * (g / qs + 1.0)
+
+    def image(s):  # T(t), from s = h(t) + m
+        root = 2.0 * m * qs / s
+        return root * root
+
+    t_lo = image(f_subsonic_denominator(image(1.0 + m), m, r)) * (1.0 - 1e-12)
+    t_hi = image(f_subsonic_denominator(image(m), m, r)) * (1.0 + 1e-12)
+    t_lo, t_hi = (np.minimum(np.maximum(t, _FLOAT.tiny), _FLOAT.max)
+                  for t in (t_lo, t_hi))
+    r_lo, r_hi = resid(t_lo), resid(t_hi)
+    outside = ~((r_lo <= 0.0) & (r_hi > 0.0))
+    if outside.any():
+        raise DomainError(f"q = {float(np.extract(outside, qs)[0])} with mu_ratio"
+                          f" = {m} lies outside the range the subsonic solve"
+                          f" resolves, which needs about 2*mu_ratio*q/(1 + mu_ratio)"
+                          f" >= 1e-154 and q <= 1e154")
+    return resid, t_lo, r_lo, t_hi, r_hi
+
+
+def _subsonic_finish(t, m: float, r: float):
+    """(c/c1, k_hat) of the subsonic modes at their roots t, as lists."""
+    # k_hat = F(0)/F(c) = F(0)*(h + m)/(2m*beta), from t so no accuracy is
+    # lost as c -> c1
+    k_hat = (2.0 * m / (1.0 + m) * f_subsonic_denominator(t, m, r)
+             * np.sqrt(1.0 + t) / (2.0 * m))
+    return np.sqrt(t / (1.0 + t)).tolist(), k_hat.tolist()
+
+
 def _subsonic_modes(qs, m: float, r: float):
     """(c/c1, k_hat) of the subsonic modes at q: Python floats for a float q,
-    lists of them for an array of q.
-
-    With t = x^2/(1 - x^2), x = c/c1, and h + m = f_subsonic_denominator(t),
-    x/F(c) = q becomes the increasing g(t) = sqrt(t)*(h + m)/(2m) = q; t keeps
-    x and 1 - x^2 (hence k_hat) accurate for all q.  T(t) = (2mq/(h + m))^2
-    increases and fixes the root, and h falls from 1 towards 0, so T of
-    (2mq/(1 + m))^2 and of (2q)^2 bracket it; these brackets, widened by
-    1e-12, are clamped to the normal floats, and a root t cannot represent
-    raises DomainError.  A float q runs as an np.float64 through the same
-    brackets, residual and k_hat, and the scalar loop of _bracketed_roots,
-    so it gets the bits of the matching array element.
-    """
+    lists of them for an array of q.  A float q runs as an np.float64
+    through the same brackets, residual and k_hat, and the scalar loop of
+    _bracketed_roots, so it gets the bits of the matching array element."""
     qs = np.float64(qs) if isinstance(qs, float) else qs
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        def resid(t):
-            # (g^2 - q^2)/q: the sign of g - q, nearly linear in t
-            g = np.sqrt(t) * f_subsonic_denominator(t, m, r) / (2.0 * m)
-            return (g - qs) * (g / qs + 1.0)
-
-        def image(s):  # T(t), from s = h(t) + m
-            root = 2.0 * m * qs / s
-            return root * root
-
-        t_lo = image(f_subsonic_denominator(image(1.0 + m), m, r)) * (1.0 - 1e-12)
-        t_hi = image(f_subsonic_denominator(image(m), m, r)) * (1.0 + 1e-12)
-        t_lo, t_hi = (np.minimum(np.maximum(t, _FLOAT.tiny), _FLOAT.max)
-                      for t in (t_lo, t_hi))
-
-        r_lo, r_hi = resid(t_lo), resid(t_hi)
-        outside = ~((r_lo <= 0.0) & (r_hi > 0.0))
-        if outside.any():
-            raise DomainError(f"q = {float(np.extract(outside, qs)[0])} lies outside"
-                              f" the range (about 1e-154 to 1e154) the subsonic"
-                              f" solve resolves")
+        resid, t_lo, r_lo, t_hi, r_hi = _subsonic_brackets(qs, m, r)
         t = _bracketed_roots(resid, t_lo, r_lo, t_hi, r_hi, 0.0)
-        # k_hat = F(0)/F(c) = F(0)*(h + m)/(2m*beta), from t so no accuracy is
-        # lost as c -> c1
-        k_hat = (2.0 * m / (1.0 + m) * f_subsonic_denominator(t, m, r)
-                 * np.sqrt(1.0 + t) / (2.0 * m))
-        return np.sqrt(t / (1.0 + t)).tolist(), k_hat.tolist()
+        return _subsonic_finish(t, m, r)
 
 
 def _intersonic_terms(tau, m: float, r: float, b_over_a: float):
     """(Q, u, v, F1, F2) at tau = ln(u/v), u = c/c1 - 1, v = c1'/c1 - c/c1,
-    floats or ndarrays.  u and v keep Q accurate at both ends of (c1, c1');
-    the root difference is rationalized: sqrt(A^2 + B) - A = B/(sqrt(A^2 + B) + A)."""
-    e = np.exp(tau)
+    Python floats for a float tau, else ndarrays.  u and v keep Q accurate
+    at both ends of (c1, c1'); the root difference is rationalized:
+    sqrt(A^2 + B) - A = B/(sqrt(A^2 + B) + A)."""
+    scalar = isinstance(tau, float)
+    e = float(np.exp(tau)) if scalar else np.exp(tau)
     u, v = (r - 1.0) / (1.0 + 1.0 / e), (r - 1.0) / (1.0 + e)
     f1, f2 = f_intersonic_parts(u, v, m, r)
     w = b_over_a - 1.0
     half = 0.5 * b_over_a * f2
     big = w * f1 * f1
-    q_val = math.sqrt(w) * (1.0 + u) / (big / (np.sqrt(half * half + big) + half) + f2)
+    root = (math.sqrt if scalar else np.sqrt)(half * half + big)
+    q_val = math.sqrt(w) * (1.0 + u) / (big / (root + half) + f2)
     return q_val, u, v, f1, f2
 
 
@@ -229,7 +251,10 @@ def _intersonic_window(m: float, r: float, b_over_a: float) -> tuple[float, floa
     """(tau*, q_w): the minimiser of Q in tau, by golden section, and Q there.
     Q is flat at its minimum, so a 1e-8 tau bracket gives q_w to rounding."""
     def q_at(tau: float) -> float:
-        return float(_intersonic_terms(tau, m, r, b_over_a)[0])
+        try:
+            return _intersonic_terms(tau, m, r, b_over_a)[0]
+        except ZeroDivisionError:   # F1 and F2 underflow: 0/0, nan in numpy
+            return math.nan
 
     lo, hi = -_TAU_WINDOW, _TAU_WINDOW
     t1, t2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
@@ -249,23 +274,26 @@ def _intersonic_window(m: float, r: float, b_over_a: float) -> tuple[float, floa
     return tau_w, q_w
 
 
-def _intersonic_modes(qs: np.ndarray, m: float, r: float, b_over_a: float):
-    """(index into qs, c/c1, k_hat) of the intersonic modes: per q
-    above the window, in qs order, the root closer to c1 first.  Each root
-    is checked to a relative residual of 1e-10 in tau."""
-    tau_w, q_w = _intersonic_window(m, r, b_over_a)
-    index = np.repeat(np.flatnonzero(qs > q_w), 2)
-    q2 = qs[index]
-    outer = np.tile([-_TAU_END, _TAU_END], index.size // 2)
-    inner = np.full(index.size, tau_w)
-
+def _intersonic_brackets(q2: np.ndarray, tau_w: float, m: float, r: float,
+                         b_over_a: float):
+    """(residual, inner, r_in, outer, r_out): the root search in tau of the
+    intersonic modes at q2, each q above the window q_w twice, from the
+    window minimum tau_w out to -600 for the root closer to c1, then +600."""
     def resid(tau):
         return np.log(_intersonic_terms(tau, m, r, b_over_a)[0] / q2)
 
+    outer = np.tile([-_TAU_END, _TAU_END], q2.size // 2)
+    inner = np.full(q2.size, tau_w)
     r_out = resid(outer)
-    if np.any(r_out <= 0.0):
+    if (r_out <= 0.0).any():
         raise DomainError(f"q = {float(q2.max())} is beyond the intersonic solve's range")
-    tau = _bracketed_roots(resid, inner, resid(inner), outer, r_out, 2.0 * _FLOAT.eps)
+    return resid, inner, resid(inner), outer, r_out
+
+
+def _intersonic_finish(tau: np.ndarray, q2: np.ndarray, m: float, r: float,
+                       b_over_a: float):
+    """(c/c1, k_hat) of the intersonic modes at their roots tau, as lists,
+    each root checked to a relative residual of 1e-10 in Q."""
     q_val, u, v, f1, f2 = _intersonic_terms(tau, m, r, b_over_a)
     x = np.where(u < v, 1.0 + u, r - v)
     bad = np.abs(q_val - q2) > 1e-10 * q2
@@ -276,7 +304,7 @@ def _intersonic_modes(qs: np.ndarray, m: float, r: float, b_over_a: float):
     # omega*L/v_o = sqrt(ratio^2 + w) - ratio, rationalized
     omega_hat = w / (np.sqrt(ratio * ratio + w) + ratio)
     k_hat = q2 * (2.0 * m / (1.0 + m)) * omega_hat / (x * math.sqrt(w))
-    return index, x, k_hat
+    return x.tolist(), k_hat.tolist()
 
 
 def _check_q(q: float) -> None:
@@ -289,7 +317,8 @@ def solve_subsonic(q: float, bm: BiMaterial) -> NeutralMode:
 
     Bracketed root search on the monotone form of the phase-velocity
     equation, run to adjacent floats, leaving a relative residual well under
-    1e-12; q outside about [1e-154, 1e154] raises DomainError.
+    1e-12.  The search needs about F(0)*q = 2*m*q/(1 + m) >= 1e-154, with
+    m = bm.mu_ratio, and q <= 1e154; outside that it raises DomainError.
 
     Returns a NeutralMode with k_hat = F(0)/F(c) >= 1 and no dimensional
     fields; critical_mode adds |k| = sqrt((b-a)/a)*(v_o/L)/c and omega = |k|*c.
@@ -320,10 +349,16 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
     if bm.speed_ratio == 1.0:
         return []
     q = float(q)
-    _, xs, k_hats = _intersonic_modes(np.array([q]), bm.mu_ratio, bm.speed_ratio,
-                                      b_over_a)
+    m, r = bm.mu_ratio, bm.speed_ratio
+    tau_w, q_w = _intersonic_window(m, r, b_over_a)
+    if not q > q_w:
+        return []
+    q2 = np.array([q, q])
+    resid, *ends = _intersonic_brackets(q2, tau_w, m, r, b_over_a)
+    tau = _bracketed_roots(resid, *ends, _INTERSONIC_RTOL)
+    xs, k_hats = _intersonic_finish(tau, q2, m, r, b_over_a)
     return [NeutralMode(q=q, branch=Branch.INTERSONIC, c_over_c1=x, k_hat=k_hat)
-            for x, k_hat in zip(xs.tolist(), k_hats.tolist())]
+            for x, k_hat in zip(xs, k_hats)]
 
 
 def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdict:
@@ -368,8 +403,13 @@ def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
 def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> SweepTable:
     """Neutral modes at every q of a grid, as one SweepTable without
     dimensional fields.  The grid must be positive, finite and sorted
-    ascending, and b/a > 1 and at most 1e100, as for solve_intersonic;
-    both branches are solved at once."""
+    ascending, and b/a > 1 and at most 1e100, as for solve_intersonic.
+
+    One _bracketed_roots call solves both branches: its elements are the
+    subsonic t of every q, then the two intersonic tau of every q above the
+    window, with rtol 0 and 2*eps respectively, so each mode has the bits
+    of its one-q solve.  Being sorted, the q above the window are a suffix
+    of the grid, and the rows are merged by slices."""
     qs = np.array([float(v) for v in q_grid])
     if qs.size == 0:
         raise DomainError("q grid is empty")
@@ -381,12 +421,39 @@ def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> SweepTable:
         raise DomainError(f"sweep requires a finite b/a > 1 and at most "
                           f"{_MAX_B_OVER_A:g}, got {b_over_a}")
     m, r = bm.mu_ratio, bm.speed_ratio
-    # one group of rows per q: its subsonic mode, then its intersonic modes
-    q_list = qs.tolist()
-    groups = [[(q, Branch.SUBSONIC, x, k)] for q, x, k in
-              zip(q_list, *_subsonic_modes(qs, m, r))]
+    n = qs.size
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        resid_sub, *ends = _subsonic_brackets(qs, m, r)
+    resid, rtol = resid_sub, 0.0
+    # qs is sorted, so the q above the window q_w, with two intersonic modes
+    # each, are a suffix qs[j:]; equal wave speeds have none
+    j = n
     if r > 1.0:
-        index, xs, k_hats = _intersonic_modes(qs, m, r, b_over_a)
-        for i, x, k in zip(index.tolist(), xs.tolist(), k_hats.tolist()):
-            groups[i].append((q_list[i], Branch.INTERSONIC, x, k))
-    return SweepTable(*zip(*(row for group in groups for row in group)))
+        tau_w, q_w = _intersonic_window(m, r, b_over_a)
+        j = int(np.searchsorted(qs, q_w, side="right"))
+    if j < n:
+        q2 = np.repeat(qs[j:], 2)
+        resid_int, *int_ends = _intersonic_brackets(q2, tau_w, m, r, b_over_a)
+        ends = [np.concatenate(pair) for pair in zip(ends, int_ends)]
+        rtol = np.repeat([0.0, _INTERSONIC_RTOL], [n, q2.size])
+
+        def resid(c):
+            return np.concatenate((resid_sub(c[:n]), resid_int(c[n:])))
+    # one root search: the n subsonic t, then the intersonic tau
+    roots = _bracketed_roots(resid, *ends, rtol)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        x, k_hat = _subsonic_finish(roots[:n], m, r)
+    x2, k2 = _intersonic_finish(roots[n:], q2, m, r, b_over_a) if j < n else ([], [])
+
+    def rows(sub, lo, hi):
+        """A column: sub's row for each q, followed above the window by the
+        lower and then the upper intersonic row."""
+        col = sub[:j] + sub[j:] * 3
+        col[j::3], col[j + 1::3], col[j + 2::3] = sub[j:], lo, hi
+        return tuple(col)
+
+    q_list = qs.tolist()
+    branch = ((Branch.SUBSONIC,) * j
+              + (Branch.SUBSONIC, Branch.INTERSONIC, Branch.INTERSONIC) * (n - j))
+    return SweepTable(rows(q_list, q_list[j:], q_list[j:]), branch,
+                      rows(x, x2[0::2], x2[1::2]), rows(k_hat, k2[0::2], k2[1::2]))

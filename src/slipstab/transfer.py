@@ -18,6 +18,8 @@ Three entry points cover the three regimes used by the stability analysis:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BranchPole, DomainError
@@ -139,11 +141,13 @@ def f_intersonic_parts(u, v, mu_ratio: float, speed_ratio: float):
 
     The distances u, v > 0 to the two wave speeds keep F1 and F2 accurate
     as c approaches c1 or c1': s^2 = u*(2 + u), beta'^2 = v*(r + c/c1)/r^2.
+    A float u gives Python floats.
     """
     m, r = mu_ratio, speed_ratio
+    sqrt = math.sqrt if isinstance(u, float) else np.sqrt
     s2 = u * (2.0 + u)
-    s = np.sqrt(s2)
-    beta_fast = np.sqrt(v * (r + 1.0 + u)) / r
+    s = sqrt(s2)
+    beta_fast = sqrt(v * (r + 1.0 + u)) / r
     mb = m * beta_fast
     d = mb * mb + s2
     return 2.0 * m * beta_fast * s2 / d, 2.0 * mb * mb * s / d

@@ -605,6 +605,17 @@ def test_q_beyond_the_solver_range_is_input_error(capsys, argv):
     assert "outside the range" in captured.err
 
 
+def test_small_mu_ratio_range_error_names_it(capsys):
+    """A moderate q whose 2*mu_ratio*q/(1 + mu_ratio) is below the subsonic
+    solve's range: the error names mu_ratio and the condition."""
+    assert main(["kcr", "--q", "0.5", "--b-over-a", "1.2",
+                 "--mu-ratio", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: q = 0.5 with mu_ratio = 1e-300 ")
+    assert "2*mu_ratio*q/(1 + mu_ratio) >= 1e-154" in captured.err
+
+
 def test_sweep_solver_failure_exits_three(capsys, monkeypatch):
     """Only a rejected value is an input error; other solver failures of a
     sweep still exit 3."""

@@ -8,6 +8,7 @@ uses a different parametrization, so agreement is meaningful.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 import warnings
@@ -105,6 +106,22 @@ class TestSubsonic:
         with pytest.raises(DomainError):
             solve_subsonic(-1.0, MILD)
 
+    @pytest.mark.parametrize("mu_ratio,q", [(1e-300, 0.5), (1e-100, 1e-60)])
+    def test_range_error_names_the_condition(self, mu_ratio, q):
+        # q itself is moderate here: it is F(0)*q = 2mq/(1 + m) that falls
+        # below about 1e-154, where the root t = x^2/(1 - x^2) underflows
+        with pytest.raises(DomainError) as info:
+            solve_subsonic(q, BiMaterial.from_ratios(mu_ratio, 1.2))
+        text = str(info.value)
+        assert f"mu_ratio = {mu_ratio!r}" in text
+        assert "2*mu_ratio*q/(1 + mu_ratio) >= 1e-154" in text and "q <= 1e154" in text
+
+    def test_small_mu_ratio_inside_the_range_solves(self):
+        # F(0)*q = 2e-150, inside the range although mu_ratio is 1e-150
+        mode = solve_subsonic(1.0, BiMaterial.from_ratios(1e-150, 1.0))
+        assert mode.c_over_c1 == pytest.approx(2e-150, rel=1e-12)
+        assert mode.k_hat == pytest.approx(1.0, rel=1e-12)
+
     @pytest.mark.parametrize("q", [1e-170, 1e-150, 1e150, 1e160])
     def test_extreme_q_answers_or_refuses_quickly(self, q):
         # 1e-170 used to hang (4q^2 underflowed to 0) and 1e160 to raise
@@ -186,6 +203,13 @@ class TestIntersonic:
         bm = BiMaterial.from_ratios(mu_ratio, speed_ratio)
         assert len(solve_intersonic(q_w * factor, b_over_a, bm)) == 2
         assert solve_intersonic(q_w * (1.0 - 1e-8), b_over_a, bm) == []
+
+    def test_underflowing_window_terms_end_off_the_range(self):
+        # at m = 1e-290 F1 and F2 underflow, and Q is 0/0 on Python floats:
+        # the window takes it as numpy's nan, and its search ends off range
+        bm = BiMaterial.from_ratios(1.014151791893588e-290, 1.0000000000027636)
+        with pytest.raises(SlipStabError, match="off the search range"):
+            solve_intersonic(1e3, 8.062203220539252e+83, bm)
 
     def test_identical_speeds_return_empty(self):
         bm = BiMaterial.from_ratios(1.0, 1.0)
@@ -313,16 +337,33 @@ class TestSweep:
             sweep_q([0.5, 1.0], 1.0, MILD)
 
     def test_rows_equal_single_solves(self):
-        grid = [float(v) for v in np.logspace(-2, 1, 40)]
-        table = sweep_q(grid, 1.2, MILD)
-        expected = []
-        for q in grid:
-            for mo in [solve_subsonic(q, MILD)] + solve_intersonic(q, 1.2, MILD):
-                expected.append((q, mo.branch, mo.c_over_c1, mo.k_hat))
-        assert table_rows(table) == expected
-        # Python floats, whose repr the CSV writer relies on
-        assert {type(v) for col in (table.q, table.c_over_c1, table.k_hat)
-                for v in col} == {float}
+        """Every row is, to the bit, the one-q solvers' mode: a log grid on
+        the mild pair, then 16 seeded pairs (every fourth with r = 1) on
+        grids that straddle their window, with q_w and the floats beside it."""
+        cases = [(MILD, 1.2, [float(v) for v in np.logspace(-2, 1, 40)])]
+        rng = np.random.default_rng(31)
+        for i in range(16):
+            m = float(10.0 ** rng.uniform(-2.0, 2.0))
+            r = 1.0 if i % 4 == 0 else float(rng.uniform(1.001, 32.6))
+            b_over_a = float(1.0 + 10.0 ** rng.uniform(-3.0, 1.0))
+            q_w = (neutral._intersonic_window(m, r, b_over_a)[1] if r > 1.0
+                   else float(10.0 ** rng.uniform(-1.0, 1.0)))
+            grid = (q_w * 10.0 ** rng.uniform(-2.0, 2.0, 12)).tolist()
+            grid += [q_w, math.nextafter(q_w, 0.0), math.nextafter(q_w, math.inf)]
+            cases.append((BiMaterial.from_ratios(m, r), b_over_a, sorted(grid)))
+        for bm, b_over_a, grid in cases:
+            table = sweep_q(grid, b_over_a, bm)
+            expected = []
+            for q in grid:
+                for mo in ([solve_subsonic(q, bm)]
+                           + solve_intersonic(q, b_over_a, bm)):
+                    expected.append((q, mo.branch, mo.c_over_c1.hex(),
+                                     mo.k_hat.hex()))
+            assert [(q, branch, x.hex(), k.hex()) for q, branch, x, k
+                    in table_rows(table)] == expected
+            # Python floats, whose repr the CSV writer relies on
+            assert {type(v) for col in (table.q, table.c_over_c1, table.k_hat)
+                    for v in col} == {float}
 
     def test_identical_media_no_intersonic_rows(self):
         bm = BiMaterial.from_ratios(1.0, 1.0)
@@ -462,7 +503,9 @@ class TestRootFinderForms:
 
     @pytest.mark.parametrize("solve", [
         lambda: solve_subsonic(3.0, MILD),
-        lambda: solve_intersonic(3.0, 1.2, MILD)], ids=["subsonic", "intersonic"])
+        lambda: solve_intersonic(3.0, 1.2, MILD),
+        lambda: sweep_q([0.5, 1.0, 2.0, 3.0], 1.2, MILD)],
+        ids=["subsonic", "intersonic", "sweep"])
     def test_one_evaluation_per_step(self, monkeypatch, solve):
         """Every evaluation of f inside _bracketed_roots is at a point not
         seen before (an evaluation after the loop would repeat an end), and
@@ -490,3 +533,118 @@ class TestRootFinderForms:
         monkeypatch.setattr(neutral, "_MAX_STEPS", n)
         with pytest.raises(SlipStabError, match="did not converge"):
             solve()
+
+    @pytest.mark.parametrize("grid,bm", [
+        ([0.5, 1.0, 2.0, 3.0], MILD), ([0.1, 0.5, 0.9], MILD),
+        ([0.5, 1.0, 2.0], BiMaterial.from_ratios(1.0, 1.0))],
+        ids=["straddling", "below-window", "equal-speeds"])
+    def test_sweep_makes_one_root_search(self, monkeypatch, grid, bm):
+        calls = []
+        bracketed = neutral._bracketed_roots
+
+        def counting(*args):
+            calls.append(args)
+            return bracketed(*args)
+
+        monkeypatch.setattr(neutral, "_bracketed_roots", counting)
+        table = sweep_q(grid, 1.2, bm)
+        assert len(calls) == 1
+        assert np.size(calls[0][1]) == len(grid) + table.branch.count(
+            Branch.INTERSONIC)
+
+    def test_mixed_rtol_matches_each_element_alone(self):
+        """A per-element rtol gives every element the bits of its own solve
+        with that rtol as a scalar, and rtol = 0 gives the float loop's
+        bits.  On every fourth element f = x - 0.5, whose first regula
+        falsi point is the root: f(b) = 0 stops an rtol > 0 element there,
+        while rtol = 0 runs on, to the float above 0.5, as bisection does."""
+        rng = np.random.default_rng(7)
+        n = 60
+        exact_root = np.arange(n) % 4 == 0
+        root = np.where(exact_root, 0.5, rng.uniform(0.01, 0.99, n))
+        power = np.where(exact_root, 1.0, rng.choice([1.0, 3.0, 0.3], n))
+        rtol = np.where(np.arange(n) % 8 < 4, 0.0,
+                        rng.choice([2.0 * np.finfo(float).eps, 1e-9, 1e-3], n))
+        seen = []
+
+        def solve(i, a, b, tol):
+            def f(x):
+                seen.append(np.atleast_1d(x).copy())
+                return np.sign(x - root[i]) * np.abs(x - root[i]) ** power[i]
+            return neutral._bracketed_roots(f, a, f(a), b, f(b), tol)
+
+        together = solve(np.arange(n), np.zeros(n), np.ones(n), rtol)
+        evaluated = np.array(seen)
+        for i in range(n):
+            alone = solve(np.array([i]), np.zeros(1), np.ones(1), float(rtol[i]))
+            assert together[i].hex() == alone[0].hex()
+            if rtol[i] == 0.0:
+                scalar = solve(i, np.float64(0.0), np.float64(1.0), 0.0)
+                assert float(scalar).hex() == alone[0].hex()
+        past_root = (evaluated == math.nextafter(0.5, 1.0)).any(axis=0)
+        assert np.array_equal(past_root[exact_root], rtol[exact_root] == 0.0)
+        assert (exact_root & (rtol > 0.0)).any() and (exact_root & (rtol == 0.0)).any()
+        assert np.all(together[exact_root] == 0.5)
+
+    def test_window_terms_on_floats_are_array_terms(self):
+        """The golden section's Python-float Q is the array Q, to the bit."""
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = float(10.0 ** rng.uniform(-3.0, 3.0))
+            r = float(1.0 + 10.0 ** rng.uniform(-12.0, 2.0))
+            b_over_a = float(1.0 + 10.0 ** rng.uniform(-12.0, 100.0))
+            taus = rng.uniform(-40.0, 40.0, 8)
+            arrays = neutral._intersonic_terms(taus, m, r, b_over_a)
+            for k, tau in enumerate(taus.tolist()):
+                floats = neutral._intersonic_terms(tau, m, r, b_over_a)
+                assert [type(v) for v in floats] == [float] * 5
+                assert [v.hex() for v in floats] == [
+                    float(col[k]).hex() for col in arrays]
+
+
+def _sweep_inputs():
+    """(m, r, b/a, grid) of 200 seeded sweeps: m in [1e-2, 1e2], every fifth
+    pair with r = 1, b/a - 1 in [1e-3, 1e2] (b/a = 1e100 on four), grids of
+    1 to 30 q in [1e-6, 1e60]; every third grid straddles the window with
+    q_w itself, the floats beside it and a repeated q.  Then two grids whose
+    root search does not converge and one whose modes round onto c1 and c1'."""
+    rng = np.random.default_rng(19)
+    for i in range(200):
+        m = float(10.0 ** rng.uniform(-2.0, 2.0))
+        r = 1.0 if i % 5 == 0 else float(1.0 + 10.0 ** rng.uniform(-3.0, 1.5))
+        b_over_a = (1e100 if i % 50 == 7
+                    else float(1.0 + 10.0 ** rng.uniform(-3.0, 2.0)))
+        lo = rng.uniform(-6.0, 3.0)
+        hi = rng.uniform(lo, 60.0 if i % 4 == 0 else 4.0)
+        grid = (10.0 ** rng.uniform(lo, hi, rng.integers(1, 31))).tolist()
+        if i % 3 == 0 and r > 1.0:
+            q_w = neutral._intersonic_window(m, r, b_over_a)[1]
+            grid += [q_w, math.nextafter(q_w, 0.0), math.nextafter(q_w, math.inf),
+                     2.0 * q_w, 2.0 * q_w, 0.5 * q_w]
+        yield m, r, b_over_a, sorted(grid)
+    yield from [(1.0, 1.2, 1e100, [1e50]), (1.0, 1.2, 1e100, [1.0, 1e50]),
+                (1.0, 1.2, 1.2, [1e8])]
+
+
+def _sweep_outcomes():
+    """repr(table), or (exception type, text), of every sweep above."""
+    for m, r, b_over_a, grid in _sweep_inputs():
+        try:
+            table = sweep_q(grid, b_over_a, BiMaterial.from_ratios(m, r))
+        except SlipStabError as exc:
+            yield type(exc).__name__, str(exc)
+        else:
+            yield repr(table)
+
+
+# SHA-256 of the outcomes above, recorded before both branches of a sweep
+# shared one root search: a change that only speeds sweeps up keeps it
+SWEEP_OUTCOMES_SHA256 = (
+    "6e5d24c800c80509d88fb627ded1799f4032f3220a0938fd032ef70091b852f9")
+
+
+def test_sweep_outcomes_pinned():
+    digest = hashlib.sha256()
+    for outcome in _sweep_outcomes():
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == SWEEP_OUTCOMES_SHA256

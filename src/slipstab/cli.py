@@ -17,7 +17,10 @@ b_over_a or the ratios with friction or material fields, are input errors
 (exit 2).  Outputs are bit-identical for identical configs: full-precision
 decimal floats, fixed column order, and a `#` provenance header carrying the
 tool version and the effective config (no timestamps).  Exit codes: 0
-success, 2 input error, 3 solver or verification failure.
+success, 2 input error, 3 solver or verification failure.  `main` alone
+turns an error into a code, by its type: a SlipStabError that is also a
+ValueError (see errors.py) rejects an input and exits 2 with `error: ...`;
+any other SlipStabError exits 3 with `solver error: ...`.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ _OUT = {"out": (str, "output CSV path (- for stdout), or figures directory")}
 # the JSON type of a config value, for each field type and each value type
 _JSON_TYPES = {float: "number", int: "number", bool: "boolean", str: "string",
                EvolutionLaw: "string"}
+_LAWS = [law.value for law in EvolutionLaw]
+
+# the largest sweep grid: 1e5 q take about 0.8 s and 70 MB, so this bound
+# keeps a sweep to seconds and below about 1 GB
+MAX_Q_POINTS = 1_000_000
 
 
 def _merge_config(args: argparse.Namespace, fields: dict) -> dict:
@@ -95,6 +103,9 @@ def _merge_config(args: argparse.Namespace, fields: dict) -> dict:
             if _JSON_TYPES.get(type(val)) != want:
                 raise InputError(
                     f"config: {key} must be a {want}, got {json.dumps(val)}")
+            if fields[key][0] is EvolutionLaw and val not in _LAWS:
+                raise InputError(f"config: {key} must be one of "
+                                 f"{', '.join(_LAWS)}, got {json.dumps(val)}")
             cfg[key] = val
     for key in fields:
         val = getattr(args, key, None)
@@ -107,14 +118,6 @@ def _require(cfg: dict, key: str) -> Any:
     if key not in cfg:
         raise InputError(f"missing required field {key}")
     return cfg[key]
-
-
-def _checked(make: Callable, *args: Any, **kwargs: Any) -> Any:
-    """make(*args, **kwargs), reporting a rejected value as an input error."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise InputError(str(exc))
 
 
 def _build(cls: type, what: str, cfg: dict, keys: Iterable[str],
@@ -131,7 +134,7 @@ def _build(cls: type, what: str, cfg: dict, keys: Iterable[str],
         elif (field.name not in kwargs
               and field.default is dataclasses.MISSING):
             raise InputError(f"missing {what} field {key}")
-    return _checked(cls, **kwargs)
+    return cls(**kwargs)
 
 
 def _friction_from(cfg: dict, required: bool = False) -> RateState | None:
@@ -148,8 +151,8 @@ def _side(cfg: dict, keys: Iterable[str], raw: bool) -> EffectiveMedium:
     """One half-space from raw stiffnesses (c45 defaults to 0) or mu/c1."""
     if not raw:
         return _build(EffectiveMedium, "material", cfg, keys)
-    return _checked(effective_medium,
-                    _build(ShearStiffness, "material", cfg, keys, c45=0.0))
+    return effective_medium(_build(ShearStiffness, "material", cfg, keys,
+                                   c45=0.0))
 
 
 def _dimensional_bimaterial(cfg: dict) -> BiMaterial:
@@ -231,9 +234,9 @@ def _cmd_kcr(cfg: dict) -> int:
         q = cfg["q"]
         if not 0.0 < q < math.inf:
             raise InputError(f"q must be positive and finite, got {q}")
-        bm = _checked(BiMaterial.from_ratios, cfg.get("mu_ratio", 1.0),
-                      cfg.get("speed_ratio", 1.0))
-        verdict = _checked(critical_mode_q, q, _require(cfg, "b_over_a"), bm)
+        bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
+                                    cfg.get("speed_ratio", 1.0))
+        verdict = critical_mode_q(q, _require(cfg, "b_over_a"), bm)
     else:
         bm = _dimensional_bimaterial(cfg)
         verdict = critical_mode(friction, bm)
@@ -256,8 +259,9 @@ def _sweep_grid(cfg: dict) -> list[float]:
             raise InputError(f"{key} must be positive and finite, got {val}")
     if not q_min < q_max:
         raise InputError(f"q_min must be below q_max, got {q_min} >= {q_max}")
-    if int(points) != points or points < 2:
-        raise InputError(f"q_points must be an integer >= 2, got {points}")
+    if not 2 <= points <= MAX_Q_POINTS or int(points) != points:
+        raise InputError(f"q_points must be an integer from 2 to "
+                         f"{MAX_Q_POINTS}, got {points}")
     if cfg.get("log", False):
         grid = np.logspace(math.log10(q_min), math.log10(q_max), int(points))
     else:
@@ -278,9 +282,9 @@ def _cmd_sweep(cfg: dict) -> int:
     b_over_a = _require(cfg, "b_over_a")
     if not b_over_a > 1.0:
         raise InputError(f"b_over_a must exceed 1 for a sweep, got {b_over_a}")
-    bm = _checked(BiMaterial.from_ratios, cfg.get("mu_ratio", 1.0),
-                  cfg.get("speed_ratio", 1.0))
-    table = _checked(sweep_q, grid, b_over_a, bm)
+    bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
+                                cfg.get("speed_ratio", 1.0))
+    table = sweep_q(grid, b_over_a, bm)
     _write_csv(cfg.get("out", "sweep.csv"), _sweep_columns(table),
                _sweep_echo("sweep", cfg, bm, b_over_a))
     return 0
@@ -323,8 +327,7 @@ def _cmd_roots(cfg: dict) -> int:
     friction = _friction_from(cfg, required=True)
     bm = _dimensional_bimaterial(cfg)
     k = _require(cfg, "k")
-    count = _checked(lambda: count_unstable(
-        CharParams(k=k, friction=friction, bimaterial=bm)))
+    count = count_unstable(CharParams(k=k, friction=friction, bimaterial=bm))
     re_lo, re_hi, im_max = count.contour
     _print_kv(n_unstable=count.n_unstable, contour_re_lo=re_lo,
               contour_re_hi=re_hi, contour_im_max=im_max, samples=count.samples)
@@ -333,9 +336,9 @@ def _cmd_roots(cfg: dict) -> int:
 
 def _cmd_simulate(cfg: dict) -> int:
     friction = _friction_from(cfg, required=True)
-    sb = _checked(SpringBlockParams, stiffness=_require(cfg, "stiffness"),
-                  mass=cfg.get("mass", 0.0), friction=friction)
-    law = _checked(EvolutionLaw, cfg.get("law", "ageing"))
+    sb = SpringBlockParams(stiffness=_require(cfg, "stiffness"),
+                           mass=cfg.get("mass", 0.0), friction=friction)
+    law = EvolutionLaw(cfg.get("law", "ageing"))
     perturb = cfg.get("perturb", 0.0)
     init = None
     if perturb != 0.0:
@@ -345,7 +348,7 @@ def _cmd_simulate(cfg: dict) -> int:
         theta0 = friction.L / friction.v_o
         init = BlockState(v=v0, theta=theta0,
                           tau=friction_stress(friction, friction.v_o, theta0))
-    traj = _checked(simulate_spring_block, sb, law, init=init, **{
+    traj = simulate_spring_block(sb, law, init=init, **{
         k: cfg[k] for k in ("duration", "tol") if k in cfg})
     echo = {"mode": "simulate", "perturb": perturb,
             "duration": traj.t[-1] - traj.t[0],
@@ -413,8 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 sub.add_argument(flag, action="store_const", const=True,
                                  help=text)
             elif kind is EvolutionLaw:
-                sub.add_argument(flag, choices=[law.value for law in kind],
-                                 help=text)
+                sub.add_argument(flag, choices=_LAWS, help=text)
             else:
                 sub.add_argument(flag, type=kind, help=text)
     return parser
@@ -425,12 +427,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler, _, fields = _COMMANDS[args.mode]
     try:
         return handler(_merge_config(args, fields))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SlipStabError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        rejected = isinstance(exc, ValueError)   # the input's fault
+        print(f"{'error' if rejected else 'solver error'}: {exc}",
+              file=sys.stderr)
+        return 2 if rejected else 3
     except BrokenPipeError:
         # the reader stopped consuming (e.g. | head); not our failure
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -110,11 +110,15 @@ def _residual(p_hat, kappa: float, nu: float, w: float, m: float, r: float):
 
 
 def _hat_params(cp: CharParams) -> tuple[float, float, float, float, float]:
-    """(kappa, nu, W, mu_ratio, speed_ratio) of the nondimensional equation."""
+    """(kappa, nu, W, mu_ratio, speed_ratio) of the nondimensional equation.
+    Raises DomainError for a k so small that L*|k|*c1 underflows to 0."""
     fr = cp.friction
     bm = cp.bimaterial
     kappa = bm.slow.mu * abs(cp.k) * fr.L / (2.0 * fr.a * fr.sigma_o)
-    nu = fr.v_o / (fr.L * abs(cp.k) * bm.slow.c1)
+    l_k_c1 = fr.L * abs(cp.k) * bm.slow.c1
+    if l_k_c1 == 0.0:
+        raise DomainError(f"k = {cp.k!r} is too small: L*|k|*c1 underflows to 0")
+    nu = fr.v_o / l_k_c1
     w = (fr.b - fr.a) / fr.a
     return kappa, nu, w, bm.mu_ratio, bm.speed_ratio
 
@@ -126,7 +130,8 @@ def characteristic_residual(cp: CharParams, p: complex) -> complex:
     the closed right half-plane of f_laplace (see closed_half_plane).
     Conjugate symmetric: residual(conj(p)) = conj(residual(p)).  The natural
     magnitude scale near a neutral mode is sigma_o*a*|k*c|^2/v_o.  A k at
-    which the residual overflows or is undefined (nan) raises DomainError.
+    which the residual overflows or is undefined (nan), or at which
+    L*|k|*c1 underflows to 0, raises DomainError.
     """
     fr = cp.friction
     lam = fr.v_o / fr.L
@@ -192,10 +197,11 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
     confirm round, which splits every segment, interleaves the midpoints
     and the halves' increments with the old arrays.  Returns (count,
     samples used).  Raises _NearContourZero if the phase change is not
-    within 1e-6 of a multiple of pi or the path would need more than 2**20
-    segments (the density of 2**21 samples on the whole boundary), either of
-    which means a root (or something indistinguishable from one) touches
-    the path.
+    within 1e-6 of a multiple of pi, the path would need more than 2**20
+    segments (the density of 2**21 samples on the whole boundary), or a
+    segment to be split is too short to halve (its midpoint rounds onto an
+    end), any of which means a root (or something indistinguishable from
+    one) touches the path.
     """
     width = re_hi - re_lo
     height = 2.0 * im_max
@@ -241,7 +247,10 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
         confirmed = None
         if incs.size + split.size > 2 ** 20:
             raise _NearContourZero
-        mid_us = us[split] + 0.5 * (us[split + 1] - us[split])
+        lo_us, hi_us = us[split], us[split + 1]
+        mid_us = lo_us + 0.5 * (hi_us - lo_us)
+        if ((mid_us == lo_us) | (mid_us == hi_us)).any():
+            raise _NearContourZero   # a segment too short to halve
         mid_vals = residual_at(path(mid_us))
         # each midpoint, and the increment of its segment's second half,
         # lands right after its segment's start, which moves up by the
@@ -269,8 +278,8 @@ def count_unstable(cp: CharParams) -> RootCount:
     contour sample whose residual is smaller than 1e-12 of its term-magnitude
     scale means a root sits on the path: the contour is then dilated by 1%
     and the count retried, up to five times, before ContourThroughZero
-    escapes.  A k at which the residual overflows on the contour raises
-    DomainError.
+    escapes.  A k at which the residual overflows on the contour, or at
+    which L*|k|*c1 underflows to 0, raises DomainError.
     """
     kappa, nu, w, m, r = _hat_params(cp)
     fr = cp.friction

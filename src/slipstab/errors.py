@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The second base of each type says whose fault the error is.  A ValueError
+(InputError, DomainError, NotPositiveDefinite, NonpositiveVelocity,
+VelocityStrengthening) rejects an input; the CLI reports it with exit 2.
+Any other SlipStabError is a failure of the solver, exit 3.
+"""
 
 
 class SlipStabError(Exception):

@@ -36,7 +36,7 @@ class ShearStiffness:
             )
         if self.c44 * self.c55 - self.c45 * self.c45 <= 0.0:
             raise NotPositiveDefinite(
-                f"c44*c55 - c45^2 = {self.c44 * self.c55 - self.c45 ** 2} is not positive"
+                f"c44*c55 - c45^2 = {self.c44 * self.c55 - self.c45 * self.c45} is not positive"
             )
         if not self.rho > 0.0:
             raise NotPositiveDefinite(f"density must be positive, got rho={self.rho}")

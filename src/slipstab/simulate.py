@@ -35,6 +35,7 @@ CAP_GROWTH = 10.0      # estimator runs stop at ln(V/v_o) = 10*|ln(1 + perturbat
 ESTIMATE_TOL = 1e-8    # integrator tolerance of the estimator runs
 ESTIMATE_MAX_STEPS = 40   # regula falsi steps before the estimator gives up
 MAX_EVALUATIONS = 1_000_000   # right-side evaluations allowed per integration
+MAX_SAMPLES = 1_000_000   # output samples allowed per run; a default run takes ~1,440
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,9 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         Initial condition; defaults to steady sliding (v_o, L/v_o, tau_o + ...).
         Without inertia the tau field is ignored (force balance fixes it).
     duration : float, optional
-        Integration time in seconds; defaults to 200*L/v_o.
+        Integration time in seconds; defaults to 200*L/v_o.  A duration
+        whose output grid would hold more than MAX_SAMPLES samples, or
+        whose output spacing underflows to 0, raises DomainError.
     tol : float
         Relative tolerance of the adaptive embedded Runge-Kutta integrator
         (DOP853: eighth order, fifth-order error estimate).  Absolute
@@ -182,6 +185,13 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     w_lin = (p.b - p.a) / p.a
     omega_ref = math.sqrt(abs(w_lin)) * lam if w_lin != 0.0 else lam
     dt_out = min(duration / 400.0, 2.0 * math.pi / omega_ref / 64.0)
+    if not dt_out > 0.0:
+        raise DomainError(f"duration = {duration!r} s gives an output spacing "
+                          f"that underflows to 0")
+    if not duration / dt_out <= MAX_SAMPLES:
+        raise DomainError(f"duration = {duration!r} s at an output spacing of "
+                          f"{dt_out!r} s needs more than MAX_SAMPLES = "
+                          f"{MAX_SAMPLES} samples")
     t_eval = np.arange(0.0, duration, dt_out)
     if t_eval[-1] < duration:
         t_eval = np.append(t_eval, duration)

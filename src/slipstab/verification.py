@@ -1,8 +1,9 @@
 """Certification suite: every release gate as a callable check.
 
-Each check returns a VerifyResult and enforces its own tolerance and, where
-stated, its wall-clock budget, so `slipstab verify` and the acceptance tests
-share one implementation and cannot drift apart.  Checks build dimensional
+Each check enforces its own tolerance and returns (ok, detail); the `_gate`
+around it times it, enforces its wall-clock budget where it has one, and
+returns a VerifyResult.  So `slipstab verify` and the acceptance tests share
+one implementation and cannot drift apart.  Checks build dimensional
 parameter sets from the nondimensional loading q so the same code paths the
 sweeps use are exercised end to end.
 """
@@ -10,6 +11,7 @@ sweeps use are exercised end to end.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import tempfile
 import time
@@ -50,6 +52,23 @@ class VerifyResult:
         return f"{tag} {self.name}: {self.detail} [{self.elapsed:.2f}s]"
 
 
+def _gate(name: str, budget: float = math.inf):
+    """Make a check that returns (ok, detail) into a gate that returns a
+    VerifyResult: the gate times the check and fails it, saying so, when the
+    time reaches budget seconds."""
+    def wrap(check):
+        @functools.wraps(check)
+        def gate() -> VerifyResult:
+            t0 = time.perf_counter()
+            ok, detail = check()
+            elapsed = time.perf_counter() - t0
+            if elapsed >= budget:
+                ok, detail = False, f"{detail}; over its {budget:g} s budget"
+            return VerifyResult(name, ok, detail, elapsed)
+        return gate
+    return wrap
+
+
 def _dimensional_pair(q: float, b_over_a: float, speed_ratio: float,
                       mu_ratio: float, *, a: float = 0.01,
                       sigma_o: float = 1e6, L: float = 1e-4,
@@ -63,9 +82,9 @@ def _dimensional_pair(q: float, b_over_a: float, speed_ratio: float,
     return friction, bm
 
 
-def check_identical_reduction() -> VerifyResult:
+@_gate("identical-isotropic reduction", budget=1.0)
+def check_identical_reduction() -> tuple[bool, str]:
     """Identical isotropic media reduce to the closed dynamic solution."""
-    t0 = time.perf_counter()
     worst = 0.0
     for q in np.logspace(-3.0, 3.0, 50):
         fr, bm = _dimensional_pair(float(q), 1.2, 1.0, 1.0)
@@ -74,20 +93,16 @@ def check_identical_reduction() -> VerifyResult:
         worst = max(worst,
                     abs(mode.c_over_c1 * bm.slow.c1 - c_ref) / c_ref,
                     abs(mode.k_mag - k_ref) / k_ref)
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and elapsed < 1.0
-    return VerifyResult("identical-isotropic reduction", ok,
-                        f"worst rel err {worst:.2e} (tol 1e-10) over 50 q",
-                        elapsed)
+    return worst <= 1e-10, f"worst rel err {worst:.2e} (tol 1e-10) over 50 q"
 
 
-def check_subsonic_identity() -> VerifyResult:
+@_gate("subsonic identity", budget=1.0)
+def check_subsonic_identity() -> tuple[bool, str]:
     """k_hat = F(0)/F(c) and |k|c = sqrt((b-a)/a)*v_o/L on every sweep row.
 
     F(c) is taken from the Laplace form at p = i*|k|*c, which shares no code
     with the subsonic solver's kernel.
     """
-    t0 = time.perf_counter()
     lo, hi, n = FIGURE_Q_GRID
     grid = np.logspace(math.log10(lo), math.log10(hi), n)
     worst_k = worst_w = 0.0
@@ -102,17 +117,14 @@ def check_subsonic_identity() -> VerifyResult:
             w_ref = spring_block_critical(fr)[1]
             w_num = mode.k_mag * mode.c_over_c1 * bm.slow.c1
             worst_w = max(worst_w, abs(w_num - w_ref) / w_ref)
-    elapsed = time.perf_counter() - t0
-    ok = worst_k <= 1e-12 and worst_w <= 1e-12 and elapsed < 1.0
-    return VerifyResult("subsonic identity", ok,
-                        f"worst k_hat err {worst_k:.2e}, worst |k|c err "
-                        f"{worst_w:.2e} (tol 1e-12) over 4x{n} rows",
-                        elapsed)
+    return (worst_k <= 1e-12 and worst_w <= 1e-12,
+            f"worst k_hat err {worst_k:.2e}, worst |k|c err {worst_w:.2e} "
+            f"(tol 1e-12) over 4x{n} rows")
 
 
-def check_quasistatic_limits() -> VerifyResult:
+@_gate("quasi-static limits")
+def check_quasistatic_limits() -> tuple[bool, str]:
     """q -> 0 recovers the quasi-static critical wavenumbers."""
-    t0 = time.perf_counter()
     worst_pair = 0.0
     for speed_ratio, mu_ratio in FIGURE_PRESETS:
         fr, bm = _dimensional_pair(1e-6, FIGURE_B_OVER_A, speed_ratio, mu_ratio)
@@ -136,19 +148,15 @@ def check_quasistatic_limits() -> VerifyResult:
     err_closed = abs(k_closed - k_named) / k_named
     mode = critical_mode(fr, bm).mode
     err_solver = abs(mode.k_mag - k_named) / k_named
-
-    elapsed = time.perf_counter() - t0
-    ok = worst_pair <= 1e-4 and err_solver <= 1e-4 and err_closed <= 1e-10
-    return VerifyResult("quasi-static limits", ok,
-                        f"dissimilar worst {worst_pair:.2e} (tol 1e-4), "
-                        f"orthotropic solver {err_solver:.2e} (tol 1e-4), "
-                        f"reduction {err_closed:.2e} (tol 1e-10)",
-                        elapsed)
+    return (worst_pair <= 1e-4 and err_solver <= 1e-4 and err_closed <= 1e-10,
+            f"dissimilar worst {worst_pair:.2e} (tol 1e-4), orthotropic "
+            f"solver {err_solver:.2e} (tol 1e-4), reduction {err_closed:.2e} "
+            f"(tol 1e-10)")
 
 
-def check_crossing_certification() -> VerifyResult:
+@_gate("crossing certification", budget=30.0)
+def check_crossing_certification() -> tuple[bool, str]:
     """Root counts flip 0 -> 2 across the predicted critical wavenumber."""
-    t0 = time.perf_counter()
     bad: list[str] = []
     for speed_ratio, mu_ratio in FIGURE_PRESETS:
         for q in (0.1, 1.0, 10.0):
@@ -157,16 +165,13 @@ def check_crossing_certification() -> VerifyResult:
             above, below = _crossing_counts(fr, bm)
             if (above, below) != (0, 2):
                 bad.append(f"({speed_ratio},{mu_ratio},q={q}):{above}/{below}")
-    elapsed = time.perf_counter() - t0
-    ok = not bad and elapsed < 30.0
-    detail = ("all 12 cases count 0 above and 2 below" if not bad
-              else "bad counts " + ", ".join(bad))
-    return VerifyResult("crossing certification", ok, detail, elapsed)
+    return not bad, ("all 12 cases count 0 above and 2 below" if not bad
+                     else "bad counts " + ", ".join(bad))
 
 
-def check_intersonic_structure() -> VerifyResult:
+@_gate("intersonic structure")
+def check_intersonic_structure() -> tuple[bool, str]:
     """Preset (1.2, 1): a q-window carries exactly two intersonic modes."""
-    t0 = time.perf_counter()
     speed_ratio, mu_ratio = 1.2, 1.0
     problems: list[str] = []
     # (q, intersonic modes expected): below the window, then inside it
@@ -185,16 +190,14 @@ def check_intersonic_structure() -> VerifyResult:
                 problems.append(f"q={q}: c/c1={mo.c_over_c1} outside window")
             if not mo.k_hat < sub.k_hat:
                 problems.append(f"q={q}: intersonic k_hat not below subsonic")
-    elapsed = time.perf_counter() - t0
-    detail = ("0 modes at q in {0.01,0.1,0.5}, 2 at q in {1,2,10}, "
-              "critical mode subsonic throughout" if not problems
-              else "; ".join(problems))
-    return VerifyResult("intersonic structure", not problems, detail, elapsed)
+    return not problems, ("0 modes at q in {0.01,0.1,0.5}, 2 at q in "
+                          "{1,2,10}, critical mode subsonic throughout"
+                          if not problems else "; ".join(problems))
 
 
-def check_velocity_strengthening() -> VerifyResult:
+@_gate("velocity strengthening")
+def check_velocity_strengthening() -> tuple[bool, str]:
     """b < a: stable at every wavenumber, verdict AlwaysStable."""
-    t0 = time.perf_counter()
     fr = RateState(a=0.01, b=0.008, L=1e-4, sigma_o=1e6, v_o=1e-3)
     bm = make_bimaterial(EffectiveMedium(mu=30e9, c1=3000.0),
                          EffectiveMedium(mu=30e9, c1=3600.0))
@@ -204,17 +207,14 @@ def check_velocity_strengthening() -> VerifyResult:
                                         bimaterial=bm)).n_unstable
               for f in np.logspace(-2.0, 2.0, 10)]
     mode = critical_mode(fr, bm).mode
-    elapsed = time.perf_counter() - t0
-    ok = all(c == 0 for c in counts) and mode is None
-    return VerifyResult("velocity strengthening", ok,
-                        f"counts {counts}, verdict "
-                        f"{'always-stable' if mode is None else 'critical-mode'}",
-                        elapsed)
+    return (all(c == 0 for c in counts) and mode is None,
+            f"counts {counts}, verdict "
+            f"{'always-stable' if mode is None else 'critical-mode'}")
 
 
-def check_ode_oracle() -> VerifyResult:
+@_gate("ODE oracle", budget=5.0)
+def check_ode_oracle() -> tuple[bool, str]:
     """Nonlinear spring-block runs reproduce the closed-form threshold."""
-    t0 = time.perf_counter()
     fr = RateState(a=0.01, b=0.015, L=1e-5, sigma_o=1e6, v_o=1e-3)
     omega_ref = spring_block_critical(fr)[1]
     inertial_mass = 0.5 * fr.a * fr.sigma_o * fr.L / fr.v_o ** 2
@@ -234,16 +234,13 @@ def check_ode_oracle() -> VerifyResult:
     for mass, pair in estimates.items():
         if abs(pair[0] - pair[1]) / pair[0] > 0.01:
             problems.append(f"laws disagree at m={mass:g}")
-    elapsed = time.perf_counter() - t0
-    ok = not problems and elapsed < 5.0
-    detail = ("K and omega within 2% for both laws, both masses"
-              if not problems else "; ".join(problems))
-    return VerifyResult("ODE oracle", ok, detail, elapsed)
+    return not problems, ("K and omega within 2% for both laws, both masses"
+                          if not problems else "; ".join(problems))
 
 
-def check_branch_consistency() -> VerifyResult:
+@_gate("branch consistency")
+def check_branch_consistency() -> tuple[bool, str]:
     """Intersonic transfer values equal the on-axis Laplace limit."""
-    t0 = time.perf_counter()
     worst = 0.0
     for speed_ratio, mu_ratio in FIGURE_PRESETS:
         bm = BiMaterial.from_ratios(mu_ratio, speed_ratio)
@@ -252,17 +249,13 @@ def check_branch_consistency() -> VerifyResult:
             closed = f_intersonic(float(x), bm)
             limit = f_laplace(1.0, 1j * float(x) * bm.slow.c1, bm)
             worst = max(worst, abs(closed - limit) / abs(limit))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10
-    return VerifyResult("branch consistency", ok,
-                        f"worst rel gap {worst:.2e} (tol 1e-10) at 100 "
-                        f"points per preset",
-                        elapsed)
+    return worst <= 1e-10, (f"worst rel gap {worst:.2e} (tol 1e-10) at 100 "
+                            f"points per preset")
 
 
-def check_figures() -> VerifyResult:
+@_gate("figures regeneration")
+def check_figures() -> tuple[bool, str]:
     """The figures writer emits 8 CSVs with the published trends."""
-    t0 = time.perf_counter()
     from .cli import write_figures  # late import: cli pulls this module in
     problems: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -293,11 +286,9 @@ def check_figures() -> VerifyResult:
                     problems.append(f"{path.name}: c/c1 not increasing")
                 if vals[-1] >= 1.0:
                     problems.append(f"{path.name}: c/c1 reached c1")
-    elapsed = time.perf_counter() - t0
-    detail = ("8 files, subsonic k_hat nondecreasing and >= 1, c/c1 "
-              "increasing toward a limit below 1" if not problems
-              else "; ".join(problems))
-    return VerifyResult("figures regeneration", not problems, detail, elapsed)
+    return not problems, ("8 files, subsonic k_hat nondecreasing and >= 1, "
+                          "c/c1 increasing toward a limit below 1"
+                          if not problems else "; ".join(problems))
 
 
 ALL_CHECKS = (

@@ -1,7 +1,9 @@
 """Acceptance gate: every release criterion, one test and one PASS/FAIL line
 each.  The checks live in slipstab.verification so `slipstab verify` and this
-module can never disagree; each check enforces its own tolerance and, where
-stated, its wall-clock budget.  Run with -s to see the lines as they print.
+module can never disagree; each check enforces its own tolerance, and the
+one harness that times every check (`verification._gate`) enforces its
+wall-clock budget where it has one.  Run with -s to see the lines as they
+print.
 """
 
 from __future__ import annotations

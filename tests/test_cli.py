@@ -19,7 +19,7 @@ import slipstab
 from slipstab import (EffectiveMedium, RateState, SlipStabError, __version__,
                       critical_mode, make_bimaterial, simulate)
 from slipstab.cli import _build_parser, main
-from slipstab.verification import VerifyResult
+from slipstab.verification import VerifyResult, _gate
 
 
 def friction_flags(q=1.0, b_over_a=1.2, a=0.01, sigma_o=1e6, L=1e-4,
@@ -305,6 +305,15 @@ class TestRoots:
         assert err.startswith("error:") and "k" in err
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("k", ["1e50", "1e100"])
+    def test_segment_too_short_to_halve_exits_three(self, capsys, k):
+        """A contour segment whose midpoint rounds onto an end ends the
+        attempt at once; it used to be split for minutes."""
+        assert main(["roots", f"--k={k}"] + self.README[3:]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: a characteristic root stayed on the counting "
+            "contour through 5 dilations\n")
+
     def test_requires_friction(self, capsys):
         assert main(["roots", "--k", "1.0", "--mu", "30e9",
                      "--c1", "3000"]) == 2
@@ -469,6 +478,13 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_all", lambda: fake)
         assert main(["verify"]) == 0
 
+    def test_gate_over_its_budget_fails_and_says_so(self):
+        result = _gate("x", budget=0.0)(lambda: (True, "fine"))()
+        assert not result.ok
+        assert result.line().startswith("FAIL x: fine; over its 0 s budget [")
+        assert _gate("x")(lambda: (True, "fine"))().line().startswith(
+            "PASS x: fine [")
+
 
 FRICTION_CFG = {"a": 0.01, "b": 0.012, "L": 1e-4, "sigma_o": 1e6,
                 "v_o": 8.94e-4}
@@ -496,6 +512,18 @@ def test_mistyped_config_value_is_input_error(tmp_path, capsys, command,
     assert err.startswith(f"error: config: {field} must be a ")
 
 
+def test_unknown_config_law_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"law": "bogus"}))
+    argv = (["simulate", "--config", str(path), "--stiffness", "1e9",
+             "--out", "-"] + TestSimulate.FRICTION)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        'error: config: law must be one of ageing, slip, got "bogus"\n')
+
+
 @pytest.mark.parametrize("argv,message", [
     (["kcr", "--q", "1", "--b-over-a", "1.2", "--mu-ratio", "-1"],
      "mu_ratio must be positive, got -1.0"),
@@ -507,6 +535,24 @@ def test_mistyped_config_value_is_input_error(tmp_path, capsys, command,
      + TestSimulate.FRICTION, "duration must be positive, got 0.0"),
     (["simulate", "--stiffness", "1e9", "--tol", "0", "--out", "-"]
      + TestSimulate.FRICTION, "tol must be positive, got 0.0"),
+    (["simulate", "--stiffness", "1e9", "--duration", "5e-324", "--out", "-"]
+     + TestSimulate.FRICTION,
+     "duration = 5e-324 s gives an output spacing that underflows to 0"),
+    (["simulate", "--stiffness", "1e9", "--duration", "1e9", "--out", "-"]
+     + TestSimulate.FRICTION,
+     "duration = 1000000000.0 s at an output spacing of 0.0013884009181744897 "
+     "s needs more than MAX_SAMPLES = 1000000 samples"),
+    (["simulate", "--stiffness", "1e9", "--duration", "1e300", "--out", "-"]
+     + TestSimulate.FRICTION,
+     "duration = 1e+300 s at an output spacing of 0.0013884009181744897 s "
+     "needs more than MAX_SAMPLES = 1000000 samples"),
+    (["sweep", "--q-min", "0.01", "--q-max", "10", "--q-points", "10000000000",
+      "--b-over-a", "1.2", "--out", "-"],
+     "q_points must be an integer from 2 to 1000000, got 10000000000"),
+    (["roots", "--k=5e-324"] + TestRoots.README[3:],
+     "k = 5e-324 is too small: L*|k|*c1 underflows to 0"),
+    (["medium", "--c44", "30e9", "--c55", "30e9", "--c45", "1e300",
+      "--rho", "3000"], "c44*c55 - c45^2 = -inf is not positive"),
 ])
 def test_out_of_range_value_is_input_error(capsys, argv, message):
     assert main(argv) == 2
@@ -592,6 +638,8 @@ def test_sweep_b_over_a_above_the_bound_is_input_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["kcr", "--q", "1e200", "--b-over-a", "1.2"],
     _with(TestSweep.BASE, "--q-max", "1e300") + ["--log", "--out", "-"],
+    ["kcr", "--a", "0.01", "--b", "0.012", "--L", "1e-4", "--sigma-o", "1e-50",
+     "--v-o", "1e10", "--mu", "1e200", "--c1", "1"],
 ])
 def test_q_beyond_the_solver_range_is_input_error(capsys, argv):
     """kcr and sweep report a q the subsonic solve cannot resolve alike:

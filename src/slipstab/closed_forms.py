@@ -57,8 +57,9 @@ def spring_block_critical(p: RateState, mass: float = 0.0):
     _check_mass(mass)
     if not p.weakening:
         return None
-    k_cr = (p.sigma_o * (p.b - p.a) / p.L
-            * (1.0 + mass * p.v_o ** 2 / (p.a * p.sigma_o * p.L)))
+    k_cr = p.sigma_o * (p.b - p.a) / p.L
+    if mass > 0.0:
+        k_cr *= 1.0 + mass * p.v_o ** 2 / (p.a * p.sigma_o * p.L)
     omega = math.sqrt((p.b - p.a) / p.a) * (p.v_o / p.L)
     return k_cr, omega
 

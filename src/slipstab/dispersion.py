@@ -111,16 +111,29 @@ def _residual(p_hat, kappa: float, nu: float, w: float, m: float, r: float):
 
 def _hat_params(cp: CharParams) -> tuple[float, float, float, float, float]:
     """(kappa, nu, W, mu_ratio, speed_ratio) of the nondimensional equation.
-    Raises DomainError for a k so small that L*|k|*c1 underflows to 0."""
+    Raises DomainError for a k so small that L*|k|*c1 underflows to 0, and
+    for an a*sigma_o so small that 2*a*sigma_o does."""
     fr = cp.friction
     bm = cp.bimaterial
-    kappa = bm.slow.mu * abs(cp.k) * fr.L / (2.0 * fr.a * fr.sigma_o)
+    two_a_sigma = 2.0 * fr.a * fr.sigma_o
+    if two_a_sigma == 0.0:
+        raise DomainError(f"2*a*sigma_o underflows to 0 (a = {fr.a!r}, "
+                          f"sigma_o = {fr.sigma_o!r})")
+    kappa = bm.slow.mu * abs(cp.k) * fr.L / two_a_sigma
     l_k_c1 = fr.L * abs(cp.k) * bm.slow.c1
     if l_k_c1 == 0.0:
         raise DomainError(f"k = {cp.k!r} is too small: L*|k|*c1 underflows to 0")
     nu = fr.v_o / l_k_c1
     w = (fr.b - fr.a) / fr.a
     return kappa, nu, w, bm.mu_ratio, bm.speed_ratio
+
+
+def _rate(fr: RateState) -> float:
+    """v_o/L; DomainError if it underflows to 0."""
+    lam = fr.v_o / fr.L
+    if lam == 0.0:
+        raise DomainError(f"v_o/L underflows to 0 (v_o = {fr.v_o!r}, L = {fr.L!r})")
+    return lam
 
 
 def characteristic_residual(cp: CharParams, p: complex) -> complex:
@@ -131,10 +144,11 @@ def characteristic_residual(cp: CharParams, p: complex) -> complex:
     Conjugate symmetric: residual(conj(p)) = conj(residual(p)).  The natural
     magnitude scale near a neutral mode is sigma_o*a*|k*c|^2/v_o.  A k at
     which the residual overflows or is undefined (nan), or at which
-    L*|k|*c1 underflows to 0, raises DomainError.
+    L*|k|*c1 underflows to 0, raises DomainError, as does a v_o/L that
+    underflows to 0.
     """
     fr = cp.friction
-    lam = fr.v_o / fr.L
+    lam = _rate(fr)
     # an overflow shows as a non-finite residual, reported below
     with np.errstate(all="ignore"):
         resid, _ = _residual(closed_half_plane(p) / lam, *_hat_params(cp))
@@ -174,18 +188,17 @@ def _phase_steps(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.arctan2(ratio.imag, ratio.real)
 
 
-def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
-                          residual_at) -> tuple[int, int]:
-    """Winding number of the residual around the rectangle
+def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float, k: float,
+                          params: tuple) -> tuple[int, int]:
+    """Winding number of the residual at wavenumber k around the rectangle
     [re_lo, re_hi] x [-im_max, im_max], taken from the upper half of it.
 
-    residual_at maps an array of points to the residual there.  The residual
-    is conjugate symmetric and real on the real axis, so the lower half of
-    the boundary, traversed counterclockwise, mirrors the upper half
-    traversed backwards and adds the same phase change.  The winding number
-    is therefore the phase change along the open path up the right edge
-    from (re_hi, 0), leftward along the top and down the left edge to
-    (re_lo, 0), divided by pi.
+    params are _hat_params's.  The residual is conjugate symmetric and real
+    on the real axis, so the lower half of the boundary, traversed
+    counterclockwise, mirrors the upper half traversed backwards and adds
+    the same phase change.  The winding number is therefore the phase
+    change along the open path up the right edge from (re_hi, 0), leftward
+    along the top and down the left edge to (re_lo, 0), divided by pi.
 
     The path starts as 2049 uniform samples, 1/1024 of an edge apart, and
     every segment whose phase increment reaches pi/2 is bisected, so a root
@@ -196,19 +209,20 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
     known places and recomputes only the split segments' increments; the
     confirm round, which splits every segment, interleaves the midpoints
     and the halves' increments with the old arrays.  Returns (count,
-    samples used).  Raises _NearContourZero if the phase change is not
-    within 1e-6 of a multiple of pi, the path would need more than 2**20
-    segments (the density of 2**21 samples on the whole boundary), or a
-    segment to be split is too short to halve (its midpoint rounds onto an
-    end), any of which means a root (or something indistinguishable from
-    one) touches the path.
+    samples used).  Raises DomainError if a sample's residual is not
+    finite, and _NearContourZero if one is below 1e-12 of its term scale,
+    the phase change is not within 1e-6 of a multiple of pi, the path would
+    need more than 2**20 segments (the density of 2**21 samples on the
+    whole boundary), or a segment to be split is too short to halve (its
+    midpoint rounds onto an end), any of which means a root (or something
+    indistinguishable from one) touches the path.
     """
     width = re_hi - re_lo
     height = 2.0 * im_max
 
-    def path(us: np.ndarray) -> np.ndarray:
-        # us ascending: [0, 0.5) right edge, [0.5, 1.5) top, [1.5, 2] left;
-        # an edge with no points costs nothing
+    def sample(us: np.ndarray) -> np.ndarray:
+        # the residual on the path at us ascending: [0, 0.5) right edge,
+        # [0.5, 1.5) top, [1.5, 2] left; an edge with no points costs nothing
         pts = np.empty(us.shape, dtype=complex)
         i, j = np.searchsorted(us, (0.5, 1.5))
         if i:
@@ -217,10 +231,16 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
             pts[i:j] = (re_hi - width * (us[i:j] - 0.5)) + 1j * im_max
         if j < us.size:
             pts[j:] = re_lo + 1j * (im_max - height * (us[j:] - 1.5))
-        return pts
+        resid, scale = _residual(pts, *params)
+        if not (np.isfinite(resid).all() and np.isfinite(scale).all()):
+            raise DomainError("characteristic residual is not finite on the "
+                              f"counting contour at k = {k!r}")
+        if (np.abs(resid) < 1e-12 * scale).any():
+            raise _NearContourZero
+        return resid
 
     us = _PATH_START
-    vals = residual_at(path(us))
+    vals = sample(us)
     incs = _phase_steps(vals[1:], vals[:-1])
     confirmed = None
     while True:
@@ -238,7 +258,7 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
             if 2 * incs.size > 2 ** 20:
                 raise _NearContourZero
             mid_us = us[:-1] + 0.5 * (us[1:] - us[:-1])
-            mid_vals = residual_at(path(mid_us))
+            mid_vals = sample(mid_us)
             incs = _interleaved(_phase_steps(mid_vals, vals[:-1]),
                                 _phase_steps(vals[1:], mid_vals))
             us = _interleaved(us, mid_us)
@@ -251,7 +271,7 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float,
         mid_us = lo_us + 0.5 * (hi_us - lo_us)
         if ((mid_us == lo_us) | (mid_us == hi_us)).any():
             raise _NearContourZero   # a segment too short to halve
-        mid_vals = residual_at(path(mid_us))
+        mid_vals = sample(mid_us)
         # each midpoint, and the increment of its segment's second half,
         # lands right after its segment's start, which moves up by the
         # number of segments split before it
@@ -279,23 +299,12 @@ def count_unstable(cp: CharParams) -> RootCount:
     scale means a root sits on the path: the contour is then dilated by 1%
     and the count retried, up to five times, before ContourThroughZero
     escapes.  A k at which the residual overflows on the contour, or at
-    which L*|k|*c1 underflows to 0, raises DomainError.
+    which L*|k|*c1 underflows to 0, raises DomainError, as do a v_o/L that
+    underflows to 0 and a contour whose dimensional Re p would overflow.
     """
-    kappa, nu, w, m, r = _hat_params(cp)
-    fr = cp.friction
-    lam = fr.v_o / fr.L
+    params = _hat_params(cp)
+    lam = _rate(cp.friction)
     wave_hat = abs(cp.k) * cp.bimaterial.fast.c1 / lam
-
-    def residual_at(p_hat: np.ndarray) -> np.ndarray:
-        resid, scale = _residual(p_hat, kappa, nu, w, m, r)
-        if not (np.isfinite(resid).all() and np.isfinite(scale).all()):
-            raise DomainError(
-                f"characteristic residual is not finite on the counting "
-                f"contour at k = {cp.k!r}")
-        if (np.abs(resid) < 1e-12 * scale).any():
-            raise _NearContourZero
-        return resid
-
     re_lo0 = 1e-9
     re_hi0 = 10.0 * max(1.0, wave_hat)
     im_max0 = 4.0 * wave_hat
@@ -304,11 +313,14 @@ def count_unstable(cp: CharParams) -> RootCount:
         re_lo = re_lo0 / grow
         re_hi = re_hi0 * grow
         im_max = im_max0 * grow
+        if not re_hi * lam < math.inf:   # the largest of the three in p
+            raise DomainError(f"k = {cp.k!r} with v_o/L = {lam!r} puts the "
+                              f"counting contour beyond the float range")
         try:
-            # an overflow shows as a non-finite residual, reported above
+            # an overflow shows as a non-finite residual, reported there
             with np.errstate(all="ignore"):
                 count, samples = _winding_on_rectangle(re_lo, re_hi, im_max,
-                                                       residual_at)
+                                                       cp.k, params)
         except _NearContourZero:
             continue
         return RootCount(

@@ -89,10 +89,16 @@ def nondim_q(p: RateState, slow: EffectiveMedium) -> float:
     """Nondimensional sliding velocity q = mu*v_o / (2*sqrt(a*(b-a))*sigma_o*c1).
 
     mu and c1 belong to the slow side.  Only defined for velocity weakening;
-    b <= a raises VelocityStrengthening.
+    b <= a raises VelocityStrengthening, and a denominator that underflows
+    to 0 raises DomainError.
     """
     if not p.weakening:
         raise VelocityStrengthening(
             f"q requires b > a, got a={p.a}, b={p.b} (steady state does not weaken)"
         )
-    return slow.mu * p.v_o / (2.0 * math.sqrt(p.a * (p.b - p.a)) * p.sigma_o * slow.c1)
+    den = 2.0 * math.sqrt(p.a * (p.b - p.a)) * p.sigma_o * slow.c1
+    if den == 0.0:
+        raise DomainError(f"q is undefined: 2*sqrt(a*(b-a))*sigma_o*c1 underflows "
+                          f"to 0 (a = {p.a!r}, b = {p.b!r}, sigma_o = "
+                          f"{p.sigma_o!r}, c1 = {slow.c1!r})")
+    return slow.mu * p.v_o / den

@@ -91,6 +91,10 @@ class BiMaterial:
     swapped: bool
 
     def __post_init__(self):
+        # fast.mu/slow.mu of two valid media can still under- or overflow
+        if not 0.0 < self.mu_ratio < math.inf:
+            raise NotPositiveDefinite(
+                f"mu_ratio must be positive and finite, got {self.mu_ratio}")
         if not self.speed_ratio >= 1.0:
             raise NotPositiveDefinite(
                 f"speed_ratio must be >= 1 (slow side first), got {self.speed_ratio}"

@@ -117,60 +117,46 @@ def _bracketed_roots(f, a, fa, b, fb, rtol):
     a residual within rtol of zero.  Returns the end with the smaller
     residual (the negative one on a tie).
 
-    The loop has two forms, same steps in the same order: one on np.float64
-    ends, which keep numpy's inf/nan arithmetic but skip its per-call array
-    overhead, and one on arrays, where rtol may also be an array, one
-    tolerance per element.  Each step evaluates f once; the unscaled f(a) is
-    kept beside the scaled fa, so picking an end evaluates nothing.
+    Float ends run as np.float64 through the statements arrays run, with a
+    one-element where for np.where, so a float gets a one-element array's
+    bits; arrays may also take an array rtol, one per element.  Each step
+    evaluates f once; the unscaled f(a) is kept beside the scaled fa, so
+    picking an end evaluates nothing.
     """
+    if isinstance(a, np.ndarray):
+        where = np.where
+    else:
+        a, fa, b, fb = map(np.float64, (a, fa, b, fb))
+
+        def where(cond, x, y):   # one element: x or y itself, no 0-d array
+            return x if cond else y
     ra = fa   # f(a) as evaluated; fa is scaled down while a stays put
+    exact = rtol == 0.0   # these elements run on while fb == 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if isinstance(a, float):
-            for _ in range(_MAX_STEPS):
-                d = b - a
-                mid = a + 0.5 * d
-                if mid == a or mid == b or (rtol and not (
-                        abs(d) > rtol * (1.0 + abs(b)) and abs(fb) > rtol)):
-                    break
-                c = b - fb * (d / (fb - fa))
-                if not (c - a) * (c - b) < 0.0:
-                    c = np.nextafter(b, a) if c == b else mid
-                fc = f(c)
-                if (fc > 0.0) ^ (fb > 0.0):
-                    a, fa, ra = b, fb, fb
-                else:
-                    shrink = 1.0 - fc / fb
-                    fa = (shrink if shrink > 0.0 else 0.5) * fa
-                b, fb = c, fc
-            else:
-                raise SlipStabError("neutral-mode root search did not converge")
-            pick_a = abs(ra) < abs(fb) or (abs(ra) == abs(fb) and ra <= 0.0)
-            return a if pick_a else b
-        exact = rtol == 0.0   # these elements run on while fb == 0
         for _ in range(_MAX_STEPS):
             d = b - a
             mid = a + 0.5 * d
             live = (mid != a) & (mid != b) & (exact | (
-                (np.abs(d) > rtol * (1.0 + np.abs(b))) & (np.abs(fb) > rtol)))
+                (abs(d) > rtol * (1.0 + abs(b))) & (abs(fb) > rtol)))
             if not live.any():
                 break
             c = b - fb * (d / (fb - fa))
-            c = np.where((c - a) * (c - b) < 0.0, c,
-                         np.where(c == b, np.nextafter(b, a), mid))
+            c = where((c - a) * (c - b) < 0.0, c,
+                      where(c == b, np.nextafter(b, a), mid))
             # a stopped element re-evaluates b, which changes nothing, so
             # each element's result is the one it would get alone
-            c = np.where(live, c, b)
+            c = where(live, c, b)
             fc = f(c)
             swap = (fc > 0.0) != (fb > 0.0)
             shrink = 1.0 - fc / fb
-            fa = np.where(swap, fb, np.where(shrink > 0.0, shrink, 0.5) * fa)
-            ra = np.where(swap, fb, ra)
-            a = np.where(swap, b, a)
+            fa = where(swap, fb, where(shrink > 0.0, shrink, 0.5) * fa)
+            ra = where(swap, fb, ra)
+            a = where(swap, b, a)
             b, fb = c, fc
         else:
             raise SlipStabError("neutral-mode root search did not converge")
-    pick_a = (np.abs(ra) < np.abs(fb)) | ((np.abs(ra) == np.abs(fb)) & (ra <= 0.0))
-    return np.where(pick_a, a, b)
+    pick_a = (abs(ra) < abs(fb)) | ((abs(ra) == abs(fb)) & (ra <= 0.0))
+    return where(pick_a, a, b)
 
 
 def _subsonic_brackets(qs, m: float, r: float):
@@ -221,8 +207,8 @@ def _subsonic_finish(t, m: float, r: float):
 def _subsonic_modes(qs, m: float, r: float):
     """(c/c1, k_hat) of the subsonic modes at q: Python floats for a float q,
     lists of them for an array of q.  A float q runs as an np.float64
-    through the same brackets, residual and k_hat, and the scalar loop of
-    _bracketed_roots, so it gets the bits of the matching array element."""
+    through the same brackets, residual, root search and k_hat, so it gets
+    the bits of the matching array element."""
     qs = np.float64(qs) if isinstance(qs, float) else qs
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         resid, t_lo, r_lo, t_hi, r_hi = _subsonic_brackets(qs, m, r)
@@ -390,14 +376,18 @@ def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
 
     critical_mode_q at q = nondim_q(p, bm.slow), with omega from
     spring_block_critical (sqrt((b-a)/a)*v_o/L on the subsonic branch) and
-    |k| = omega/c filled in; b <= a has no mode.
+    |k| = omega/c filled in; b <= a has no mode.  An omega or |k| that is
+    not positive and finite raises DomainError.
     """
     if not p.weakening:
         return StabilityVerdict()
     mode = critical_mode_q(nondim_q(p, bm.slow), p.b / p.a, bm).mode
     omega = spring_block_critical(p)[1]
-    return StabilityVerdict(replace(mode, omega=omega,
-                                    k_mag=omega / (mode.c_over_c1 * bm.slow.c1)))
+    k_mag = omega / (mode.c_over_c1 * bm.slow.c1)
+    if not (0.0 < omega < math.inf and 0.0 < k_mag < math.inf):
+        raise DomainError(f"the critical mode's omega = {omega!r} rad/s and "
+                          f"|k| = {k_mag!r} 1/m must be positive and finite")
+    return StabilityVerdict(replace(mode, omega=omega, k_mag=k_mag))
 
 
 def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> SweepTable:

@@ -70,10 +70,9 @@ def _gate(name: str, budget: float = math.inf):
 
 
 def _dimensional_pair(q: float, b_over_a: float, speed_ratio: float,
-                      mu_ratio: float, *, a: float = 0.01,
-                      sigma_o: float = 1e6, L: float = 1e-4,
-                      mu: float = 30e9, c1: float = 3000.0):
+                      mu_ratio: float):
     """Friction and bi-material realizing a given q on the slow side."""
+    a, sigma_o, L, mu, c1 = 0.01, 1e6, 1e-4, 30e9, 3000.0
     b = a * b_over_a
     v_o = q * 2.0 * math.sqrt(a * (b - a)) * sigma_o * c1 / mu
     friction = RateState(a=a, b=b, L=L, sigma_o=sigma_o, v_o=v_o)

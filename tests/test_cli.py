@@ -8,11 +8,13 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slipstab
@@ -553,6 +555,37 @@ def test_unknown_config_law_is_input_error(tmp_path, capsys):
      "k = 5e-324 is too small: L*|k|*c1 underflows to 0"),
     (["medium", "--c44", "30e9", "--c55", "30e9", "--c45", "1e300",
       "--rho", "3000"], "c44*c55 - c45^2 = -inf is not positive"),
+    ("kcr --a=5e-324 --b=0.012 --L=1e-4 --sigma-o=1e6 --v-o=8.94e-4 --mu=30e9 "
+     "--c1=3000".split(),
+     "q is undefined: 2*sqrt(a*(b-a))*sigma_o*c1 underflows to 0 (a = 5e-324, "
+     "b = 0.012, sigma_o = 1000000.0, c1 = 3000.0)"),
+    ("roots --k=0.0017 --a=0.01 --b=0.012 --L=1e-4 --sigma-o=5e-324 "
+     "--v-o=8.94e-4 --mu=30e9 --c1=3000".split(),
+     "2*a*sigma_o underflows to 0 (a = 0.01, sigma_o = 5e-324)"),
+    ("roots --k=1e10 --a=0.01 --b=0.012 --L=1e300 --sigma-o=1e6 "
+     "--v-o=8.94e-314 --mu=30e9 --c1=3000 --mu-2=30e9 --c1-2=3600".split(),
+     "v_o/L underflows to 0 (v_o = 8.94e-314, L = 1e+300)"),
+    ("roots --k=1e300 --a=0.01 --b=0.012 --L=1e-4 --sigma-o=1e6 --v-o=1.7e308 "
+     "--mu=1e-150 --c1=3000 --mu-2=30e9 --c1-2=3600".split(),
+     "k = 1e+300 with v_o/L = inf puts the counting contour beyond the float "
+     "range"),
+    ("kcr --a=1e-152 --b=0.012 --L=1e-300 --sigma-o=1e6 --v-o=8.94e-4 "
+     "--mu=30e9 --c1=3000 --mu-2=30e9 --c1-2=3600".split(),
+     "the critical mode's omega = inf rad/s and |k| = inf 1/m must be "
+     "positive and finite"),
+    ("kcr --a=0.01 --b=0.012 --L=5e-324 --sigma-o=1e6 --v-o=8.94e-4 --mu=30e9 "
+     "--c1=3000 --mu-2=30e9 --c1-2=1e150".split(),
+     "the critical mode's omega = inf rad/s and |k| = inf 1/m must be "
+     "positive and finite"),
+    ("simulate --stiffness 5e8 --perturb 1e-3 --a 0.01 --b 0.015 --L 1e-5 "
+     "--sigma-o 5e-324 --v-o 1e-3 --out -".split(),
+     "a*sigma_o underflows to 0 (a = 0.01, sigma_o = 5e-324)"),
+    ("simulate --stiffness 5e8 --perturb 1e-3 --a 0.01 --b 0.015 --L 1e-5 "
+     "--sigma-o 1e6 --mass 5e-324 --v-o 1e-3 --out -".split(),
+     "mass*v_o underflows to 0 (mass = 5e-324, v_o = 0.001)"),
+    ("kcr --a=0.01 --b=0.012 --L=1e-4 --sigma-o=1e6 --v-o=8.94e-4 --mu=3e160 "
+     "--c1=3000 --mu-2=1e-310 --c1-2=3600".split(),
+     "mu_ratio must be positive and finite, got 0.0"),
 ])
 def test_out_of_range_value_is_input_error(capsys, argv, message):
     assert main(argv) == 2
@@ -562,6 +595,42 @@ def test_out_of_range_value_is_input_error(capsys, argv, message):
 
 
 README_KCR = ["kcr"] + TestRoots.README[3:]
+
+_FUZZ_EXTREMES = (5e-324, 1e-310, 1e-300, 1e-150, 1e150, 1e300, 1.7e308)
+
+
+def _fuzz_argv(rng):
+    """A kcr or roots argv: the README fields with one or two of the nine
+    replaced by an extreme, half the time times the field's value, and half
+    the time b = a times 1.2, 0.8 or 1 + 1e-15."""
+    values = dict(zip(README_KCR[1::2], map(float, README_KCR[2::2])))
+    for flag in rng.choice(list(values), rng.integers(1, 3), replace=False):
+        extreme = float(rng.choice(_FUZZ_EXTREMES))
+        values[flag] = extreme * values[flag] if rng.random() < 0.5 else extreme
+    if rng.random() < 0.5:
+        values["--b"] = values["--a"] * float(rng.choice([1.2, 0.8, 1.0 + 1e-15]))
+    argv = [f"{flag}={value!r}" for flag, value in values.items()]
+    if rng.random() < 0.5:
+        return ["kcr"] + argv
+    k = float(rng.choice([1.7e-3, 1e-10, 1e10, 5e-324, 1e300]))
+    return ["roots", f"--k={k!r}"] + argv
+
+
+def test_extreme_fields_exit_cleanly(capsys):
+    """1,000 seeded kcr and roots calls with extreme friction and material
+    values: each exits 0, 2 or 3, and none that succeeds prints inf or nan."""
+    rng = np.random.default_rng(2024)
+    faults = []
+    for _ in range(1000):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except Exception as exc:   # a traceback, or a numpy warning
+            code = f"{type(exc).__name__}: {exc}"
+        out = capsys.readouterr().out
+        if code not in (0, 2, 3) or (code == 0 and re.search(r"\b(inf|nan)\b", out)):
+            faults.append((" ".join(argv), code, out))
+    assert faults == []
 
 
 def _with(argv, flag, value):

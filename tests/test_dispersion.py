@@ -126,6 +126,19 @@ def test_unresolvable_k_residual_is_domain_error(k):
             polish_root(cp, 1 + 1j)
 
 
+def test_underflowing_rate_is_domain_error():
+    """v_o/L = 0 (it underflows) is rejected by the residual and the counter
+    alike, not divided by."""
+    fr = RateState(a=0.010, b=0.012, L=1e300, sigma_o=1e6, v_o=8.94e-314)
+    bm = make_bimaterial(EffectiveMedium(mu=30e9, c1=3000.0),
+                         EffectiveMedium(mu=36e9, c1=3600.0))
+    cp = CharParams(k=1e10, friction=fr, bimaterial=bm)
+    for call in (lambda: characteristic_residual(cp, 1 + 1j),
+                 lambda: count_unstable(cp)):
+        with pytest.raises(DomainError, match="v_o/L underflows to 0"):
+            call()
+
+
 def test_residual_on_axis_ignores_zero_sign(q_one):
     """p = -0.0 + i*omega is the imaginary axis, taken as the limit from
     Re(p) > 0 like f_laplace; Re(p) < 0 is outside the domain."""

@@ -28,7 +28,11 @@ __all__ = [
 @dataclass(frozen=True)
 class SpringBlockParams:
     """A block of mass m per unit area pulled through a spring of stiffness K
-    (Pa/m) at constant load-point velocity, sliding under rate-state friction."""
+    (Pa/m) at constant load-point velocity, sliding under rate-state friction.
+    Rejects (DomainError) a stiffness that is not positive and finite, a
+    negative or infinite mass, then the scales the integration forms, in this
+    order: a*sigma_o and v_o/L at 0 or inf, L/v_o and f*sigma_o at inf, and
+    mass*v_o at inf or, for a positive mass, at 0."""
 
     stiffness: float
     mass: float
@@ -39,6 +43,18 @@ class SpringBlockParams:
             raise DomainError(
                 f"spring stiffness must be positive and finite, got {self.stiffness}")
         _check_mass(self.mass)
+        p, m = self.friction, self.mass
+        for text, value, may_vanish, operands in (
+                ("a*sigma_o", p.a * p.sigma_o, False, (p.a, p.sigma_o)),
+                ("v_o/L", p.v_o / p.L, False, (p.v_o, p.L)),
+                ("L/v_o", p.L / p.v_o, True, (p.L, p.v_o)),
+                ("f*sigma_o", p.f * p.sigma_o, True, (p.f, p.sigma_o)),
+                ("mass*v_o", m * p.v_o, m == 0.0, (m, p.v_o))):
+            if value == math.inf or (value == 0.0 and not may_vanish):
+                names = text.replace("/", "*").split("*")
+                raise DomainError(
+                    f"{text} {'overflows to inf' if value else 'underflows to 0'}"
+                    f" ({names[0]} = {operands[0]!r}, {names[1]} = {operands[1]!r})")
 
 
 def _check_mass(mass: float) -> None:
@@ -52,14 +68,24 @@ def spring_block_critical(p: RateState, mass: float = 0.0):
     K_cr = sigma_o*(b-a)/L * [1 + m*v_o^2/(a*sigma_o*L)] and the frequency at
     neutral stability is omega = sqrt((b-a)/a)*v_o/L regardless of the mass.
     Velocity strengthening (b <= a) is stable at every stiffness: returns None.
-    This omega is the one every other closed form and critical_mode use.
+    With mass, an inertial term m*v_o^2/(a*sigma_o*L) that overflows or is
+    undefined raises DomainError.  This omega is the one every other closed
+    form and critical_mode use.
     """
     _check_mass(mass)
     if not p.weakening:
         return None
     k_cr = p.sigma_o * (p.b - p.a) / p.L
     if mass > 0.0:
-        k_cr *= 1.0 + mass * p.v_o ** 2 / (p.a * p.sigma_o * p.L)
+        try:
+            inertia = mass * p.v_o ** 2 / (p.a * p.sigma_o * p.L)
+        except (OverflowError, ZeroDivisionError):
+            inertia = math.inf
+        if not inertia < math.inf:
+            raise DomainError(f"the inertial term m*v_o^2/(a*sigma_o*L) is not finite "
+                              f"(mass = {mass!r}, v_o = {p.v_o!r}, a = {p.a!r}, "
+                              f"sigma_o = {p.sigma_o!r}, L = {p.L!r})")
+        k_cr *= 1.0 + inertia
     omega = math.sqrt((p.b - p.a) / p.a) * (p.v_o / p.L)
     return k_cr, omega
 

@@ -56,7 +56,8 @@ _PATH_START.flags.writeable = False
 @dataclass(frozen=True)
 class CharParams:
     """Wavenumber, friction parameters, and material pair of one dispersion
-    problem."""
+    problem.  Rejects (DomainError) a k that is 0 or not finite, then the
+    scales 2*a*sigma_o, L*|k|*c1 and v_o/L when they underflow to 0."""
 
     k: float
     friction: RateState
@@ -66,6 +67,14 @@ class CharParams:
         if self.k == 0.0 or not math.isfinite(self.k):
             raise DomainError(
                 f"characteristic equation needs a finite k != 0, got {self.k!r}")
+        fr = self.friction
+        if 2.0 * fr.a * fr.sigma_o == 0.0:
+            raise DomainError(f"2*a*sigma_o underflows to 0 (a = {fr.a!r}, "
+                              f"sigma_o = {fr.sigma_o!r})")
+        if fr.L * abs(self.k) * self.bimaterial.slow.c1 == 0.0:
+            raise DomainError(f"k = {self.k!r} is too small: L*|k|*c1 underflows to 0")
+        if fr.v_o / fr.L == 0.0:
+            raise DomainError(f"v_o/L underflows to 0 (v_o = {fr.v_o!r}, L = {fr.L!r})")
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,10 @@ class RootCount:
 
     The contour is (re_min, re_max, |im|_max) in dimensional p (1/s).
     Roots off the real axis pair with their conjugates, and real unstable
-    roots also arrive in pairs here (they split off a complex pair inside
-    the rectangle), so the count must be even.  samples is the number of
+    roots arrive in pairs when both lie inside the rectangle (they split off
+    a complex pair), so the count must be even.  At tiny k one real root,
+    near p_hat = kappa*F(0)/W, lies left of re_min, the count is odd and
+    construction fails (ROADMAP item 1).  samples is the number of
     residual evaluations on the upper half of the contour, the only half
     the counter walks (4097 when no segment needs refining).
     """
@@ -110,30 +121,13 @@ def _residual(p_hat, kappa: float, nu: float, w: float, m: float, r: float):
 
 
 def _hat_params(cp: CharParams) -> tuple[float, float, float, float, float]:
-    """(kappa, nu, W, mu_ratio, speed_ratio) of the nondimensional equation.
-    Raises DomainError for a k so small that L*|k|*c1 underflows to 0, and
-    for an a*sigma_o so small that 2*a*sigma_o does."""
+    """(kappa, nu, W, mu_ratio, speed_ratio) of the nondimensional equation."""
     fr = cp.friction
     bm = cp.bimaterial
-    two_a_sigma = 2.0 * fr.a * fr.sigma_o
-    if two_a_sigma == 0.0:
-        raise DomainError(f"2*a*sigma_o underflows to 0 (a = {fr.a!r}, "
-                          f"sigma_o = {fr.sigma_o!r})")
-    kappa = bm.slow.mu * abs(cp.k) * fr.L / two_a_sigma
-    l_k_c1 = fr.L * abs(cp.k) * bm.slow.c1
-    if l_k_c1 == 0.0:
-        raise DomainError(f"k = {cp.k!r} is too small: L*|k|*c1 underflows to 0")
-    nu = fr.v_o / l_k_c1
+    kappa = bm.slow.mu * abs(cp.k) * fr.L / (2.0 * fr.a * fr.sigma_o)
+    nu = fr.v_o / (fr.L * abs(cp.k) * bm.slow.c1)
     w = (fr.b - fr.a) / fr.a
     return kappa, nu, w, bm.mu_ratio, bm.speed_ratio
-
-
-def _rate(fr: RateState) -> float:
-    """v_o/L; DomainError if it underflows to 0."""
-    lam = fr.v_o / fr.L
-    if lam == 0.0:
-        raise DomainError(f"v_o/L underflows to 0 (v_o = {fr.v_o!r}, L = {fr.L!r})")
-    return lam
 
 
 def characteristic_residual(cp: CharParams, p: complex) -> complex:
@@ -143,12 +137,10 @@ def characteristic_residual(cp: CharParams, p: complex) -> complex:
     the closed right half-plane of f_laplace (see closed_half_plane).
     Conjugate symmetric: residual(conj(p)) = conj(residual(p)).  The natural
     magnitude scale near a neutral mode is sigma_o*a*|k*c|^2/v_o.  A k at
-    which the residual overflows or is undefined (nan), or at which
-    L*|k|*c1 underflows to 0, raises DomainError, as does a v_o/L that
-    underflows to 0.
+    which the residual overflows or is undefined (nan) raises DomainError.
     """
     fr = cp.friction
-    lam = _rate(fr)
+    lam = fr.v_o / fr.L
     # an overflow shows as a non-finite residual, reported below
     with np.errstate(all="ignore"):
         resid, _ = _residual(closed_half_plane(p) / lam, *_hat_params(cp))
@@ -291,19 +283,21 @@ def count_unstable(cp: CharParams) -> RootCount:
     """Count characteristic roots with Re(p) > 0, certified by winding number.
 
     The rectangle in p_hat = p*L/v_o spans Re in [1e-9, 10*max(1, |k|c1'L/v_o)]
-    and |Im| up to 4*|k|*c1'*L/v_o, which contains every unstable root (the
+    and |Im| up to 4*|k|*c1'*L/v_o, which bounds the unstable roots (the
     equation is quadratic-dominated well outside the shear-wave frequency
-    band).  Roots pair with their conjugates, so the count comes from the
-    upper half of the rectangle's boundary (see _winding_on_rectangle).  A
-    contour sample whose residual is smaller than 1e-12 of its term-magnitude
-    scale means a root sits on the path: the contour is then dilated by 1%
-    and the count retried, up to five times, before ContourThroughZero
-    escapes.  A k at which the residual overflows on the contour, or at
-    which L*|k|*c1 underflows to 0, raises DomainError, as do a v_o/L that
-    underflows to 0 and a contour whose dimensional Re p would overflow.
+    band) but not from the left: at tiny k a real unstable root near
+    p_hat = kappa*F(0)/W sits below 1e-9, the count comes out odd and
+    RootCount raises SlipStabError (ROADMAP item 1).  Roots pair with their
+    conjugates, so the count comes from the upper half of the rectangle's
+    boundary (see _winding_on_rectangle).  A contour sample whose residual
+    is smaller than 1e-12 of its term-magnitude scale means a root sits on
+    the path: the contour is then dilated by 1% and the count retried, up
+    to five times, before ContourThroughZero escapes.  A k at which the
+    residual overflows on the contour raises DomainError, as does a contour
+    whose dimensional Re p would overflow.
     """
     params = _hat_params(cp)
-    lam = _rate(cp.friction)
+    lam = cp.friction.v_o / cp.friction.L
     wave_hat = abs(cp.k) * cp.bimaterial.fast.c1 / lam
     re_lo0 = 1e-9
     re_hi0 = 10.0 * max(1.0, wave_hat)

@@ -76,20 +76,13 @@ class BlockTrajectory:
 
 def _rhs(p: RateState, stiffness: float, mass: float, law: EvolutionLaw):
     """Right side in (u, w) = (ln(V/v_o), ln(v_o*theta/L)), plus the spring
-    stress tau when the block has mass.  An a*sigma_o, or with mass a
-    mass*v_o, that underflows to 0 raises DomainError."""
+    stress tau when the block has mass."""
     a_sig = p.a * p.sigma_o
-    if a_sig == 0.0:
-        raise DomainError(f"a*sigma_o underflows to 0 (a = {p.a!r}, "
-                          f"sigma_o = {p.sigma_o!r})")
     b_sig = p.b * p.sigma_o
     k_vo = stiffness * p.v_o
     lam = p.v_o / p.L
     tau_o = p.tau_o
     m_vo = mass * p.v_o
-    if mass > 0.0 and m_vo == 0.0:
-        raise DomainError(f"mass*v_o underflows to 0 (mass = {mass!r}, "
-                          f"v_o = {p.v_o!r})")
     ageing = law is EvolutionLaw.AGEING
 
     def massless(_t, y):

@@ -586,6 +586,27 @@ def test_unknown_config_law_is_input_error(tmp_path, capsys):
     ("kcr --a=0.01 --b=0.012 --L=1e-4 --sigma-o=1e6 --v-o=8.94e-4 --mu=3e160 "
      "--c1=3000 --mu-2=1e-310 --c1-2=3600".split(),
      "mu_ratio must be positive and finite, got 0.0"),
+    # simulate scales that leave the float range: these used to escape as a
+    # ZeroDivisionError or a RuntimeWarning, print inf or nan with exit 0, or
+    # exit 2 naming a later symptom (theta = 0, duration = inf)
+    ("simulate --stiffness 5e8 --perturb 1e-3 --a 0.01 --b 0.015 --L 1e300 "
+     "--sigma-o 1e6 --v-o 5e-324 --out -".split(),
+     "v_o/L underflows to 0 (v_o = 5e-324, L = 1e+300)"),
+    ("simulate --stiffness 5e8 --perturb 1e-3 --a 0.01 --b 0.015 --L 1e-5 "
+     "--sigma-o 1e300 --f 1e300 --v-o 1e-3 --out -".split(),
+     "f*sigma_o overflows to inf (f = 1e+300, sigma_o = 1e+300)"),
+    ("simulate --stiffness 5e8 --perturb 1e-3 --a 1e300 --b 0.015 --L 1e-5 "
+     "--sigma-o 1.7e308 --v-o 1e-3 --out -".split(),
+     "a*sigma_o overflows to inf (a = 1e+300, sigma_o = 1.7e+308)"),
+    ("simulate --stiffness 5e8 --perturb 1e-3 --a 1.7e306 --b 2e306 --L 1e-5 "
+     "--sigma-o 1e6 --v-o 1e-3 --out -".split(),
+     "a*sigma_o overflows to inf (a = 1.7e+306, sigma_o = 1000000.0)"),
+    ("simulate --stiffness 5e8 --perturb 1e-3 --a 0.01 --b 0.015 --L 1e-300 "
+     "--sigma-o 1e6 --v-o 1e300 --out -".split(),
+     "v_o/L overflows to inf (v_o = 1e+300, L = 1e-300)"),
+    ("simulate --stiffness 5e8 --perturb 1e-3 --a 0.01 --b 0.015 --L 1 "
+     "--sigma-o 1e6 --v-o 1e-310 --out -".split(),
+     "L/v_o overflows to inf (L = 1.0, v_o = 1e-310)"),
 ])
 def test_out_of_range_value_is_input_error(capsys, argv, message):
     assert main(argv) == 2
@@ -598,39 +619,72 @@ README_KCR = ["kcr"] + TestRoots.README[3:]
 
 _FUZZ_EXTREMES = (5e-324, 1e-310, 1e-300, 1e-150, 1e150, 1e300, 1.7e308)
 
+# the simulate fields the fuzz varies, at the values of TestSimulate's runs
+_SIMULATE_FIELDS = {"--stiffness": 5e8, "--perturb": 1e-3, "--a": 0.01,
+                    "--b": 0.015, "--L": 1e-5, "--sigma-o": 1e6, "--v-o": 1e-3,
+                    "--f": 0.6, "--mass": 0.0}
 
-def _fuzz_argv(rng):
-    """A kcr or roots argv: the README fields with one or two of the nine
-    replaced by an extreme, half the time times the field's value, and half
-    the time b = a times 1.2, 0.8 or 1 + 1e-15."""
-    values = dict(zip(README_KCR[1::2], map(float, README_KCR[2::2])))
+
+def _fuzz_fields(rng, values):
+    """--flag=value arguments for values with one or two fields replaced by
+    an extreme, half the time times the field's value, and half the time
+    b = a times 1.2, 0.8 or 1 + 1e-15."""
+    values = dict(values)
     for flag in rng.choice(list(values), rng.integers(1, 3), replace=False):
         extreme = float(rng.choice(_FUZZ_EXTREMES))
         values[flag] = extreme * values[flag] if rng.random() < 0.5 else extreme
     if rng.random() < 0.5:
         values["--b"] = values["--a"] * float(rng.choice([1.2, 0.8, 1.0 + 1e-15]))
-    argv = [f"{flag}={value!r}" for flag, value in values.items()]
+    return [f"{flag}={value!r}" for flag, value in values.items()]
+
+
+def _fuzz_argv(rng):
+    """A kcr or roots argv: the nine README fields through _fuzz_fields."""
+    argv = _fuzz_fields(rng, zip(README_KCR[1::2], map(float, README_KCR[2::2])))
     if rng.random() < 0.5:
         return ["kcr"] + argv
     k = float(rng.choice([1.7e-3, 1e-10, 1e10, 5e-324, 1e300]))
     return ["roots", f"--k={k!r}"] + argv
 
 
-def test_extreme_fields_exit_cleanly(capsys):
-    """1,000 seeded kcr and roots calls with extreme friction and material
-    values: each exits 0, 2 or 3, and none that succeeds prints inf or nan."""
-    rng = np.random.default_rng(2024)
+def _fuzz_simulate_argv(rng):
+    """A simulate argv writing to stdout: _SIMULATE_FIELDS through
+    _fuzz_fields (a mass of 0 times an extreme stays 0)."""
+    return ["simulate", *_fuzz_fields(rng, _SIMULATE_FIELDS), "--out", "-"]
+
+
+def _fuzz_faults(capsys, argvs):
+    """(argv, outcome, stdout) of each argv whose main call escapes (a
+    traceback, or a numpy warning), exits other than 0, 2 or 3, or exits 0
+    printing inf or nan."""
     faults = []
-    for _ in range(1000):
-        argv = _fuzz_argv(rng)
+    for argv in argvs:
         try:
             code = main(argv)
-        except Exception as exc:   # a traceback, or a numpy warning
+        except Exception as exc:
             code = f"{type(exc).__name__}: {exc}"
         out = capsys.readouterr().out
         if code not in (0, 2, 3) or (code == 0 and re.search(r"\b(inf|nan)\b", out)):
             faults.append((" ".join(argv), code, out))
-    assert faults == []
+    return faults
+
+
+def test_extreme_fields_exit_cleanly(capsys):
+    """1,000 seeded kcr and roots calls with extreme friction and material
+    values: each exits 0, 2 or 3, and none that succeeds prints inf or nan."""
+    rng = np.random.default_rng(2024)
+    assert _fuzz_faults(capsys, (_fuzz_argv(rng) for _ in range(1000))) == []
+
+
+def test_extreme_simulate_fields_exit_cleanly(capsys, monkeypatch):
+    """300 seeded simulate calls with extreme spring, mass, perturbation and
+    friction values: each exits 0, 2 or 3, and no CSV it writes holds inf
+    or nan."""
+    # the stiff inertial draws spend the whole budget (about 2 s each at
+    # 1M evaluations) and exit 3 either way; a successful draw takes < 40k
+    monkeypatch.setattr(simulate, "MAX_EVALUATIONS", 100_000)
+    rng = np.random.default_rng(2024)
+    assert _fuzz_faults(capsys, (_fuzz_simulate_argv(rng) for _ in range(300))) == []
 
 
 def _with(argv, flag, value):

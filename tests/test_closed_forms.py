@@ -4,6 +4,7 @@ solids, rate-only verdict.  Hand-checkable numbers throughout."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,24 @@ class TestSpringBlock:
     def test_non_finite_stiffness_rejected(self, stiffness):
         with pytest.raises(DomainError, match="stiffness"):
             SpringBlockParams(stiffness=stiffness, mass=0.0, friction=WEAK)
+
+    @pytest.mark.parametrize("p,mass", [
+        # a*sigma_o*L underflows to 0: this was a bare ZeroDivisionError
+        (RateState(a=0.01, b=0.015, L=1e-300, sigma_o=1e-30, v_o=1e-3), 1.0),
+        # v_o**2 overflows: this was a bare OverflowError
+        (RateState(a=0.01, b=0.015, L=1e-5, sigma_o=1e6, v_o=1e200), 1e200),
+    ])
+    def test_unresolvable_inertial_term_rejected(self, p, mass):
+        with pytest.raises(DomainError, match="inertial term"):
+            spring_block_critical(p, mass)
+        # the massless value never forms the term, and keeps its bits
+        assert spring_block_critical(p)[0] == p.sigma_o * (p.b - p.a) / p.L
+
+    def test_overflowing_mass_times_velocity_rejected(self):
+        p = RateState(a=0.01, b=0.02, L=1e-4, sigma_o=1e6, v_o=1e10)
+        text = "mass*v_o overflows to inf (mass = 1e+300, v_o = 10000000000.0)"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            SpringBlockParams(stiffness=1e8, mass=1e300, friction=p)
 
 
 class TestQuasistatic:

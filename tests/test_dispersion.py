@@ -127,16 +127,14 @@ def test_unresolvable_k_residual_is_domain_error(k):
 
 
 def test_underflowing_rate_is_domain_error():
-    """v_o/L = 0 (it underflows) is rejected by the residual and the counter
-    alike, not divided by."""
+    """v_o/L = 0 (it underflows) is rejected on the way to the residual and
+    the counter alike, not divided by: CharParams refuses it."""
     fr = RateState(a=0.010, b=0.012, L=1e300, sigma_o=1e6, v_o=8.94e-314)
     bm = make_bimaterial(EffectiveMedium(mu=30e9, c1=3000.0),
                          EffectiveMedium(mu=36e9, c1=3600.0))
-    cp = CharParams(k=1e10, friction=fr, bimaterial=bm)
-    for call in (lambda: characteristic_residual(cp, 1 + 1j),
-                 lambda: count_unstable(cp)):
+    for call in (lambda cp: characteristic_residual(cp, 1 + 1j), count_unstable):
         with pytest.raises(DomainError, match="v_o/L underflows to 0"):
-            call()
+            call(CharParams(k=1e10, friction=fr, bimaterial=bm))
 
 
 def test_residual_on_axis_ignores_zero_sign(q_one):
@@ -332,6 +330,28 @@ def test_counter_sample_set_pinned(case, monkeypatch):
         assert sum(received) == c.samples
         counts.append((c.n_unstable, c.samples))
     assert tuple(counts) == PINNED_COUNTS[case]
+
+
+@pytest.mark.parametrize("case", [(1.2, 1.0, 1.0), (5.0, 0.1, 10.0),
+                                  (5.0, 10.0, 100.0)])
+def test_kernel_hook_sees_every_contour_sample(case, monkeypatch):
+    """The benchmark's tracer times the transfer kernel by rebinding
+    dispersion.f_normalized and counts its points per count: that binding
+    must receive every contour sample, as many as the count reports."""
+    speed_ratio, mu_ratio, q = case
+    fr, bm = pair(q, 1.2, speed_ratio, mu_ratio)
+    k_cr = critical_mode(fr, bm).mode.k_mag
+    kernel, received = dispersion.f_normalized, []
+
+    def counting_kernel(z, *args):
+        received.append(np.size(z))
+        return kernel(z, *args)
+
+    monkeypatch.setattr(dispersion, "f_normalized", counting_kernel)
+    for factor in (1.0 + CROSSING_MARGIN, 1.0 - CROSSING_MARGIN):
+        received.clear()
+        c = count_unstable(CharParams(k=factor * k_cr, friction=fr, bimaterial=bm))
+        assert sum(received) == c.samples
 
 
 def _counter_outcomes():

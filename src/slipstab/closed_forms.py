@@ -4,8 +4,10 @@ Spring-block critical stiffness (with and without inertia), the quasi-static
 continuum limit (identical or dissimilar solids, orthotropic sliding on
 isotropic through its effective modulus), and the fully dynamic
 identical-isotropic solution.  Each formula is written once: omega in
-spring_block_critical, k_cr in quasistatic_continuum, and the dynamic form
-on top of the quasi-static one.
+`_omega` (which critical_mode also calls), the quasi-static k_cr in
+`_continuum_k_cr`, and the dynamic form on top of it.  A result that leaves
+the float range raises DomainError naming the product that left it; a
+finite result keeps the bits of the formula as written.
 """
 
 from __future__ import annotations
@@ -44,22 +46,38 @@ class SpringBlockParams:
                 f"spring stiffness must be positive and finite, got {self.stiffness}")
         _check_mass(self.mass)
         p, m = self.friction, self.mass
-        for text, value, may_vanish, operands in (
-                ("a*sigma_o", p.a * p.sigma_o, False, (p.a, p.sigma_o)),
-                ("v_o/L", p.v_o / p.L, False, (p.v_o, p.L)),
-                ("L/v_o", p.L / p.v_o, True, (p.L, p.v_o)),
-                ("f*sigma_o", p.f * p.sigma_o, True, (p.f, p.sigma_o)),
-                ("mass*v_o", m * p.v_o, m == 0.0, (m, p.v_o))):
-            if value == math.inf or (value == 0.0 and not may_vanish):
-                names = text.replace("/", "*").split("*")
-                raise DomainError(
-                    f"{text} {'overflows to inf' if value else 'underflows to 0'}"
-                    f" ({names[0]} = {operands[0]!r}, {names[1]} = {operands[1]!r})")
+        _scale("a*sigma_o", p.a * p.sigma_o, a=p.a, sigma_o=p.sigma_o)
+        _scale("v_o/L", p.v_o / p.L, v_o=p.v_o, L=p.L)
+        _scale("L/v_o", p.L / p.v_o, may_vanish=True, L=p.L, v_o=p.v_o)
+        _scale("f*sigma_o", p.f * p.sigma_o, may_vanish=True, f=p.f, sigma_o=p.sigma_o)
+        _scale("mass*v_o", m * p.v_o, may_vanish=m == 0.0, mass=m, v_o=p.v_o)
 
 
 def _check_mass(mass: float) -> None:
     if not 0.0 <= mass < math.inf:
         raise DomainError(f"mass must be nonnegative and finite, got {mass}")
+
+
+def _scale(text: str, value: float, may_vanish: bool = False, **operands: float) -> float:
+    """value when it is positive and finite (or 0 with may_vanish); else a
+    DomainError saying that the product `text` of `operands` left the float
+    range.  A nan here is an intermediate overflow (inf/inf or inf*0)."""
+    if not (0.0 < value < math.inf or (may_vanish and value == 0.0)):
+        state = "underflows to 0" if value == 0.0 else f"overflows to {value}"
+        named = ", ".join(f"{name} = {x!r}" for name, x in operands.items())
+        raise DomainError(f"{text} {state} ({named})")
+    return value
+
+
+def _omega(p: RateState) -> float:
+    """Neutral frequency sqrt((b-a)/a)*(v_o/L) of a weakening interface,
+    unchecked: critical_mode screens it with its |k|."""
+    return math.sqrt((p.b - p.a) / p.a) * (p.v_o / p.L)
+
+
+def _checked_omega(p: RateState) -> float:
+    """_omega, or DomainError when it overflows or underflows."""
+    return _scale("sqrt((b-a)/a)*v_o/L", _omega(p), a=p.a, b=p.b, v_o=p.v_o, L=p.L)
 
 
 def spring_block_critical(p: RateState, mass: float = 0.0):
@@ -69,13 +87,15 @@ def spring_block_critical(p: RateState, mass: float = 0.0):
     neutral stability is omega = sqrt((b-a)/a)*v_o/L regardless of the mass.
     Velocity strengthening (b <= a) is stable at every stiffness: returns None.
     With mass, an inertial term m*v_o^2/(a*sigma_o*L) that overflows or is
-    undefined raises DomainError.  This omega is the one every other closed
-    form and critical_mode use.
+    undefined raises DomainError, as does a K_cr or omega that overflows or
+    underflows.  omega comes from `_omega`, as in every other closed form
+    and critical_mode.
     """
     _check_mass(mass)
     if not p.weakening:
         return None
-    k_cr = p.sigma_o * (p.b - p.a) / p.L
+    k_cr = _scale("sigma_o*(b-a)/L", p.sigma_o * (p.b - p.a) / p.L,
+                  sigma_o=p.sigma_o, a=p.a, b=p.b, L=p.L)
     if mass > 0.0:
         try:
             inertia = mass * p.v_o ** 2 / (p.a * p.sigma_o * p.L)
@@ -85,9 +105,9 @@ def spring_block_critical(p: RateState, mass: float = 0.0):
             raise DomainError(f"the inertial term m*v_o^2/(a*sigma_o*L) is not finite "
                               f"(mass = {mass!r}, v_o = {p.v_o!r}, a = {p.a!r}, "
                               f"sigma_o = {p.sigma_o!r}, L = {p.L!r})")
-        k_cr *= 1.0 + inertia
-    omega = math.sqrt((p.b - p.a) / p.a) * (p.v_o / p.L)
-    return k_cr, omega
+        k_cr = _scale("K_cr*(1 + inertia)", k_cr * (1.0 + inertia),
+                      K_cr=k_cr, inertia=inertia)
+    return k_cr, _checked_omega(p)
 
 
 def quasistatic_continuum(p: RateState, mu: float, mu_prime: float | None = None):
@@ -98,20 +118,28 @@ def quasistatic_continuum(p: RateState, mu: float, mu_prime: float | None = None
     directly: k_cr = (b-a)*sigma_o*(mu + mu')/(L*mu*mu'), with mu' = mu
     (identical solids) when mu_prime is omitted.  Orthotropic sliding on
     isotropic takes mu' = effective_medium(orthotropic).mu, which is
-    sqrt(c44*c55) when c45 = 0.  omega is spring_block_critical's, and
-    c = omega/k_cr.
+    sqrt(c44*c55) when c45 = 0.  omega is `_omega`'s, and c = omega/k_cr.
+    A k_cr, c or omega that overflows or underflows raises DomainError.
     """
     if mu_prime is None:
         mu_prime = mu
-    if not mu > 0.0:
-        raise DomainError(f"mu must be positive, got {mu}")
-    if not mu_prime > 0.0:
-        raise DomainError(f"mu_prime must be positive, got {mu_prime}")
+    if not 0.0 < mu < math.inf:
+        raise DomainError(f"mu must be positive and finite, got {mu}")
+    if not 0.0 < mu_prime < math.inf:
+        raise DomainError(f"mu_prime must be positive and finite, got {mu_prime}")
     if not p.weakening:
         return None
-    k_cr = (p.b - p.a) * p.sigma_o * (mu + mu_prime) / (p.L * mu * mu_prime)
-    omega = spring_block_critical(p)[1]
-    return k_cr, omega / k_cr, omega
+    k_cr = _continuum_k_cr(p, mu, mu_prime)
+    omega = _checked_omega(p)
+    return k_cr, _scale("c = omega/k_cr", omega / k_cr, omega=omega, k_cr=k_cr), omega
+
+
+def _continuum_k_cr(p: RateState, mu: float, mu_prime: float) -> float:
+    """Quasi-static k_cr of a weakening interface between valid moduli."""
+    den = _scale("L*mu*mu'", p.L * mu * mu_prime, L=p.L, mu=mu, mu_prime=mu_prime)
+    return _scale("(b-a)*sigma_o*(mu+mu')/(L*mu*mu')",
+                  (p.b - p.a) * p.sigma_o * (mu + mu_prime) / den,
+                  a=p.a, b=p.b, sigma_o=p.sigma_o, mu=mu, mu_prime=mu_prime, L=p.L)
 
 
 def identical_isotropic_dynamic(p: RateState, mu: float, c_s: float):
@@ -121,11 +149,14 @@ def identical_isotropic_dynamic(p: RateState, mu: float, c_s: float):
     identical-solids value times sqrt(1+q^2), that is
     2*(b-a)*sigma_o*sqrt(1+q^2)/(mu*L), and c = q*c_s/sqrt(1+q^2).
     Reduces to the quasi-static answer as q -> 0, and never falls below it.
+    A q^2, k_cr or c that overflows or underflows raises DomainError.
     """
-    if not (mu > 0.0 and c_s > 0.0):
-        raise DomainError(f"need mu > 0 and c_s > 0, got mu={mu}, c_s={c_s}")
+    if not (0.0 < mu < math.inf and 0.0 < c_s < math.inf):
+        raise DomainError(f"need finite mu > 0 and c_s > 0, got mu={mu}, c_s={c_s}")
     if not p.weakening:
         return None
     q = nondim_q(p, EffectiveMedium(mu=mu, c1=c_s))
-    root = math.sqrt(1.0 + q * q)
-    return quasistatic_continuum(p, mu)[0] * root, q * c_s / root
+    root = _scale("sqrt(1 + q^2)", math.sqrt(1.0 + q * q), q=q)
+    k_cr = _continuum_k_cr(p, mu, mu)
+    return (_scale("k_cr*sqrt(1 + q^2)", k_cr * root, k_cr=k_cr, q=q),
+            _scale("q*c_s/sqrt(1 + q^2)", q * c_s / root, q=q, c_s=c_s))

@@ -6,6 +6,10 @@ VelocityStrengthening) rejects an input; the CLI reports it with exit 2.
 Any other SlipStabError is a failure of the solver, exit 3.
 """
 
+__all__ = ["SlipStabError", "NotPositiveDefinite", "NonpositiveVelocity", "DomainError",
+           "VelocityStrengthening", "BranchPole", "ContourThroughZero", "StepFailure",
+           "Inconclusive", "InputError"]
+
 
 class SlipStabError(Exception):
     """Base class for every error this package raises on purpose."""

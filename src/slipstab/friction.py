@@ -16,6 +16,8 @@ from enum import Enum
 from .errors import DomainError, NonpositiveVelocity, VelocityStrengthening
 from .materials import EffectiveMedium
 
+__all__ = ["RateState", "EvolutionLaw", "friction_stress", "nondim_q"]
+
 
 class EvolutionLaw(Enum):
     """State evolution law: Dieterich ageing form or Ruina slip form."""

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .errors import NotPositiveDefinite
 
+__all__ = ["ShearStiffness", "EffectiveMedium", "BiMaterial",
+           "effective_medium", "make_bimaterial"]
+
 
 @dataclass(frozen=True)
 class ShearStiffness:

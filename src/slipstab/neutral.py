@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .closed_forms import spring_block_critical
+from .closed_forms import _omega
 from .errors import DomainError, SlipStabError
 from .friction import RateState, nondim_q
 from .materials import BiMaterial
@@ -374,15 +374,15 @@ def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdi
 def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
     """Stability verdict for steady sliding: the neutral mode of largest |k|.
 
-    critical_mode_q at q = nondim_q(p, bm.slow), with omega from
-    spring_block_critical (sqrt((b-a)/a)*v_o/L on the subsonic branch) and
-    |k| = omega/c filled in; b <= a has no mode.  An omega or |k| that is
-    not positive and finite raises DomainError.
+    critical_mode_q at q = nondim_q(p, bm.slow), with omega =
+    sqrt((b-a)/a)*v_o/L from `closed_forms._omega`, the closed forms' own,
+    and |k| = omega/c filled in; b <= a has no mode.  An omega or |k| that
+    is not positive and finite raises DomainError.
     """
     if not p.weakening:
         return StabilityVerdict()
     mode = critical_mode_q(nondim_q(p, bm.slow), p.b / p.a, bm).mode
-    omega = spring_block_critical(p)[1]
+    omega = _omega(p)
     k_mag = omega / (mode.c_over_c1 * bm.slow.c1)
     if not (0.0 < omega < math.inf and 0.0 < k_mag < math.inf):
         raise DomainError(f"the critical mode's omega = {omega!r} rad/s and "

@@ -21,7 +21,7 @@ import numpy as np
 from ._dop853 import solve_ivp
 from .errors import DomainError, Inconclusive, StepFailure, VelocityStrengthening
 from .friction import EvolutionLaw, RateState, friction_stress
-from .closed_forms import SpringBlockParams, spring_block_critical
+from .closed_forms import SpringBlockParams, _scale, spring_block_critical
 
 __all__ = [
     "BlockState",
@@ -127,9 +127,10 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         Initial condition; defaults to steady sliding (v_o, L/v_o, tau_o + ...).
         Without inertia the tau field is ignored (force balance fixes it).
     duration : float, optional
-        Integration time in seconds; defaults to 200*L/v_o.  A duration
-        whose output grid would hold more than MAX_SAMPLES samples, or
-        whose output spacing underflows to 0, raises DomainError.
+        Integration time in seconds; defaults to 200*L/v_o.  A default
+        that overflows to inf, a duration whose output grid would hold
+        more than MAX_SAMPLES samples, or whose output spacing underflows
+        to 0, raises DomainError.
     tol : float
         Relative tolerance of the adaptive embedded Runge-Kutta integrator
         (DOP853: eighth order, fifth-order error estimate).  Absolute
@@ -156,7 +157,7 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     p = sb.friction
     lam = p.v_o / p.L
     if duration is None:
-        duration = 200.0 / lam
+        duration = _scale("the default duration 200*L/v_o", 200.0 / lam, L=p.L, v_o=p.v_o)
     if not duration > 0.0:
         raise DomainError(f"duration must be positive, got {duration}")
     if not tol > 0.0:

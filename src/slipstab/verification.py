@@ -196,7 +196,8 @@ def check_intersonic_structure() -> tuple[bool, str]:
 
 @_gate("velocity strengthening")
 def check_velocity_strengthening() -> tuple[bool, str]:
-    """b < a: stable at every wavenumber, verdict AlwaysStable."""
+    """b < a: no unstable root at any wavenumber, and critical_mode's
+    StabilityVerdict has mode None (always stable)."""
     fr = RateState(a=0.01, b=0.008, L=1e-4, sigma_o=1e6, v_o=1e-3)
     bm = make_bimaterial(EffectiveMedium(mu=30e9, c1=3000.0),
                          EffectiveMedium(mu=30e9, c1=3600.0))

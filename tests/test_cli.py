@@ -607,8 +607,48 @@ def test_unknown_config_law_is_input_error(tmp_path, capsys):
     ("simulate --stiffness 5e8 --perturb 1e-3 --a 0.01 --b 0.015 --L 1 "
      "--sigma-o 1e6 --v-o 1e-310 --out -".split(),
      "L/v_o overflows to inf (L = 1.0, v_o = 1e-310)"),
+    ("simulate --stiffness 5e8 --perturb 1e-3 --a 0.01 --b 0.015 --L 1 "
+     "--sigma-o 1e6 --v-o 1e-306 --out -".split(),
+     "the default duration 200*L/v_o overflows to inf (L = 1.0, v_o = 1e-306)"),
 ])
 def test_out_of_range_value_is_input_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "config: [Errno 2] No such file or directory: '{path}'"),
+    ("{not json", "config: invalid JSON (Expecting property name enclosed in "
+                  "double quotes: line 1 column 2 (char 1))"),
+    ("[1, 2]", "config: top level must be a JSON object"),
+])
+def test_unreadable_config_is_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["kcr", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(path=path)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["roots", *TestSimulate.FRICTION, "--mu", "30e9", "--c1", "3000"],
+     "missing required field k"),
+    (["kcr", *TestSimulate.FRICTION, "--mu", "30e9"],
+     "missing material field c1"),
+    (["kcr", *TestSimulate.FRICTION, "--mu", "30e9", "--c1", "3000",
+      "--c44", "30e9", "--c55", "30e9", "--rho", "3000"],
+     "give stiffness components or mu/c1 values, not both"),
+    (["kcr", *TestSimulate.FRICTION],
+     "missing material input (c44/c45/c55/rho or mu/c1, with _2 suffix for "
+     "the second side)"),
+    (["simulate", "--stiffness", "1e9", "--perturb", "-1", "--out", "-",
+      *TestSimulate.FRICTION], "perturb must exceed -1, got -1.0"),
+])
+def test_incomplete_input_is_input_error(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"

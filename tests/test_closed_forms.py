@@ -192,6 +192,63 @@ class TestDynamicIdentical:
         assert identical_isotropic_dynamic(soft, mu=30e9, c_s=3000.0) is None
 
 
+# sigma_o*(b-a)/L overflows; with a 1e305 mass K_cr*(1 + inertia) does
+HUGE = RateState(a=0.01, b=0.015, L=1e-300, sigma_o=1e300, v_o=1e-3)
+HEAVY = RateState(a=0.01, b=0.015, L=1e-5, sigma_o=1e300, v_o=1e-3)
+
+
+class TestFloatRange:
+    """A closed form that leaves the float range raises DomainError naming
+    the product that left it, instead of returning inf or 0 or raising a
+    bare ZeroDivisionError."""
+
+    @pytest.mark.parametrize("call,text", [
+        (lambda: spring_block_critical(HUGE),
+         "sigma_o*(b-a)/L overflows to inf (sigma_o = 1e+300, a = 0.01, "
+         "b = 0.015, L = 1e-300)"),
+        (lambda: spring_block_critical(HEAVY, mass=1e305),
+         "K_cr*(1 + inertia) overflows to inf (K_cr = 4.9999999999999985e+302, "
+         "inertia = 999999.9999999998)"),
+        (lambda: spring_block_critical(
+            RateState(a=0.01, b=0.015, L=1e-300, sigma_o=1e-300, v_o=1e10)),
+         "sqrt((b-a)/a)*v_o/L overflows to inf (a = 0.01, b = 0.015, "
+         "v_o = 10000000000.0, L = 1e-300)"),
+        (lambda: spring_block_critical(
+            RateState(a=0.01, b=0.015, L=1e300, sigma_o=1e6, v_o=1e-30)),
+         "sqrt((b-a)/a)*v_o/L underflows to 0 (a = 0.01, b = 0.015, "
+         "v_o = 1e-30, L = 1e+300)"),
+        (lambda: quasistatic_continuum(HUGE, 30e9),
+         "(b-a)*sigma_o*(mu+mu')/(L*mu*mu') overflows to inf (a = 0.01, "
+         "b = 0.015, sigma_o = 1e+300, mu = 30000000000.0, "
+         "mu_prime = 30000000000.0, L = 1e-300)"),
+        (lambda: quasistatic_continuum(HUGE, 1e-300),
+         "L*mu*mu' underflows to 0 (L = 1e-300, mu = 1e-300, mu_prime = 1e-300)"),
+        (lambda: quasistatic_continuum(
+            RateState(a=0.01, b=0.015, L=1e-200, sigma_o=1e-150, v_o=1e-3), 1e250),
+         "c = omega/k_cr overflows to inf"),
+        (lambda: identical_isotropic_dynamic(
+            RateState(a=0.01, b=0.015, L=1e-4, sigma_o=1e-150, v_o=1e-3),
+            30e9, 3000.0),
+         "sqrt(1 + q^2) overflows to inf"),
+    ])
+    def test_out_of_range_result_is_domain_error(self, call, text):
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}"):
+            call()
+
+    def test_unbounded_moduli_rejected(self):
+        with pytest.raises(DomainError, match="mu must be positive and finite"):
+            quasistatic_continuum(LAB, mu=math.inf)
+        with pytest.raises(DomainError, match="need finite mu > 0"):
+            identical_isotropic_dynamic(LAB, mu=math.inf, c_s=3000.0)
+
+    def test_finite_results_keep_the_formulas_bits(self):
+        p, mu, mu_p = LAB, 30e9, 45e9
+        omega = math.sqrt((p.b - p.a) / p.a) * (p.v_o / p.L)
+        assert spring_block_critical(p) == (p.sigma_o * (p.b - p.a) / p.L, omega)
+        k_cr = (p.b - p.a) * p.sigma_o * (mu + mu_p) / (p.L * mu * mu_p)
+        assert quasistatic_continuum(p, mu, mu_p) == (k_cr, omega / k_cr, omega)
+
+
 rate_states = st.builds(
     RateState,
     a=st.floats(min_value=1e-3, max_value=0.1),

@@ -1,5 +1,6 @@
-"""The package namespace: every exported name resolves, and every public name
-of the solver modules is re-exported, so a deleted name cannot linger."""
+"""The package namespace: every exported name resolves, every public name
+of the solver modules is re-exported, so a deleted name cannot linger, and
+the public surface is pinned."""
 
 from __future__ import annotations
 
@@ -17,12 +18,47 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("module", ["transfer", "neutral", "closed_forms",
+@pytest.mark.parametrize("module", ["errors", "materials", "friction",
+                                    "transfer", "neutral", "closed_forms",
                                     "dispersion", "simulate"])
 def test_module_exports_reach_the_package(module):
     mod = importlib.import_module(f"slipstab.{module}")
     assert all(hasattr(mod, name) for name in mod.__all__)
     assert set(mod.__all__) <= set(slipstab.__all__)
+
+
+PUBLIC = [
+    "BiMaterial", "BlockState", "BlockTrajectory", "Branch", "BranchPole",
+    "CharParams", "ContourThroughZero", "DomainError", "EffectiveMedium",
+    "EvolutionLaw", "Inconclusive", "InputError", "NeutralMode",
+    "NonpositiveVelocity", "NotPositiveDefinite", "RateState", "RootCount",
+    "ShearStiffness", "SlipStabError", "SpringBlockParams", "StabilityVerdict",
+    "StepFailure", "SweepTable", "VelocityStrengthening", "VerifyResult",
+    "__version__", "certify_crossing", "characteristic_residual",
+    "count_unstable", "critical_mode", "critical_mode_q", "effective_medium",
+    "estimate_critical_stiffness", "f_intersonic", "f_laplace", "f_normalized",
+    "f_subsonic", "friction_stress", "identical_isotropic_dynamic",
+    "make_bimaterial", "nondim_q", "polish_root", "quasistatic_continuum",
+    "run_all", "simulate_spring_block", "solve_intersonic", "solve_subsonic",
+    "spring_block_critical", "sweep_q",
+]
+
+
+def test_public_surface_is_pinned():
+    assert len(slipstab.__all__) == len(set(slipstab.__all__)) == 49
+    assert sorted(slipstab.__all__) == PUBLIC
+
+
+def test_every_library_module_declares_its_exports():
+    """Each module states its public names once, in its own __all__; the
+    entry point (cli) and the generated integrator (_dop853) export none."""
+    src = Path(slipstab.__file__).parent
+    names = [path.stem for path in sorted(src.glob("*.py"))
+             if path.stem not in ("__init__", "_dop853", "cli")]
+    assert len(names) == 9
+    missing = [name for name in names
+               if not hasattr(importlib.import_module(f"slipstab.{name}"), "__all__")]
+    assert missing == []
 
 
 # (module, attribute) pairs the benchmark's tracer rebinds to time each layer

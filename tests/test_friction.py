@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slipstab import (
+    DomainError,
     EffectiveMedium,
+    NonpositiveVelocity,
     RateState,
     VelocityStrengthening,
     friction_stress,
@@ -63,6 +65,18 @@ def test_friction_stress_direct_and_state_terms(weakening):
     assert tau == pytest.approx(p.tau_o + p.a * p.sigma_o, rel=1e-12)
     tau = friction_stress(p, p.v_o, math.e * p.L / p.v_o)
     assert tau == pytest.approx(p.tau_o + p.b * p.sigma_o, rel=1e-12)
+
+
+@pytest.mark.parametrize("v", [0.0, -1e-3, math.nan])
+def test_friction_stress_rejects_nonpositive_velocity(weakening, v):
+    with pytest.raises(NonpositiveVelocity, match="V must be positive"):
+        friction_stress(weakening, v, weakening.L / weakening.v_o)
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan])
+def test_friction_stress_rejects_nonpositive_state(weakening, theta):
+    with pytest.raises(DomainError, match="theta must be positive"):
+        friction_stress(weakening, weakening.v_o, theta)
 
 
 def test_nondim_q_worked_example():

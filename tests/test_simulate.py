@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +269,81 @@ def test_unbracketed_seed_is_inconclusive(monkeypatch):
                         lambda p, m=0.0: (20.0 * k_true, w_true))
     with pytest.raises(Inconclusive, match="no growth at the soft end"):
         estimate_critical_stiffness(FR, EvolutionLaw.AGEING)
+
+
+def _synthetic_growth(monkeypatch, rate):
+    """Bind rate(K/K_cr) (1/s) as the estimator's growth rate in place of
+    the envelope fit, keyed on each run's stiffness; the runs stay real."""
+    monkeypatch.setattr(simulate, "_growth_rate",
+                        lambda traj, p: rate(traj.metadata["stiffness"] / K_CR))
+
+
+def test_stiff_end_widens_until_it_decays(monkeypatch):
+    # both seeded ends grow: the stiff end doubles once, then regula falsi
+    # lands on the linear rate's zero
+    _synthetic_growth(monkeypatch, lambda x: 1.5 - x)
+    runs = _count_runs(monkeypatch)
+    k_est, w_est = estimate_critical_stiffness(FR, EvolutionLaw.AGEING)
+    assert k_est == pytest.approx(1.5 * K_CR, rel=1e-9)
+    assert runs[:3] == [0.9 * K_CR, 1.1 * K_CR, 2.2 * K_CR]
+    assert 0.0 < w_est < math.inf
+
+
+def test_stiff_end_that_never_decays_is_inconclusive(monkeypatch):
+    _synthetic_growth(monkeypatch, lambda x: 1.0)
+    with pytest.raises(Inconclusive,
+                       match=f"^no decay at the stiff end K = {10.0 * K_CR}$"):
+        estimate_critical_stiffness(FR, EvolutionLaw.AGEING)
+
+
+def test_narrow_bracket_gives_its_midpoint(monkeypatch):
+    # a rate that jumps at 1.09*K_cr never enters the dead band: the soft end
+    # is kept twice running (Illinois halves the stiff end's rate) and the
+    # bracket closes to below 1e-3*K_cr, whose midpoint is then run afresh
+    _synthetic_growth(monkeypatch, lambda x: 1.0 if x < 1.09 else -1.0)
+    runs = _count_runs(monkeypatch)
+    k_est, w_est = estimate_critical_stiffness(FR, EvolutionLaw.AGEING)
+    assert abs(k_est - 1.09 * K_CR) < 1e-3 * K_CR
+    assert runs[-1] == k_est and runs.count(k_est) == 1
+    assert 0.0 < w_est < math.inf
+
+
+def test_regula_falsi_step_budget_is_inconclusive(monkeypatch):
+    _synthetic_growth(monkeypatch, lambda x: 1.0 if x < 1.09 else -1.0)
+    monkeypatch.setattr(simulate, "ESTIMATE_MAX_STEPS", 2)
+    with pytest.raises(Inconclusive, match="^regula falsi spent 2 steps without "
+                                           "entering the dead band$"):
+        estimate_critical_stiffness(FR, EvolutionLaw.AGEING)
+
+
+def test_capped_estimate_run_is_rerun_uncapped(monkeypatch):
+    # the neutral seeded soft end at 0.9*K_cr grew into the estimator's cap,
+    # so the frequency comes from a second run there at RUNAWAY_FACTOR
+    _synthetic_growth(monkeypatch, lambda x: 0.9 - x)
+    runs = _count_runs(monkeypatch)
+    k_est, w_est = estimate_critical_stiffness(FR, EvolutionLaw.AGEING)
+    assert k_est == 0.9 * K_CR
+    assert runs == [k_est, 1.1 * K_CR, k_est]
+    assert 0.0 < w_est < math.inf
+
+
+def test_too_few_peaks_at_the_estimate_is_inconclusive(monkeypatch):
+    # at 0.3*K_cr the uncapped run reaches runaway within two peaks
+    _synthetic_growth(monkeypatch, lambda x: 0.3 - x)
+    with pytest.raises(Inconclusive,
+                       match="^too few oscillation peaks to measure a period$"):
+        estimate_critical_stiffness(FR, EvolutionLaw.AGEING)
+
+
+@pytest.mark.parametrize("p, mass, text", [
+    (RateState(a=0.01, b=0.015, L=1e-300, sigma_o=1e300, v_o=1e-3), 0.0,
+     "sigma_o*(b-a)/L overflows to inf"),
+    (RateState(a=0.01, b=0.015, L=1e-5, sigma_o=1e300, v_o=1e-3), 1e305,
+     "K_cr*(1 + inertia) overflows to inf"),
+])
+def test_estimator_names_an_overflowing_critical_value(p, mass, text):
+    with pytest.raises(DomainError, match=f"^{re.escape(text)} "):
+        estimate_critical_stiffness(p, EvolutionLaw.AGEING, mass=mass)
 
 
 def test_integrator_hook_is_the_module_global(monkeypatch):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _scale
 from .friction import RateState, nondim_q
 from .materials import EffectiveMedium
 
@@ -56,17 +56,6 @@ class SpringBlockParams:
 def _check_mass(mass: float) -> None:
     if not 0.0 <= mass < math.inf:
         raise DomainError(f"mass must be nonnegative and finite, got {mass}")
-
-
-def _scale(text: str, value: float, may_vanish: bool = False, **operands: float) -> float:
-    """value when it is positive and finite (or 0 with may_vanish); else a
-    DomainError saying that the product `text` of `operands` left the float
-    range.  A nan here is an intermediate overflow (inf/inf or inf*0)."""
-    if not (0.0 < value < math.inf or (may_vanish and value == 0.0)):
-        state = "underflows to 0" if value == 0.0 else f"overflows to {value}"
-        named = ", ".join(f"{name} = {x!r}" for name, x in operands.items())
-        raise DomainError(f"{text} {state} ({named})")
-    return value
 
 
 def _omega(p: RateState) -> float:

@@ -6,6 +6,8 @@ VelocityStrengthening) rejects an input; the CLI reports it with exit 2.
 Any other SlipStabError is a failure of the solver, exit 3.
 """
 
+import math
+
 __all__ = ["SlipStabError", "NotPositiveDefinite", "NonpositiveVelocity", "DomainError",
            "VelocityStrengthening", "BranchPole", "ContourThroughZero", "StepFailure",
            "Inconclusive", "InputError"]
@@ -25,6 +27,17 @@ class NonpositiveVelocity(SlipStabError, ValueError):
 
 class DomainError(SlipStabError, ValueError):
     """Argument lies outside the mathematical domain of the operation."""
+
+
+def _scale(text: str, value: float, may_vanish: bool = False, **operands: float) -> float:
+    """value when it is positive and finite (or 0 with may_vanish); else a
+    DomainError saying that the product `text` of `operands` left the float
+    range.  A nan here is an intermediate overflow (inf/inf or inf*0)."""
+    if not (0.0 < value < math.inf or (may_vanish and value == 0.0)):
+        state = "underflows to 0" if value == 0.0 else f"overflows to {value}"
+        named = ", ".join(f"{name} = {x!r}" for name, x in operands.items())
+        raise DomainError(f"{text} {state} ({named})")
+    return value
 
 
 class VelocityStrengthening(SlipStabError, ValueError):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, NonpositiveVelocity, VelocityStrengthening
+from .errors import DomainError, NonpositiveVelocity, VelocityStrengthening, _scale
 from .materials import EffectiveMedium
 
 __all__ = ["RateState", "EvolutionLaw", "friction_stress", "nondim_q"]
@@ -91,16 +91,15 @@ def nondim_q(p: RateState, slow: EffectiveMedium) -> float:
     """Nondimensional sliding velocity q = mu*v_o / (2*sqrt(a*(b-a))*sigma_o*c1).
 
     mu and c1 belong to the slow side.  Only defined for velocity weakening;
-    b <= a raises VelocityStrengthening, and a denominator that underflows
-    to 0 raises DomainError.
+    b <= a raises VelocityStrengthening, and a denominator or a q that
+    underflows to 0 or overflows raises DomainError naming it.
     """
     if not p.weakening:
         raise VelocityStrengthening(
             f"q requires b > a, got a={p.a}, b={p.b} (steady state does not weaken)"
         )
-    den = 2.0 * math.sqrt(p.a * (p.b - p.a)) * p.sigma_o * slow.c1
-    if den == 0.0:
-        raise DomainError(f"q is undefined: 2*sqrt(a*(b-a))*sigma_o*c1 underflows "
-                          f"to 0 (a = {p.a!r}, b = {p.b!r}, sigma_o = "
-                          f"{p.sigma_o!r}, c1 = {slow.c1!r})")
-    return slow.mu * p.v_o / den
+    den = _scale("q is undefined: 2*sqrt(a*(b-a))*sigma_o*c1",
+                 2.0 * math.sqrt(p.a * (p.b - p.a)) * p.sigma_o * slow.c1,
+                 a=p.a, b=p.b, sigma_o=p.sigma_o, c1=slow.c1)
+    return _scale("q = mu*v_o/(2*sqrt(a*(b-a))*sigma_o*c1)", slow.mu * p.v_o / den,
+                  mu=slow.mu, v_o=p.v_o, a=p.a, b=p.b, sigma_o=p.sigma_o, c1=slow.c1)

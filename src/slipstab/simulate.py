@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._dop853 import solve_ivp
-from .errors import DomainError, Inconclusive, StepFailure, VelocityStrengthening
+from .errors import DomainError, Inconclusive, StepFailure, VelocityStrengthening, _scale
 from .friction import EvolutionLaw, RateState, friction_stress
-from .closed_forms import SpringBlockParams, _scale, spring_block_critical
+from .closed_forms import SpringBlockParams, spring_block_critical
 
 __all__ = [
     "BlockState",
@@ -32,7 +32,13 @@ __all__ = [
 
 RUNAWAY_FACTOR = 1e6   # V above this multiple of v_o counts as instability
 CAP_GROWTH = 10.0      # estimator runs stop at ln(V/v_o) = 10*|ln(1 + perturbation)|
-ESTIMATE_TOL = 1e-8    # integrator tolerance of the estimator runs
+# Integrator tolerance of the estimator runs.  Budget: the growth rate
+# sigma that a run yields at ESTIMATE_TOL differs from sigma at 1e-11 by at
+# most 10% of the estimator's dead band 1e-4*v_o/L.  Measured over both
+# laws, b/a in {1.05, 1.5, 3}, mass 0 and 0.5*a*sigma_o*L/v_o^2 and
+# K/K_cr in [0.9, 1.1]: at most 3.7% at 1e-7 (1.5% at 1e-8, 9.1% at 3e-7,
+# 86% at 1e-6), and at most 0.02% within 4e-4 of K_cr.
+ESTIMATE_TOL = 1e-7
 ESTIMATE_MAX_STEPS = 40   # regula falsi steps before the estimator gives up
 MAX_EVALUATIONS = 1_000_000   # right-side evaluations allowed per integration
 MAX_SAMPLES = 1_000_000   # output samples allowed per run; a default run takes ~1,440
@@ -308,29 +314,39 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
     soft end grows and the stiff end decays, then takes at most
     ESTIMATE_MAX_STEPS Illinois regula falsi steps.  The analytic value only
     places the first bracket: every sign and every sigma come from nonlinear
-    runs.  A run with |sigma| within
-    1e-4*v_o/L counts as neutral and gives the estimate (the stiffness is
-    then within a fraction of a percent of critical); a bracket narrower
-    than 1e-3 times the analytic value gives its midpoint.  The returned
-    frequency comes from the peak spacing of a run at the estimate that was
-    not stopped early.
+    runs.  A run with |sigma| within the dead band 1e-4*v_o/L counts as
+    neutral and gives the estimate (the stiffness is then within about
+    4e-4 of critical); a bracket narrower than 1e-3 times the analytic
+    value gives its midpoint.  The returned frequency comes from the peak
+    spacing of a run at the estimate that was not stopped early.
 
-    Raises VelocityStrengthening for b <= a, DomainError for a zero
-    perturbation, and Inconclusive when the widened ends fail to bracket
+    The dead band is the estimator's resolution: ESTIMATE_TOL = 1e-7 keeps
+    sigma's integration error below 10% of it.  The absolute tolerance,
+    ESTIMATE_TOL*1e-3 = 1e-10 in ln V, sits 1e3 below the smallest peak
+    the fit keeps, 1e-4 of a 1e-3 perturbation.
+
+    Raises VelocityStrengthening for b <= a, DomainError for a perturbation
+    that is zero or not finite or whose runaway cap overflows, and
+    Inconclusive when the widened ends fail to bracket
     (no growth at the soft end, no decay at the stiff end) or the dead band
     is not reached within ESTIMATE_MAX_STEPS regula falsi steps.
     """
     if not p.weakening:
         raise VelocityStrengthening("no finite critical stiffness for b <= a")
-    if not abs(perturbation) > 0.0:
-        raise DomainError(f"perturbation must be nonzero, got {perturbation}")
+    if not 0.0 < abs(perturbation) < math.inf:
+        raise DomainError(f"perturbation must be finite and nonzero, got {perturbation}")
     k_ref, _ = spring_block_critical(p, mass)
     k_min, k_max = 0.1 * k_ref, 10.0 * k_ref
     dead_band = 1e-4 * p.v_o / p.L
     v0 = (1.0 + perturbation) * p.v_o
     init = BlockState(v=v0, theta=p.L / p.v_o,
                       tau=friction_stress(p, v0, p.L / p.v_o))
-    cap = math.exp(CAP_GROWTH * abs(math.log1p(perturbation)))
+    try:
+        cap = math.exp(CAP_GROWTH * abs(math.log1p(perturbation)))
+    except OverflowError as exc:
+        raise DomainError(f"the runaway cap exp(CAP_GROWTH*|ln(1 + perturbation)|) "
+                          f"overflows (CAP_GROWTH = {CAP_GROWTH!r}, perturbation = "
+                          f"{perturbation!r})") from exc
     runs: dict[float, BlockTrajectory] = {}
 
     def run(k: float, runaway_factor: float) -> BlockTrajectory:

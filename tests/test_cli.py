@@ -610,6 +610,16 @@ def test_unknown_config_law_is_input_error(tmp_path, capsys):
     ("simulate --stiffness 5e8 --perturb 1e-3 --a 0.01 --b 0.015 --L 1 "
      "--sigma-o 1e6 --v-o 1e-306 --out -".split(),
      "the default duration 200*L/v_o overflows to inf (L = 1.0, v_o = 1e-306)"),
+    # q leaving the float range: kcr used to blame "q = inf" or "q must be
+    # positive, got 0.0" instead of the product
+    ("kcr --a=0.01 --b=0.015 --L=1e-4 --sigma-o=1e-300 --v-o=1e10 --mu=1e300 "
+     "--c1=1".split(),
+     "q = mu*v_o/(2*sqrt(a*(b-a))*sigma_o*c1) overflows to inf (mu = 1e+300, "
+     "v_o = 10000000000.0, a = 0.01, b = 0.015, sigma_o = 1e-300, c1 = 1.0)"),
+    ("kcr --a=0.01 --b=0.015 --L=1e-4 --sigma-o=1e300 --v-o=1e-300 --mu=1e-300 "
+     "--c1=1e300".split(),
+     "q is undefined: 2*sqrt(a*(b-a))*sigma_o*c1 overflows to inf (a = 0.01, "
+     "b = 0.015, sigma_o = 1e+300, c1 = 1e+300)"),
 ])
 def test_out_of_range_value_is_input_error(capsys, argv, message):
     assert main(argv) == 2

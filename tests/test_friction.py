@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -95,6 +96,20 @@ def test_nondim_q_rejects_strengthening():
     p = RateState(a=0.01, b=0.008, L=1e-4, sigma_o=1e6, v_o=1e-3)
     with pytest.raises(VelocityStrengthening):
         nondim_q(p, EffectiveMedium(mu=30e9, c1=3000.0))
+
+
+@pytest.mark.parametrize("p, slow, text", [
+    (RateState(a=0.01, b=0.015, L=1e-4, sigma_o=1e-300, v_o=1e10),
+     EffectiveMedium(mu=1e300, c1=1.0),
+     "q = mu*v_o/(2*sqrt(a*(b-a))*sigma_o*c1) overflows to inf"),
+    (RateState(a=0.01, b=0.015, L=1e-4, sigma_o=1e300, v_o=1e-300),
+     EffectiveMedium(mu=1e-300, c1=1e300),
+     "q is undefined: 2*sqrt(a*(b-a))*sigma_o*c1 overflows to inf"),
+])
+def test_nondim_q_names_a_product_that_leaves_the_float_range(p, slow, text):
+    # these used to return inf and 0.0
+    with pytest.raises(DomainError, match=f"^{re.escape(text)} "):
+        nondim_q(p, slow)
 
 
 @given(st.floats(min_value=1e-6, max_value=1.0),

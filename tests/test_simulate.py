@@ -206,6 +206,17 @@ def test_estimator_rejects_zero_perturbation():
         estimate_critical_stiffness(FR, EvolutionLaw.AGEING, perturbation=0.0)
 
 
+@pytest.mark.parametrize("perturbation, text", [
+    (math.nan, "perturbation must be finite and nonzero, got nan"),
+    # exp(10*ln(1 + 1e300)) used to escape as a bare OverflowError
+    (1e300, "the runaway cap exp(CAP_GROWTH*|ln(1 + perturbation)|) overflows "
+            "(CAP_GROWTH = 10.0, perturbation = 1e+300)"),
+])
+def test_estimator_names_a_bad_perturbation(perturbation, text):
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        estimate_critical_stiffness(FR, EvolutionLaw.AGEING, perturbation=perturbation)
+
+
 def test_estimator_on_light_slip_block():
     # the soft-end bracket run at this mass overflows (test above); the
     # seeded bracket never makes it
@@ -388,9 +399,9 @@ def test_evaluation_budget_bounds_each_run(monkeypatch):
 
 
 # (K, omega) of the four ODE-oracle gate cases, as repr, and the evaluation
-# count of each estimator run, recorded from the integrator's earlier
-# per-component loops over the tableau; the generated kernels must repeat
-# that arithmetic bit for bit.
+# count of each estimator run, recorded at the tolerance 1e-8 the estimator
+# used then, from the integrator's earlier per-component loops over the
+# tableau; the generated kernels must repeat that arithmetic bit for bit.
 PINNED_ESTIMATES = [
     (EvolutionLaw.AGEING, 0.0,
      "(500077985.75141317, 70.71618675022664)", [1415, 3140, 3494]),
@@ -403,8 +414,23 @@ PINNED_ESTIMATES = [
 ]
 
 
-@pytest.mark.parametrize("law, mass, estimate, nfev", PINNED_ESTIMATES)
-def test_estimator_is_bit_identical(monkeypatch, law, mass, estimate, nfev):
+# The same at ESTIMATE_TOL = 1e-7: every case still takes three runs, with
+# 17% fewer evaluations, and the estimates move by at most 6e-6 in K and
+# 3.2e-6 in omega (relative).
+PINNED_ESTIMATES_AT_1E7 = [
+    (EvolutionLaw.AGEING, 0.0,
+     "(500077999.8139738, 70.71618618246576)", [1187, 2609, 3050]),
+    (EvolutionLaw.AGEING, INERTIAL_MASS,
+     "(749731430.4843997, 70.68485136929706)", [2171, 2729, 2963]),
+    (EvolutionLaw.SLIP, 0.0,
+     "(500094426.3556627, 70.71734301168698)", [1187, 2609, 3086]),
+    (EvolutionLaw.SLIP, INERTIAL_MASS,
+     "(749741181.7309704, 70.6853758673481)", [2159, 2729, 2951]),
+]
+
+
+def _counted_estimate(monkeypatch, law, mass) -> tuple[str, list[int]]:
+    """repr of the estimate and the evaluation count of each of its runs."""
     counts = []
     run = simulate.simulate_spring_block
 
@@ -413,8 +439,47 @@ def test_estimator_is_bit_identical(monkeypatch, law, mass, estimate, nfev):
         counts.append(traj.metadata["nfev"])
         return traj
     monkeypatch.setattr(simulate, "simulate_spring_block", counted)
-    assert repr(estimate_critical_stiffness(FR, law, mass=mass)) == estimate
-    assert counts == nfev
+    return repr(estimate_critical_stiffness(FR, law, mass=mass)), counts
+
+
+@pytest.mark.parametrize("law, mass, estimate, nfev", PINNED_ESTIMATES)
+def test_estimator_is_bit_identical(monkeypatch, law, mass, estimate, nfev):
+    monkeypatch.setattr(simulate, "ESTIMATE_TOL", 1e-8)
+    assert _counted_estimate(monkeypatch, law, mass) == (estimate, nfev)
+
+
+@pytest.mark.parametrize("law, mass, estimate, nfev", PINNED_ESTIMATES_AT_1E7)
+def test_estimator_at_estimate_tol_is_pinned(monkeypatch, law, mass, estimate, nfev):
+    assert simulate.ESTIMATE_TOL == 1e-7
+    assert _counted_estimate(monkeypatch, law, mass) == (estimate, nfev)
+
+
+# The budget that sets ESTIMATE_TOL: on every estimator run the growth rate
+# sigma at ESTIMATE_TOL differs from sigma at 1e-11 by at most 10% of the
+# dead band 1e-4*v_o/L.  The cases are the four ODE-oracle gate cases and
+# massless blocks at b/a = 1.05 and 3, at 0.9, 1 and 1.1 times K_cr.
+BUDGET_CASES = [(law, b_over_a, mass_factor)
+                for law in EvolutionLaw
+                for b_over_a, mass_factor in ((1.5, 0.0), (1.5, 0.5), (1.05, 0.0),
+                                              (3.0, 0.0))]
+
+
+@pytest.mark.parametrize("law, b_over_a, mass_factor", BUDGET_CASES)
+def test_estimate_tol_keeps_the_growth_rate_within_its_budget(law, b_over_a,
+                                                              mass_factor):
+    fr = RateState(a=FR.a, b=FR.a * b_over_a, L=FR.L, sigma_o=FR.sigma_o, v_o=FR.v_o)
+    mass = mass_factor * mass_unit(fr)
+    budget = 0.1 * 1e-4 * fr.v_o / fr.L
+    v0 = 1.001 * fr.v_o
+    init = BlockState(v=v0, theta=fr.L / fr.v_o, tau=friction_stress(fr, v0, fr.L / fr.v_o))
+    cap = math.exp(simulate.CAP_GROWTH * abs(math.log1p(1e-3)))
+    k_ref = spring_block_critical(fr, mass)[0]
+    for factor in (0.9, 1.0, 1.1):
+        sb = SpringBlockParams(stiffness=factor * k_ref, mass=mass, friction=fr)
+        sigma = [simulate._growth_rate(simulate_spring_block(
+                     sb, law, init=init, tol=tol, runaway_factor=cap), fr)
+                 for tol in (simulate.ESTIMATE_TOL, 1e-11)]
+        assert abs(sigma[0] - sigma[1]) <= budget, factor
 
 
 # Prints the number of kernel pairs built after `import slipstab`, after a
@@ -480,8 +545,9 @@ def digest(*arrays):
 
 # SHA-256 of the t, v, theta and tau bytes of the estimator's soft bracket
 # run on each ODE-oracle gate case (0.9 K_cr, stopped at the estimator's
-# cap), recorded from the integrator that evaluated each step's interpolant
-# as it went: the last step's samples stop at the cap.
+# cap, at the tolerance 1e-8 the estimator used then), recorded from the
+# integrator that evaluated each step's interpolant as it went: the last
+# step's samples stop at the cap.
 PINNED_CAPPED_RUNS = [
     (EvolutionLaw.AGEING, 0.0, 545,
      "95846af353af8ad41ad786344e368338308c8c83744d8f6cd342e2c337143b44"),
@@ -499,7 +565,7 @@ def test_capped_run_is_bit_identical(law, mass, samples, sha256):
     sb = SpringBlockParams(stiffness=0.9 * spring_block_critical(FR, mass)[0],
                            mass=mass, friction=FR)
     cap = math.exp(simulate.CAP_GROWTH * abs(math.log1p(1e-3)))
-    traj = simulate_spring_block(sb, law, init=perturbed(), tol=simulate.ESTIMATE_TOL,
+    traj = simulate_spring_block(sb, law, init=perturbed(), tol=1e-8,
                                  runaway_factor=cap)
     assert traj.blew_up and traj.t.size == samples
     assert digest(traj.t, traj.v, traj.theta, traj.tau) == sha256

@@ -32,13 +32,28 @@ __all__ = [
 
 RUNAWAY_FACTOR = 1e6   # V above this multiple of v_o counts as instability
 CAP_GROWTH = 10.0      # estimator runs stop at ln(V/v_o) = 10*|ln(1 + perturbation)|
+# Estimator perturbations keep |ln(1 + perturbation)| <= MAX_LOG_PERTURBATION,
+# that is perturbation in [1/e - 1, e - 1].  On the four ODE-oracle gate
+# blocks the estimator's first runs integrate for ln(1 + perturbation) in
+# [-2.85, 1.65] (a 0.05 grid); 1e3, 1e10, 1e30 and -0.999999 end in
+# StepFailure.
+MAX_LOG_PERTURBATION = 1.0
 # Integrator tolerance of the estimator runs.  Budget: the growth rate
 # sigma that a run yields at ESTIMATE_TOL differs from sigma at 1e-11 by at
-# most 10% of the estimator's dead band 1e-4*v_o/L.  Measured over both
-# laws, b/a in {1.05, 1.5, 3}, mass 0 and 0.5*a*sigma_o*L/v_o^2 and
-# K/K_cr in [0.9, 1.1]: at most 3.7% at 1e-7 (1.5% at 1e-8, 9.1% at 3e-7,
-# 86% at 1e-6), and at most 0.02% within 4e-4 of K_cr.
+# most 10% of the estimator's dead band 1e-4*v_o/L.  Measured for b/a <= 3
+# only (both laws, b/a in {1.05, 1.5, 3}, mass 0 and 0.5*a*sigma_o*L/v_o^2,
+# K/K_cr in [0.9, 1.1]): at most 3.7% at 1e-7 over 200*L/v_o (1.5% at
+# 1e-8, 9.1% at 3e-7, 86% at 1e-6) and 1.9% over the estimator's duration,
+# and at most 0.02% within 4e-4 of K_cr.  It does not hold at b/a = 10:
+# at 1.1*K_cr it reads 15.2% (slip law) and 7.4% (ageing law) massless,
+# 11.7% and 7.8% with mass, at both durations.
 ESTIMATE_TOL = 1e-7
+# Duration of each estimator run, in L/v_o, and never less than six linear
+# periods 2*pi/omega_ref.  Budget: over ESTIMATE_SPAN*L/v_o a growth rate
+# of one dead band, 1e-4*v_o/L, changes the envelope by 1%, so a longer run
+# resolves sigma no better than the dead band accepts it.  The floor keeps
+# six peaks for the fits where the period is long (b/a below about 1.14).
+ESTIMATE_SPAN = 100.0
 ESTIMATE_MAX_STEPS = 40   # regula falsi steps before the estimator gives up
 MAX_EVALUATIONS = 1_000_000   # right-side evaluations allowed per integration
 MAX_SAMPLES = 1_000_000   # output samples allowed per run; a default run takes ~1,440
@@ -277,9 +292,7 @@ def _growth_rate(traj: BlockTrajectory, p: RateState) -> float:
     x = traj.v - p.v_o
     t_pk, x_pk = _positive_peaks(traj.t, x, max(1e-11 * p.v_o, 1e-4 * abs(x[0])))
     if t_pk.size >= 3:
-        if t_pk.size >= 6:
-            t_pk, x_pk = t_pk[2:], x_pk[2:]
-        return float(np.polyfit(t_pk, np.log(x_pk), 1)[0])
+        return _settled_slope(t_pk, np.log(x_pk))
     span = float(traj.t[-1] - traj.t[0])
     if traj.blew_up:
         return math.log(abs(x[-1]) / abs(x[0])) / span
@@ -290,12 +303,30 @@ def _growth_rate(traj: BlockTrajectory, p: RateState) -> float:
 
 
 def _measure_omega(traj: BlockTrajectory, p: RateState) -> float:
-    """Angular frequency from the mean spacing of oscillation peaks."""
+    """Angular frequency 2*pi/period, the period being the least-squares
+    slope of peak time against peak index, without the first two peaks when
+    six or more remain (as `_growth_rate` fits).  The mean spacing would be
+    (last - first)/(n - 1), set by the first peak's phase settling."""
     t_pk, _ = _positive_peaks(traj.t, traj.v - p.v_o, 1e-12 * p.v_o)
     if t_pk.size < 3:
         raise Inconclusive("too few oscillation peaks to measure a period")
-    period = float(np.mean(np.diff(t_pk)))
-    return 2.0 * math.pi / period
+    return 2.0 * math.pi / _settled_slope(np.arange(t_pk.size, dtype=float), t_pk)
+
+
+def _settled_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x, without the first two points (the
+    phase settling of the initial condition) when six or more remain."""
+    if x.size >= 6:
+        x, y = x[2:], y[2:]
+    return float(np.polyfit(x, y, 1)[0])
+
+
+def _estimate_duration(p: RateState) -> float:
+    """Duration (s) of each estimator run: ESTIMATE_SPAN*L/v_o, or six
+    linear periods 2*pi/omega_ref when they last longer."""
+    periods = 12.0 * math.pi / math.sqrt((p.b - p.a) / p.a)   # six, in L/v_o
+    return _scale("the estimator's run duration max(ESTIMATE_SPAN, 6 periods)*L/v_o",
+                  max(ESTIMATE_SPAN, periods) / (p.v_o / p.L), L=p.L, v_o=p.v_o)
 
 
 def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
@@ -305,10 +336,11 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
 
     Each run starts from steady sliding with V perturbed by the relative
     amount `perturbation`, is integrated at tolerance ESTIMATE_TOL over
-    simulate_spring_block's default 200*L/v_o, and yields the envelope
-    growth rate sigma of V - v_o (see `_growth_rate`); a run stops early
-    once ln(V/v_o) reaches CAP_GROWTH times |ln(1 + perturbation)|, where
-    growth is certain.  The search brackets the zero of sigma(K) starting
+    ESTIMATE_SPAN*L/v_o = 100*L/v_o, or six linear periods 2*pi/omega_ref
+    when they last longer (omega_ref = sqrt((b-a)/a)*v_o/L), and yields the
+    envelope growth rate sigma of V - v_o (see `_growth_rate`); a run stops
+    early once ln(V/v_o) reaches CAP_GROWTH times |ln(1 + perturbation)|,
+    where growth is certain.  The search brackets the zero of sigma(K) starting
     from [0.9, 1.1] times the analytic critical value, halving the soft end
     or doubling the stiff end (within 0.1 and 10 times that value) until the
     soft end grows and the stiff end decays, then takes at most
@@ -318,15 +350,19 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
     neutral and gives the estimate (the stiffness is then within about
     4e-4 of critical); a bracket narrower than 1e-3 times the analytic
     value gives its midpoint.  The returned frequency comes from the peak
-    spacing of a run at the estimate that was not stopped early.
+    times of a run at the estimate that was not stopped early, fitted
+    against the peak index as the growth rate is fitted (`_measure_omega`).
 
     The dead band is the estimator's resolution: ESTIMATE_TOL = 1e-7 keeps
-    sigma's integration error below 10% of it.  The absolute tolerance,
+    sigma's integration error below 10% of it for b/a <= 3 (not at b/a =
+    10; see ESTIMATE_TOL).  The absolute tolerance,
     ESTIMATE_TOL*1e-3 = 1e-10 in ln V, sits 1e3 below the smallest peak
-    the fit keeps, 1e-4 of a 1e-3 perturbation.
+    the fit keeps, 1e-4 of a 1e-3 perturbation.  ESTIMATE_SPAN is set by the
+    dead band too (see its budget).
 
     Raises VelocityStrengthening for b <= a, DomainError for a perturbation
-    that is zero or not finite or whose runaway cap overflows, and
+    that is zero or not finite or whose |ln(1 + perturbation)| exceeds
+    MAX_LOG_PERTURBATION = 1 (outside [1/e - 1, e - 1]), and
     Inconclusive when the widened ends fail to bracket
     (no growth at the soft end, no decay at the stiff end) or the dead band
     is not reached within ESTIMATE_MAX_STEPS regula falsi steps.
@@ -335,24 +371,25 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
         raise VelocityStrengthening("no finite critical stiffness for b <= a")
     if not 0.0 < abs(perturbation) < math.inf:
         raise DomainError(f"perturbation must be finite and nonzero, got {perturbation}")
+    low, high = math.expm1(-MAX_LOG_PERTURBATION), math.expm1(MAX_LOG_PERTURBATION)
+    if not low <= perturbation <= high:
+        raise DomainError(f"perturbation must lie in [{low!r}, {high!r}], where "
+                          f"|ln(1 + perturbation)| <= {MAX_LOG_PERTURBATION!r}, "
+                          f"got {perturbation!r}")
     k_ref, _ = spring_block_critical(p, mass)
     k_min, k_max = 0.1 * k_ref, 10.0 * k_ref
     dead_band = 1e-4 * p.v_o / p.L
     v0 = (1.0 + perturbation) * p.v_o
     init = BlockState(v=v0, theta=p.L / p.v_o,
                       tau=friction_stress(p, v0, p.L / p.v_o))
-    try:
-        cap = math.exp(CAP_GROWTH * abs(math.log1p(perturbation)))
-    except OverflowError as exc:
-        raise DomainError(f"the runaway cap exp(CAP_GROWTH*|ln(1 + perturbation)|) "
-                          f"overflows (CAP_GROWTH = {CAP_GROWTH!r}, perturbation = "
-                          f"{perturbation!r})") from exc
+    cap = math.exp(CAP_GROWTH * abs(math.log1p(perturbation)))
+    duration = _estimate_duration(p)
     runs: dict[float, BlockTrajectory] = {}
 
     def run(k: float, runaway_factor: float) -> BlockTrajectory:
         sb = SpringBlockParams(stiffness=k, mass=mass, friction=p)
-        return simulate_spring_block(sb, law, init=init, tol=ESTIMATE_TOL,
-                                     runaway_factor=runaway_factor)
+        return simulate_spring_block(sb, law, init=init, duration=duration,
+                                     tol=ESTIMATE_TOL, runaway_factor=runaway_factor)
 
     def sigma(k: float) -> float:
         runs[k] = run(k, cap)

@@ -227,15 +227,15 @@ def check_ode_oracle() -> tuple[bool, str]:
             if abs(k_est - k_ref) / k_ref > 0.005:
                 problems.append(f"{law.value} m={mass:g}: K off by "
                                 f"{abs(k_est / k_ref - 1):.3%}")
-            if abs(omega_est - omega_ref) / omega_ref > 0.005:
+            if abs(omega_est - omega_ref) / omega_ref > 0.001:
                 problems.append(f"{law.value} m={mass:g}: omega off by "
                                 f"{abs(omega_est / omega_ref - 1):.3%}")
             estimates[mass].append(k_est)
     for mass, pair in estimates.items():
         if abs(pair[0] - pair[1]) / pair[0] > 0.001:
             problems.append(f"laws disagree at m={mass:g}")
-    return not problems, ("K and omega within 0.5% for both laws, both masses, "
-                          "laws within 0.1%"
+    return not problems, ("K within 0.5% and omega within 0.1% for both laws, "
+                          "both masses, laws within 0.1%"
                           if not problems else "; ".join(problems))
 
 

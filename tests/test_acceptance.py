@@ -54,7 +54,7 @@ def test_velocity_strengthening_always_stable():
 
 def test_nonlinear_block_confirms_linear_thresholds():
     """Critical stiffness from the nonlinear integration within 0.5% of the
-    closed form (with and without inertia), frequency within 0.5%, both
+    closed form (with and without inertia), frequency within 0.1%, both
     evolution laws agreeing to 0.1%, <5s."""
     _gate(verification.check_ode_oracle)
 

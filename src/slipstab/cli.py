@@ -231,12 +231,9 @@ def _cmd_kcr(cfg: dict) -> int:
             raise InputError(f"give {given[0]} (nondimensional) or {group} "
                              f"fields, not both")
     if nondim:
-        q = cfg["q"]
-        if not 0.0 < q < math.inf:
-            raise InputError(f"q must be positive and finite, got {q}")
         bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
                                     cfg.get("speed_ratio", 1.0))
-        verdict = critical_mode_q(q, _require(cfg, "b_over_a"), bm)
+        verdict = critical_mode_q(cfg["q"], _require(cfg, "b_over_a"), bm)
     else:
         bm = _dimensional_bimaterial(cfg)
         verdict = critical_mode(friction, bm)

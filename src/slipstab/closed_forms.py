@@ -138,7 +138,10 @@ def identical_isotropic_dynamic(p: RateState, mu: float, c_s: float):
     identical-solids value times sqrt(1+q^2), that is
     2*(b-a)*sigma_o*sqrt(1+q^2)/(mu*L), and c = q*c_s/sqrt(1+q^2).
     Reduces to the quasi-static answer as q -> 0, and never falls below it.
-    A q^2, k_cr or c that overflows or underflows raises DomainError.
+    A q^2, k_cr or c that overflows or underflows raises DomainError.  Above
+    q of about 7e7 to 1e8 (the bound depends on c_s), c rounds to nearest
+    onto c_s; it is rounded down instead, so that c < c_s holds as it does
+    exactly.
     """
     if not (0.0 < mu < math.inf and 0.0 < c_s < math.inf):
         raise DomainError(f"need finite mu > 0 and c_s > 0, got mu={mu}, c_s={c_s}")
@@ -147,5 +150,6 @@ def identical_isotropic_dynamic(p: RateState, mu: float, c_s: float):
     q = nondim_q(p, EffectiveMedium(mu=mu, c1=c_s))
     root = _scale("sqrt(1 + q^2)", math.sqrt(1.0 + q * q), q=q)
     k_cr = _continuum_k_cr(p, mu, mu)
+    c = _scale("q*c_s/sqrt(1 + q^2)", q * c_s / root, q=q, c_s=c_s)
     return (_scale("k_cr*sqrt(1 + q^2)", k_cr * root, k_cr=k_cr, q=q),
-            _scale("q*c_s/sqrt(1 + q^2)", q * c_s / root, q=q, c_s=c_s))
+            min(c, math.nextafter(c_s, 0.0)))

@@ -294,8 +294,8 @@ def _intersonic_finish(tau: np.ndarray, q2: np.ndarray, m: float, r: float,
 
 
 def _check_q(q: float) -> None:
-    if not q > 0.0:
-        raise DomainError(f"q must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"q must be positive and finite, got {q}")
 
 
 def solve_subsonic(q: float, bm: BiMaterial) -> NeutralMode:
@@ -323,10 +323,11 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
     v = c1'/c1 - c/c1.  q <= q_w gives no mode, q > q_w one on each side
     of the minimum, solved in tau to a relative residual under 1e-10.
 
-    Equal wave speeds leave no interval and return [].  The intersonic
-    equations involve b/a on their own, hence the extra argument; it must be
-    > 1 (velocity weakening) and at most 1e100, beyond which the phase
-    equation overflows.  The modes carry no dimensional fields.
+    q must be positive and finite.  Equal wave speeds leave no interval and
+    return [].  The intersonic equations involve b/a on their own, hence the
+    extra argument; it must be > 1 (velocity weakening) and at most 1e100,
+    beyond which the phase equation overflows.  The modes carry no
+    dimensional fields.
     """
     _check_q(q)
     if not 1.0 < b_over_a <= _MAX_B_OVER_A:
@@ -350,8 +351,9 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
 def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdict:
     """Stability verdict at nondimensional sliding velocity q and ratio b/a.
 
-    b/a <= 1 never destabilizes (no mode); b/a must be positive and finite,
-    as for every RateState, else DomainError.  Otherwise perturbations
+    b/a <= 1 never destabilizes (no mode); q and b/a must be positive and
+    finite, as for every RateState, else DomainError, whatever the verdict
+    would be.  Otherwise perturbations
     of wavenumber above the critical one decay and below it grow, so the
     neutral mode of largest |k| over both branches is the critical mode.
     It is always the subsonic one: with f0 = F(0) = 2m/(1+m), w = b/a - 1
@@ -364,6 +366,7 @@ def critical_mode_q(q: float, b_over_a: float, bm: BiMaterial) -> StabilityVerdi
     and x = c/c1 > 1.  So only the subsonic branch is solved, without
     dimensional fields.
     """
+    _check_q(q)
     if not 0.0 < b_over_a < math.inf:
         raise DomainError(f"b/a must be positive and finite, got {b_over_a}")
     if not b_over_a > 1.0:

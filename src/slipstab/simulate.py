@@ -31,13 +31,9 @@ __all__ = [
 ]
 
 RUNAWAY_FACTOR = 1e6   # V above this multiple of v_o counts as instability
-CAP_GROWTH = 10.0      # estimator runs stop at ln(V/v_o) = 10*|ln(1 + perturbation)|
-# Estimator perturbations keep |ln(1 + perturbation)| <= MAX_LOG_PERTURBATION,
-# that is perturbation in [1/e - 1, e - 1].  On the four ODE-oracle gate
-# blocks the estimator's first runs integrate for ln(1 + perturbation) in
-# [-2.85, 1.65] (a 0.05 grid); 1e3, 1e10, 1e30 and -0.999999 end in
-# StepFailure.
-MAX_LOG_PERTURBATION = 1.0
+ESTIMATE_PERTURBATION = 1e-3   # estimator runs start from V = (1 + this)*v_o
+# estimator runs stop at ln(V/v_o) = CAP_GROWTH*ln(1 + ESTIMATE_PERTURBATION)
+CAP_GROWTH = 10.0
 # Integrator tolerance of the estimator runs.  Budget: the growth rate
 # sigma that a run yields at ESTIMATE_TOL differs from sigma at 1e-11 by at
 # most 10% of the estimator's dead band 1e-4*v_o/L.  Measured for b/a <= 3
@@ -147,6 +143,8 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     init : BlockState, optional
         Initial condition; defaults to steady sliding (v_o, L/v_o, tau_o + ...).
         Without inertia the tau field is ignored (force balance fixes it).
+        An infinite theta, or with inertia a tau that is not finite, raises
+        DomainError.
     duration : float, optional
         Integration time in seconds; defaults to 200*L/v_o.  A default
         that overflows to inf, a duration whose output grid would hold
@@ -159,8 +157,8 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     runaway_factor : float
         The run halts at the first upward crossing of V = runaway_factor*v_o.
         Must exceed 1; defaults to RUNAWAY_FACTOR = 1e6.  The stiffness
-        estimator passes exp(CAP_GROWTH*|ln(1 + perturbation)|), so a
-        growing run stops as soon as its growth is certain.  An initial V
+        estimator passes exp(CAP_GROWTH*ln(1 + ESTIMATE_PERTURBATION)), so
+        a growing run stops as soon as its growth is certain.  An initial V
         at or above runaway_factor*v_o leaves no sample and raises
         DomainError.
 
@@ -192,6 +190,12 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     else:
         v0, theta0 = init.v, init.theta
         tau0 = init.tau
+        # BlockState holds integrator states too (StepFailure.last_state),
+        # so what it cannot start from is rejected here, not there
+        if not theta0 < math.inf:
+            raise DomainError(f"initial theta must be finite, got {theta0}")
+        if sb.mass > 0.0 and not abs(tau0) < math.inf:
+            raise DomainError(f"initial tau must be finite with inertia, got {tau0}")
 
     u0 = math.log(v0 / p.v_o)
     cap = math.log(runaway_factor)
@@ -330,59 +334,50 @@ def _estimate_duration(p: RateState) -> float:
 
 
 def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
-                                mass: float = 0.0,
-                                perturbation: float = 1e-3) -> tuple[float, float]:
+                                mass: float = 0.0) -> tuple[float, float]:
     """Estimate (K_cr, omega) from the nonlinear block, no linearization used.
 
     Each run starts from steady sliding with V perturbed by the relative
-    amount `perturbation`, is integrated at tolerance ESTIMATE_TOL over
-    ESTIMATE_SPAN*L/v_o = 100*L/v_o, or six linear periods 2*pi/omega_ref
-    when they last longer (omega_ref = sqrt((b-a)/a)*v_o/L), and yields the
-    envelope growth rate sigma of V - v_o (see `_growth_rate`); a run stops
-    early once ln(V/v_o) reaches CAP_GROWTH times |ln(1 + perturbation)|,
-    where growth is certain.  The search brackets the zero of sigma(K) starting
-    from [0.9, 1.1] times the analytic critical value, halving the soft end
-    or doubling the stiff end (within 0.1 and 10 times that value) until the
-    soft end grows and the stiff end decays, then takes at most
-    ESTIMATE_MAX_STEPS Illinois regula falsi steps.  The analytic value only
-    places the first bracket: every sign and every sigma come from nonlinear
-    runs.  A run with |sigma| within the dead band 1e-4*v_o/L counts as
-    neutral and gives the estimate (the stiffness is then within about
-    4e-4 of critical); a bracket narrower than 1e-3 times the analytic
-    value gives its midpoint.  The returned frequency comes from the peak
-    times of a run at the estimate that was not stopped early, fitted
-    against the peak index as the growth rate is fitted (`_measure_omega`).
+    amount ESTIMATE_PERTURBATION = 1e-3, is integrated at tolerance
+    ESTIMATE_TOL over ESTIMATE_SPAN*L/v_o = 100*L/v_o, or six linear periods
+    2*pi/omega_ref when they last longer (omega_ref = sqrt((b-a)/a)*v_o/L),
+    and yields the envelope growth rate sigma of V - v_o (see
+    `_growth_rate`); a run stops early once ln(V/v_o) reaches CAP_GROWTH
+    times ln(1 + ESTIMATE_PERTURBATION), where growth is certain.  The
+    search brackets the zero of sigma(K) starting from [0.9, 1.1] times the
+    analytic critical value, halving the soft end or doubling the stiff end
+    (within 0.1 and 10 times that value) until the soft end grows and the
+    stiff end decays, then takes at most ESTIMATE_MAX_STEPS Illinois regula
+    falsi steps.  The analytic value only places the first bracket: every
+    sign and every sigma come from nonlinear runs.  A run with |sigma|
+    within the dead band 1e-4*v_o/L counts as neutral and gives the
+    estimate (the stiffness is then within about 4e-4 of critical); a
+    bracket narrower than 1e-3 times the analytic value gives its midpoint.
+    The returned frequency comes from the peak times of a run at the
+    estimate that was not stopped early, fitted against the peak index as
+    the growth rate is fitted (`_measure_omega`).
 
     The dead band is the estimator's resolution: ESTIMATE_TOL = 1e-7 keeps
     sigma's integration error below 10% of it for b/a <= 3 (not at b/a =
-    10; see ESTIMATE_TOL).  The absolute tolerance,
-    ESTIMATE_TOL*1e-3 = 1e-10 in ln V, sits 1e3 below the smallest peak
-    the fit keeps, 1e-4 of a 1e-3 perturbation.  ESTIMATE_SPAN is set by the
-    dead band too (see its budget).
+    10; see ESTIMATE_TOL).  The absolute tolerance, ESTIMATE_TOL*1e-3 =
+    1e-10 in ln V, sits 1e3 below the smallest peak the fit keeps, 1e-4 of
+    the 1e-3 perturbation.  ESTIMATE_SPAN is set by the dead band too (see
+    its budget).
 
-    Raises VelocityStrengthening for b <= a, DomainError for a perturbation
-    that is zero or not finite or whose |ln(1 + perturbation)| exceeds
-    MAX_LOG_PERTURBATION = 1 (outside [1/e - 1, e - 1]), and
-    Inconclusive when the widened ends fail to bracket
-    (no growth at the soft end, no decay at the stiff end) or the dead band
-    is not reached within ESTIMATE_MAX_STEPS regula falsi steps.
+    Raises VelocityStrengthening for b <= a, and Inconclusive when the
+    widened ends fail to bracket (no growth at the soft end, no decay at the
+    stiff end) or the dead band is not reached within ESTIMATE_MAX_STEPS
+    regula falsi steps.
     """
     if not p.weakening:
         raise VelocityStrengthening("no finite critical stiffness for b <= a")
-    if not 0.0 < abs(perturbation) < math.inf:
-        raise DomainError(f"perturbation must be finite and nonzero, got {perturbation}")
-    low, high = math.expm1(-MAX_LOG_PERTURBATION), math.expm1(MAX_LOG_PERTURBATION)
-    if not low <= perturbation <= high:
-        raise DomainError(f"perturbation must lie in [{low!r}, {high!r}], where "
-                          f"|ln(1 + perturbation)| <= {MAX_LOG_PERTURBATION!r}, "
-                          f"got {perturbation!r}")
     k_ref, _ = spring_block_critical(p, mass)
     k_min, k_max = 0.1 * k_ref, 10.0 * k_ref
     dead_band = 1e-4 * p.v_o / p.L
-    v0 = (1.0 + perturbation) * p.v_o
+    v0 = (1.0 + ESTIMATE_PERTURBATION) * p.v_o
     init = BlockState(v=v0, theta=p.L / p.v_o,
                       tau=friction_stress(p, v0, p.L / p.v_o))
-    cap = math.exp(CAP_GROWTH * abs(math.log1p(perturbation)))
+    cap = math.exp(CAP_GROWTH * math.log1p(ESTIMATE_PERTURBATION))
     duration = _estimate_duration(p)
     runs: dict[float, BlockTrajectory] = {}
 

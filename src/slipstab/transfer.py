@@ -6,14 +6,15 @@ traction it induces, in the Laplace domain: the traction transform is
 F depends on its arguments only through z = p/(|k|*c1) and the two material
 ratios, so everything here is computed in that normalized form.
 
-Three entry points cover the three regimes used by the stability analysis:
+The public entry points:
 
-* f_laplace   -- complex p with Re(p) >= 0 (imaginary axis taken as the
-                 limit from Re(p) > 0, which IEEE signed zeros select
-                 automatically),
-* f_subsonic  -- real positive F on phase velocities 0 <= c < c1,
+* f_normalized -- F of z at given material ratios, scalar or ndarray,
+* f_laplace    -- complex p with Re(p) >= 0 (imaginary axis taken as the
+                  limit from Re(p) > 0, which IEEE signed zeros select
+                  automatically); on the subsonic branch p = i*|k|*c,
+                  0 <= c < c1, its real part is the real positive F,
 * f_intersonic -- the complex limit F1 + i*F2 on c1 < c < c1', where waves
-                 radiate into the slow side but remain trapped in the fast one.
+                  radiate into the slow side but remain trapped in the fast one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import BranchPole, DomainError
 from .materials import BiMaterial
 
-__all__ = ["f_laplace", "f_normalized", "f_subsonic", "f_intersonic"]
+__all__ = ["f_laplace", "f_normalized", "f_intersonic"]
 
 
 def f_normalized(z, mu_ratio: float, speed_ratio: float):
@@ -83,35 +84,15 @@ def closed_half_plane(p: complex) -> complex:
     return complex(0.0, p.imag) if p.real == 0.0 else p
 
 
-def f_subsonic(c_over_c1: float, bm: BiMaterial) -> float:
-    """Real transfer function on the subsonic branch p = i*|k|*c, 0 <= c < c1.
-
-    F = 2*mu'*beta'*beta / (mu*beta + mu'*beta') with beta = sqrt(1 - c^2/c1^2)
-    and beta' = sqrt(1 - c^2/c1'^2).  Strictly decreasing in c, from
-    2*mu'/(mu + mu') at c = 0 to 0 at c = c1.
-
-    Nothing in slipstab calls it: the solvers work with
-    `f_subsonic_denominator` directly.  It is kept as the public form of
-    the paper's subsonic transfer function.
-    """
-    x = c_over_c1
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"subsonic branch needs 0 <= c/c1 < 1, got {x}")
-    # (1-x) is exact for x in [0.5, 1): no cancellation as c -> c1
-    t = x * x / ((1.0 - x) * (1.0 + x))
-    # F = 2m*beta/(h + m) with beta = 1/sqrt(1 + t)
-    return float(2.0 * bm.mu_ratio
-                 / (f_subsonic_denominator(t, bm.mu_ratio, bm.speed_ratio)
-                    * np.sqrt(1.0 + t)))
-
-
 def f_subsonic_denominator(t, mu_ratio: float, speed_ratio: float):
-    """h + m, the denominator of F/beta = 2m/(h + m) of f_subsonic, at
-    t = x^2/(1 - x^2), x = c/c1, floats or ndarrays; beta = 1/sqrt(1 + t).
+    """h + m, the denominator of the subsonic transfer function
+    F = 2*m*beta/(h + m) on p = i*|k|*c, 0 <= c < c1, at t = x^2/(1 - x^2),
+    x = c/c1, floats or ndarrays; beta = sqrt(1 - x^2) = 1/sqrt(1 + t).
 
     h = beta/beta' = r/sqrt(r^2 + t*(r - 1)*(r + 1)) falls from 1 at c = 0
-    to 0 as c -> c1 (stays 1 for r = 1); t keeps x and beta accurate as
-    c -> c1, for every float t.
+    to 0 as c -> c1 (stays 1 for r = 1), with beta' = sqrt(1 - (x/r)^2);
+    F decreases strictly from 2m/(1 + m) at c = 0 to 0 at c = c1.  t keeps
+    x and beta accurate as c -> c1, for every float t.
     """
     r = speed_ratio
     return r / np.sqrt(r * r + t * ((r - 1.0) * (r + 1.0))) + mu_ratio

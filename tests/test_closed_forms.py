@@ -278,3 +278,10 @@ def test_dynamic_never_below_quasistatic(p, mu, c_s):
     k_qs = quasistatic_continuum(p, mu=mu)[0]
     assert k_dyn >= k_qs
     assert 0.0 < c < c_s
+
+
+def test_dynamic_phase_velocity_stays_below_c_s_at_large_q():
+    # q = 7.3e7: q*c_s/sqrt(1 + q^2) rounds to nearest onto c_s = 100
+    p = RateState(a=0.0019880509872241795, b=0.002, L=0.0078125, sigma_o=1e4, v_o=1.0)
+    _, c = identical_isotropic_dynamic(p, mu=22469666495.0, c_s=100.0)
+    assert c == math.nextafter(100.0, 0.0)

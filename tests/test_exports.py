@@ -1,10 +1,12 @@
 """The package namespace: every exported name resolves, every public name
 of the solver modules is re-exported, so a deleted name cannot linger, and
-the public surface is pinned."""
+the public surface, names and options, is pinned."""
 
 from __future__ import annotations
 
+import enum
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -37,7 +39,7 @@ PUBLIC = [
     "__version__", "certify_crossing", "characteristic_residual",
     "count_unstable", "critical_mode", "critical_mode_q", "effective_medium",
     "estimate_critical_stiffness", "f_intersonic", "f_laplace", "f_normalized",
-    "f_subsonic", "friction_stress", "identical_isotropic_dynamic",
+    "friction_stress", "identical_isotropic_dynamic",
     "make_bimaterial", "nondim_q", "polish_root", "quasistatic_continuum",
     "run_all", "simulate_spring_block", "solve_intersonic", "solve_subsonic",
     "spring_block_critical", "sweep_q",
@@ -45,8 +47,43 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert len(slipstab.__all__) == len(set(slipstab.__all__)) == 49
+    assert len(slipstab.__all__) == len(set(slipstab.__all__)) == 48
     assert sorted(slipstab.__all__) == PUBLIC
+
+
+# every optional parameter of every public callable: adding or dropping an
+# option takes an edit here, as adding or dropping a name does above
+KNOBS = {
+    "BlockTrajectory": ("metadata",),
+    "NeutralMode": ("k_mag", "omega"),
+    "RateState": ("f",),
+    "StabilityVerdict": ("mode",),
+    "StepFailure": ("last_state",),
+    "estimate_critical_stiffness": ("mass",),
+    "polish_root": ("steps", "tol"),
+    "quasistatic_continuum": ("mu_prime",),
+    "simulate_spring_block": ("init", "duration", "tol", "runaway_factor"),
+    "spring_block_critical": ("mass",),
+}
+
+
+def _options(obj) -> tuple[str, ...]:
+    """Names of obj's parameters that have a default.  An Enum's call
+    signature is the enum machinery's, and an exception that keeps the
+    builtin constructor has no signature: neither has options of its own."""
+    if isinstance(obj, type) and issubclass(obj, enum.Enum):
+        return ()
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except ValueError:
+        return ()
+    return tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+
+
+def test_public_options_are_pinned():
+    options = {name: _options(getattr(slipstab, name)) for name in slipstab.__all__
+               if callable(getattr(slipstab, name))}
+    assert {name: opts for name, opts in options.items() if opts} == KNOBS
 
 
 def test_every_library_module_declares_its_exports():

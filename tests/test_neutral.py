@@ -27,7 +27,7 @@ from slipstab import (
     RateState,
     critical_mode,
     critical_mode_q,
-    f_subsonic,
+    f_laplace,
     make_bimaterial,
     nondim_q,
     solve_intersonic,
@@ -39,6 +39,12 @@ from slipstab.neutral import _subsonic_modes
 
 MILD = BiMaterial.from_ratios(1.0, 1.2)
 PRESETS = ((1.2, 1.0), (5.0, 1.0), (5.0, 10.0), (5.0, 0.1))
+
+
+def f_axis(x: float, bm: BiMaterial) -> float:
+    """Subsonic F at c/c1 = x from the Laplace form at p = i*x (unit
+    slow-side c1, as from_ratios builds): no code shared with the solver."""
+    return f_laplace(1.0, 1j * x, bm).real
 
 
 def dimensional(q, b_over_a=1.2, mu_ratio=1.0, speed_ratio=1.2, *,
@@ -80,12 +86,12 @@ class TestSubsonic:
     def test_against_velocity_space_oracle(self, mu_ratio, speed_ratio, q):
         """Re-solve x/F(x) = q directly in x with brentq."""
         bm = BiMaterial.from_ratios(mu_ratio, speed_ratio)
-        x = brentq(lambda v: v / f_subsonic(v, bm) - q, 1e-15, 1.0 - 1e-15,
+        x = brentq(lambda v: v / f_axis(v, bm) - q, 1e-15, 1.0 - 1e-15,
                    xtol=1e-15, rtol=8.9e-16)
         mode = solve_subsonic(q, bm)
         assert mode.c_over_c1 == pytest.approx(x, rel=1e-12)
-        f0 = f_subsonic(0.0, bm)
-        assert mode.k_hat == pytest.approx(f0 / f_subsonic(x, bm), rel=1e-12)
+        f0 = f_axis(0.0, bm)
+        assert mode.k_hat == pytest.approx(f0 / f_axis(x, bm), rel=1e-12)
 
     def test_dimensional_fields(self):
         friction, bm = dimensional(1.0)
@@ -151,7 +157,7 @@ class TestSubsonic:
         assert 0.0 < mode.c_over_c1 < 1.0
         assert mode.k_hat >= 1.0
         # the mode satisfies the defining equation in velocity space
-        resid = mode.c_over_c1 / f_subsonic(mode.c_over_c1, bm) - q
+        resid = mode.c_over_c1 / f_axis(mode.c_over_c1, bm) - q
         assert abs(resid) <= 1e-9 * q
 
 
@@ -258,6 +264,22 @@ class TestCriticalMode:
         # no RateState gives such a b/a
         with pytest.raises(DomainError, match="b/a"):
             critical_mode_q(1.0, b_over_a, MILD)
+
+    @pytest.mark.parametrize("b_over_a", [0.5, 1.2])
+    @pytest.mark.parametrize("q", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_q_rejected_whatever_b_over_a(self, q, b_over_a):
+        # b/a <= 1 used to return always-stable without looking at q
+        with pytest.raises(DomainError, match=f"^q must be positive and finite, got {q}$"):
+            critical_mode_q(q, b_over_a, MILD)
+
+    def test_infinite_q_rejected_by_the_one_q_solvers(self):
+        # solve_intersonic used to take q = inf into its brackets
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (lambda q: solve_subsonic(q, MILD),
+                          lambda q: solve_intersonic(q, 1.2, MILD)):
+                with pytest.raises(DomainError, match="^q must be positive and finite"):
+                    solve(math.inf)
 
     @pytest.mark.parametrize("solve", [critical_mode_q, solve_intersonic])
     def test_infinite_b_over_a_rejected(self, solve):

@@ -30,6 +30,11 @@ each row once per output time of its step and evaluates the interpolant's
 Horner form elementwise, in the order a per-sample loop would, so each
 sample rounds exactly as that loop's float arithmetic does.
 
+A run may instead, or as well, ask for the maxima of y[0].  Dense output is
+then built only in the steps that hold one (loc. cit., Sec. II.6): a step
+whose slope y[0]' falls from above 0 to 0 or below, and the maximum is
+located on that step's interpolant by Newton's method on its derivative.
+
 The tableau is copied, digit for digit, from scipy's
 `scipy/integrate/_ivp/dop853_coefficients.py` (scipy 1.17.1; BSD-3-Clause,
 Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), which
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from array import array
 from bisect import bisect_right
@@ -191,6 +197,8 @@ class Solution:
     nfev: int              # right-side evaluations, scipy's count
     capped: bool           # y[0] crossed the cap upward
     failure: str | None    # why the run stopped short of t_eval[-1]
+    t_end: float = math.nan         # time of y_end
+    maxima: np.ndarray | None = None   # (2, maxima): t and y[0] at each, if asked
 
 
 def _weighted(row, i: int) -> str:
@@ -283,7 +291,7 @@ def _initial_step(fun, t, y, f, span, rtol, atol) -> float:
 
 
 def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
-              max_nfev: int) -> Solution:
+              max_nfev: int, *, maxima: bool = False) -> Solution:
     """Integrate y' = fun(t, y) from t_eval[0] to t_eval[-1], sampling y at
     every t_eval, until y[0] crosses `cap` upward.
 
@@ -302,8 +310,23 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     The run stops short, with `failure` set and the samples of its
     completed steps, when the step size falls below 10 ulp(t) or when the
     next step could take the evaluation count past max_nfev.  rtol is
-    raised to 100 machine epsilons if smaller, as scipy does.  An
-    exception of fun (an OverflowError, say) propagates.
+    raised to 100 machine epsilons if smaller, as scipy does.  Unlike
+    scipy, a step whose squared error terms all underflow to 0 is measured
+    again (`_unsquared_error`), and a trial step that raises is rejected
+    (below).
+
+    With `maxima`, each accepted step whose slope y[0]' falls from above 0
+    at its start to 0 or below at its end builds its interpolant too (3
+    evaluations, once per step) and `Solution.maxima` holds the time and
+    the height of the interpolant's maximum of y[0] on it (see `_argmax`).
+    The step that crosses the cap is left out: its maximum is at or past
+    the crossing.
+
+    A trial step whose right side raises OverflowError or ZeroDivisionError
+    (exp overflowing, say) is rejected like a step whose error is too
+    large: its 12 evaluations count and the step shrinks by MIN_FACTOR.
+    Such an exception anywhere else (the start, an interpolant) propagates,
+    as does any other exception of fun.
     """
     rtol = max(rtol, MIN_RTOL)
     n = len(y0)
@@ -315,6 +338,7 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     nfev = 2
     rows = array("d")    # per recorded step: t_old, h, y_old, f0-f6 of each y_i
     counts = array("q")  # output times up to the end of each recorded step
+    peaks = array("d") if maxima else None   # t, y[0] of each maximum
     i_out = 0   # next output time
     while True:
         min_step = 10.0 * math.ulp(t)
@@ -322,17 +346,22 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
         rejected = False
         while True:   # attempt steps until one is accepted
             if h_abs < min_step:
-                return _solution(t_eval, rows, counts, y, nfev, cap, False,
+                return _solution(t_eval, rows, counts, t, y, nfev, cap, False, peaks,
                                  f"step size {h_abs:.3g} below 10 ulp at t = {t!r}")
             if nfev + 15 > max_nfev:
-                return _solution(t_eval, rows, counts, y, nfev, cap, False,
+                return _solution(t_eval, rows, counts, t, y, nfev, cap, False, peaks,
                                  f"evaluation budget {max_nfev} spent at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            y_new, f_new, err5, err3, ks = step(fun, t, t_new, h, y, f, rtol, atol)
             nfev += 12
+            try:
+                y_new, f_new, err5, err3, ks = step(fun, t, t_new, h, y, f, rtol, atol)
+            except (OverflowError, ZeroDivisionError):
+                h_abs = h * MIN_FACTOR
+                rejected = True
+                continue
             if err5 == 0.0 and err3 == 0.0:
-                error = 0.0
+                error = _unsquared_error(h, y, y_new, ks, rtol, atol)
             else:
                 error = h * err5 / math.sqrt((err5 + 0.01 * err3) * n)
             if error < 1.0:
@@ -343,22 +372,95 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
             h_abs = h * max(MIN_FACTOR, SAFETY * error ** EXPONENT)
             rejected = True
 
-        t_old, y_old = t, y
+        t_old, y_old, slope = t, y, f[0]
         t, y, f = t_new, y_new, f_new
         capped = y_old[0] <= cap <= y[0]
         i_end = bisect_right(t_eval, t, i_out)   # output times up to t
-        if capped or i_end > i_out:
+        peak = maxima and not capped and slope > 0.0 >= f[0]
+        if capped or i_end > i_out or peak:
             nfev += 3
-            rows.extend((t_old, h, *y_old))
-            for coefficients in dense(fun, t_old, h, y_old, y, ks):
-                rows.extend(coefficients)
-            counts.append(i_end - i_out)
-            i_out = i_end
+            coefficients = dense(fun, t_old, h, y_old, y, ks)
+            if peak:
+                x = _argmax(coefficients[0], h * slope, h * f[0])
+                peaks.extend((t_old + x * h, _interpolant(x, y_old[0], coefficients[0])[0]))
+            if capped or i_end > i_out:
+                rows.extend((t_old, h, *y_old))
+                for row in coefficients:
+                    rows.extend(row)
+                counts.append(i_end - i_out)
+                i_out = i_end
         if capped or t == t_end:
-            return _solution(t_eval, rows, counts, y, nfev, cap, capped, None)
+            return _solution(t_eval, rows, counts, t, y, nfev, cap, capped, peaks, None)
 
 
-def _solution(t_eval, rows, counts, y_end, nfev, cap, capped, failure) -> Solution:
+def _unsquared_error(h, y, y_new, ks, rtol, atol) -> float:
+    """The error norm of a step whose squared error sums both came out 0,
+    recomputed with h applied to each error term before it is squared.
+
+    h*sum(e^2)/sqrt((sum(e^2) + 0.01*sum(d^2))*n) is sum((h*e)^2)/sqrt((sum(
+    (h*e)^2) + 0.01*sum((h*d)^2))*n), but terms e and d below about 1e-154
+    square to 0 in the kernel's sums: where the derivatives are that small
+    against the tolerance (a time scale of 1e298 s, say), every step would
+    pass with error 0 and grow tenfold.  Steps at an exact fixed point, whose
+    stages are all 0, still get 0."""
+    n = len(y)
+    err5 = err3 = 0.0
+    for i, (a, b) in enumerate(zip(y, y_new)):
+        k = ks[i::n]
+        s = atol + max(abs(a), abs(b)) * rtol
+        e = h * sum(map(operator.mul, E5, k)) / s
+        d = h * sum(map(operator.mul, E3, k)) / s
+        err5 += e * e
+        err3 += d * d
+    return 0.0 if err5 == 0.0 else err5 / math.sqrt((err5 + 0.01 * err3) * n)
+
+
+def _interpolant(x: float, y_old: float, f) -> tuple[float, float, float]:
+    """P(x), P'(x) and P''(x), derivatives in x, of one component's
+    interpolant on a step, P(0) = y_old, from its coefficients f0-f6.
+
+    P(x) is the Horner form of `_solution` in its order of operations, so
+    it is bit for bit the sample `_solution` takes at x; the derivatives
+    are carried through the same nest, each factor x or 1 - x adding its
+    slope +1 or -1."""
+    xm = 1.0 - x
+    p, d1, d2 = f[6], 0.0, 0.0
+    for c, m, s in ((f[5], x, 1.0), (f[4], xm, -1.0), (f[3], x, 1.0),
+                    (f[2], xm, -1.0), (f[1], x, 1.0), (f[0], xm, -1.0)):
+        d2 = d2 * m + 2.0 * s * d1
+        d1 = d1 * m + s * p
+        p = p * m + c
+    return p * x + y_old, d1 * x + p, d2 * x + 2.0 * d1
+
+
+def _argmax(f, slope0: float, slope1: float) -> float:
+    """x in [0, 1] of the maximum of one component's interpolant, with
+    coefficients f0-f6, on a step whose slope P'(x) falls from slope0 =
+    h*f_old > 0 at x = 0 to slope1 = h*f_new <= 0 at x = 1.
+
+    Newton's method on P', started at the secant root of the end slopes and
+    kept inside the bracket [lo, hi] by bisection whenever its step leaves
+    it or P'' is not negative.  It stops when a step moves x by at most
+    4 ulp(1), or after 100 iterations (bisection alone needs 53)."""
+    lo, hi = 0.0, 1.0
+    x = slope0 / (slope0 - slope1)
+    for _ in range(100):
+        _, g, curvature = _interpolant(x, 0.0, f)
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - g / curvature if curvature < 0.0 else math.nan
+        if not lo <= x_new <= hi:   # nan too
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 4.0 * sys.float_info.epsilon:
+            return x_new
+        x = x_new
+    return x
+
+
+def _solution(t_eval, rows, counts, t_end, y_end, nfev, cap, capped, peaks,
+              failure) -> Solution:
     """Evaluate the recorded interpolants at their output times in one pass.
 
     Each output time takes the row of the step that holds it, and the
@@ -385,4 +487,5 @@ def _solution(t_eval, rows, counts, y_end, nfev, cap, capped, failure) -> Soluti
         reached = np.flatnonzero(ys[0, first:] >= cap)
         if reached.size:
             ys = ys[:, :first + reached[0]]
-    return Solution(ys, y_end, nfev, capped, failure)
+    maxima = None if peaks is None else np.frombuffer(peaks).reshape(-1, 2).T
+    return Solution(ys, y_end, nfev, capped, failure, t_end, maxima)

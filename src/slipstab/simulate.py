@@ -7,8 +7,10 @@ critical spring stiffness that never touches the linearization.  The
 integration runs in (ln V, ln theta) so the logarithmic friction law stays
 exactly linear in the state and positivity is automatic; the inertial case
 adds the spring stress as a third state.  The integrator is Hairer's DOP853
-on Python floats (`_dop853`), which `simulate_spring_block` calls through
-the module global `solve_ivp`.
+on Python floats (`_dop853`), which `simulate_spring_block` and the
+estimator's runs call through the module global `solve_ivp`.  The estimator's
+runs sample no grid: they ask the integrator for the maxima of V, each
+located on the interpolant of the step that holds it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dop853 import solve_ivp
+from ._dop853 import Solution, solve_ivp
 from .errors import DomainError, Inconclusive, StepFailure, VelocityStrengthening, _scale
 from .friction import EvolutionLaw, RateState, friction_stress
 from .closed_forms import SpringBlockParams, spring_block_critical
@@ -157,9 +159,9 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     runaway_factor : float
         The run halts at the first upward crossing of V = runaway_factor*v_o.
         Must exceed 1; defaults to RUNAWAY_FACTOR = 1e6.  The stiffness
-        estimator passes exp(CAP_GROWTH*ln(1 + ESTIMATE_PERTURBATION)), so
-        a growing run stops as soon as its growth is certain.  An initial V
-        at or above runaway_factor*v_o leaves no sample and raises
+        estimator's runs take exp(CAP_GROWTH*ln(1 + ESTIMATE_PERTURBATION)),
+        so a growing run stops as soon as its growth is certain.  An initial
+        V at or above runaway_factor*v_o leaves no sample and raises
         DomainError.
 
     Returns
@@ -169,14 +171,53 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     runaway_factor*v_o upward at an accepted step end; samples stop before
     the crossing.  metadata["nfev"] counts every right-side evaluation.  A
     step-size underflow, or a run that would exceed MAX_EVALUATIONS
-    evaluations, raises StepFailure carrying the last accepted state; a
+    evaluations, raises StepFailure carrying the last accepted state.  A
     trial step that overflows exp(u), or with inertia underflows m*v_o*exp(u)
-    to zero, raises StepFailure without one.
+    to zero, is rejected and retried shorter; such an error at the start or
+    in an accepted step's interpolant raises StepFailure without a state.
     """
     p = sb.friction
     lam = p.v_o / p.L
     if duration is None:
         duration = _scale("the default duration 200*L/v_o", 200.0 / lam, L=p.L, v_o=p.v_o)
+    rhs, y0, cap = _start(sb, law, init, duration, tol, runaway_factor)
+
+    # output grid dense enough for envelope and period extraction
+    w_lin = (p.b - p.a) / p.a
+    omega_ref = math.sqrt(abs(w_lin)) * lam if w_lin != 0.0 else lam
+    dt_out = min(duration / 400.0, 2.0 * math.pi / omega_ref / 64.0)
+    if not dt_out > 0.0:
+        raise DomainError(f"duration = {duration!r} s gives an output spacing "
+                          f"that underflows to 0")
+    if not duration / dt_out <= MAX_SAMPLES:
+        raise DomainError(f"duration = {duration!r} s at an output spacing of "
+                          f"{dt_out!r} s needs more than MAX_SAMPLES = "
+                          f"{MAX_SAMPLES} samples")
+    t_eval = np.arange(0.0, duration, dt_out)
+    if t_eval[-1] < duration:
+        t_eval = np.append(t_eval, duration)
+
+    sol = _solve(p, rhs, t_eval.tolist(), y0, tol, cap)
+    v, theta, tau = _physical(p, sol.y)
+    return BlockTrajectory(
+        t=t_eval[:v.size], v=v, theta=theta, tau=tau,
+        metadata={
+            "law": law.value,
+            "stiffness": sb.stiffness,
+            "mass": sb.mass,
+            "tol": tol,
+            "blew_up": sol.capped,
+            "nfev": sol.nfev,
+        },
+    )
+
+
+def _start(sb: SpringBlockParams, law: EvolutionLaw, init: BlockState | None,
+           duration: float, tol: float, runaway_factor: float):
+    """The right side, the start state (ln(V/v_o), ln(v_o*theta/L)[, tau])
+    and the cap ln(runaway_factor) of a run, after the checks of every run's
+    arguments (see `simulate_spring_block`)."""
+    p = sb.friction
     if not duration > 0.0:
         raise DomainError(f"duration must be positive, got {duration}")
     if not tol > 0.0:
@@ -205,49 +246,28 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
             f"{runaway_factor!r}*v_o; the run has no sample before it")
     w0 = math.log(p.v_o * theta0 / p.L)
     y0 = [u0, w0, tau0] if sb.mass > 0.0 else [u0, w0]
-    rhs = _rhs(p, sb.stiffness, sb.mass, law)
+    return _rhs(p, sb.stiffness, sb.mass, law), y0, cap
 
-    # output grid dense enough for envelope and period extraction
-    w_lin = (p.b - p.a) / p.a
-    omega_ref = math.sqrt(abs(w_lin)) * lam if w_lin != 0.0 else lam
-    dt_out = min(duration / 400.0, 2.0 * math.pi / omega_ref / 64.0)
-    if not dt_out > 0.0:
-        raise DomainError(f"duration = {duration!r} s gives an output spacing "
-                          f"that underflows to 0")
-    if not duration / dt_out <= MAX_SAMPLES:
-        raise DomainError(f"duration = {duration!r} s at an output spacing of "
-                          f"{dt_out!r} s needs more than MAX_SAMPLES = "
-                          f"{MAX_SAMPLES} samples")
-    t_eval = np.arange(0.0, duration, dt_out)
-    if t_eval[-1] < duration:
-        t_eval = np.append(t_eval, duration)
 
+def _solve(p: RateState, rhs, t_eval: list[float], y0: list[float], tol: float,
+           cap: float, **options) -> Solution:
+    """One integration at relative tolerance tol and absolute tol*1e-3, by
+    `solve_ivp` looked up as the module global at each call (a tracer
+    rebinds it), with a run that stops short raised as StepFailure."""
     try:
-        sol = solve_ivp(rhs, t_eval.tolist(), y0, tol, tol * 1e-3, cap,
-                        MAX_EVALUATIONS)
+        sol = solve_ivp(rhs, t_eval, y0, tol, tol * 1e-3, cap, MAX_EVALUATIONS, **options)
     except OverflowError as exc:
-        # exp(u) overflowed in a trial step; the RHS stays unguarded (hot loop)
+        # exp(u) overflowed outside a trial step; the RHS stays unguarded (hot loop)
         raise StepFailure(f"integrator step overflowed: {exc}") from exc
     except ZeroDivisionError as exc:
-        # with inertia, m*v_o*exp(u) underflowed to 0 in a trial step
+        # with inertia, m*v_o*exp(u) underflowed to 0 outside a trial step
         raise StepFailure(f"integrator step underflowed: {exc}") from exc
     if sol.failure is not None:
         v, theta, tau = _physical(p, [[x] for x in sol.y_end])
         raise StepFailure(f"integrator failed: {sol.failure}",
                           last_state=BlockState(v=float(v[0]), theta=float(theta[0]),
                                                 tau=float(tau[0])))
-    v, theta, tau = _physical(p, sol.y)
-    return BlockTrajectory(
-        t=t_eval[:v.size], v=v, theta=theta, tau=tau,
-        metadata={
-            "law": law.value,
-            "stiffness": sb.stiffness,
-            "mass": sb.mass,
-            "tol": tol,
-            "blew_up": sol.capped,
-            "nfev": sol.nfev,
-        },
-    )
+    return sol
 
 
 def _physical(p: RateState, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,60 +281,66 @@ def _physical(p: RateState, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return v, theta, p.tau_o + p.a * p.sigma_o * u + p.b * p.sigma_o * w
 
 
-def _positive_peaks(t: np.ndarray, x: np.ndarray,
-                    floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Times and heights of the local maxima of x above floor, parabolically
-    refined."""
-    i = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]) & (x[1:-1] > 0.0))[0] + 1
-    if i.size == 0:
-        return np.empty(0), np.empty(0)
-    denom = x[i - 1] - 2.0 * x[i] + x[i + 1]
-    shift = np.where(denom != 0.0,
-                     0.5 * (x[i - 1] - x[i + 1]) / np.where(denom != 0.0, denom, 1.0),
-                     0.0)
-    shift = np.clip(shift, -0.5, 0.5)
-    dt = t[1] - t[0]
-    t_pk = t[i] + shift * dt
-    x_pk = x[i] - 0.25 * (x[i - 1] - x[i + 1]) * shift
-    keep = x_pk > floor
-    return t_pk[keep], x_pk[keep]
+@dataclass(frozen=True)
+class _Run:
+    """One estimator run: the maxima of V - v_o and its deviation at the ends."""
+
+    stiffness: float
+    t_peak: np.ndarray   # time of each maximum of V (s)
+    x_peak: np.ndarray   # V - v_o there (m/s)
+    x_start: float       # V - v_o at t = 0
+    t_end: float         # time of the last accepted state (s)
+    x_end: float         # V - v_o there
+    capped: bool         # V crossed the run's runaway factor
+    nfev: int
 
 
-def _growth_rate(traj: BlockTrajectory, p: RateState) -> float:
+def _estimate_run(sb: SpringBlockParams, law: EvolutionLaw, init: BlockState,
+                  duration: float, tol: float, runaway_factor: float) -> _Run:
+    """One run of the estimator, checked as `simulate_spring_block` checks
+    its arguments: no sample grid, only the maxima of V, each located on the
+    interpolant of the integrator step that holds it."""
+    p = sb.friction
+    rhs, y0, cap = _start(sb, law, init, duration, tol, runaway_factor)
+    sol = _solve(p, rhs, [0.0, duration], y0, tol, cap, maxima=True)
+    t_peak, u_peak = sol.maxima
+    return _Run(sb.stiffness, t_peak, p.v_o * np.exp(u_peak) - p.v_o,
+                p.v_o * math.exp(y0[0]) - p.v_o, sol.t_end,
+                p.v_o * math.exp(sol.y_end[0]) - p.v_o, sol.capped, sol.nfev)
+
+
+def _growth_rate(run: _Run, p: RateState) -> float:
     """Envelope growth rate sigma (1/s) of V - v_o: positive grows, negative decays.
 
-    The slope of a log-linear fit of the oscillation peak heights, without
-    the first two peaks (phase settling of the initial condition) when six
-    or more remain.  Only peaks above 1e-4 of the initial deviation count:
-    a strongly damped run decays into integrator noise, whose peaks would
-    fit a spurious slope.  With fewer than three peaks the rate is the average
-    over the run instead: from the first sample to the last one before the
-    cap for a halted run, from the largest deviation of the first tenth of
-    the samples to that of the last tenth otherwise (the overdamped,
-    peak-free cases).
+    The slope of a log-linear fit of the heights of the maxima of V, without
+    the first two (phase settling of the initial condition) when six or
+    more remain.  Only maxima above 1e-4 of the initial deviation, and above
+    1e-11*v_o, count: a strongly damped run decays into integrator noise,
+    whose maxima would fit a spurious slope.  With fewer than three the rate
+    is the average from the start to the last accepted state (the
+    overdamped, peak-free cases, and runs capped within two maxima); a run
+    with no deviation at either end, or no span, raises Inconclusive.
     """
-    x = traj.v - p.v_o
-    t_pk, x_pk = _positive_peaks(traj.t, x, max(1e-11 * p.v_o, 1e-4 * abs(x[0])))
-    if t_pk.size >= 3:
-        return _settled_slope(t_pk, np.log(x_pk))
-    span = float(traj.t[-1] - traj.t[0])
-    if traj.blew_up:
-        return math.log(abs(x[-1]) / abs(x[0])) / span
-    n = max(8, x.size // 10)
-    head = np.max(np.abs(x[:n]))
-    tail = np.max(np.abs(x[-n:]))
-    return math.log(tail / head) / span
+    keep = run.x_peak > max(1e-11 * p.v_o, 1e-4 * abs(run.x_start))
+    if np.count_nonzero(keep) >= 3:
+        return _settled_slope(run.t_peak[keep], np.log(run.x_peak[keep]))
+    if not (run.t_end > 0.0 and run.x_start != 0.0 and run.x_end != 0.0):
+        raise Inconclusive(f"no growth rate: V - v_o is {run.x_start!r} at t = 0 "
+                           f"and {run.x_end!r} at t = {run.t_end!r}, with fewer "
+                           f"than three maxima")
+    return (math.log(abs(run.x_end)) - math.log(abs(run.x_start))) / run.t_end
 
 
-def _measure_omega(traj: BlockTrajectory, p: RateState) -> float:
+def _measure_omega(run: _Run, p: RateState) -> float:
     """Angular frequency 2*pi/period, the period being the least-squares
-    slope of peak time against peak index, without the first two peaks when
-    six or more remain (as `_growth_rate` fits).  The mean spacing would be
-    (last - first)/(n - 1), set by the first peak's phase settling."""
-    t_pk, _ = _positive_peaks(traj.t, traj.v - p.v_o, 1e-12 * p.v_o)
-    if t_pk.size < 3:
+    slope of the times of the maxima of V above 1e-12*v_o against their
+    index, without the first two when six or more remain (as `_growth_rate`
+    fits).  The mean spacing would be (last - first)/(n - 1), set by the
+    first maximum's phase settling."""
+    t_peak = run.t_peak[run.x_peak > 1e-12 * p.v_o]
+    if t_peak.size < 3:
         raise Inconclusive("too few oscillation peaks to measure a period")
-    return 2.0 * math.pi / _settled_slope(np.arange(t_pk.size, dtype=float), t_pk)
+    return 2.0 * math.pi / _settled_slope(np.arange(t_peak.size, dtype=float), t_peak)
 
 
 def _settled_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -341,8 +367,10 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
     amount ESTIMATE_PERTURBATION = 1e-3, is integrated at tolerance
     ESTIMATE_TOL over ESTIMATE_SPAN*L/v_o = 100*L/v_o, or six linear periods
     2*pi/omega_ref when they last longer (omega_ref = sqrt((b-a)/a)*v_o/L),
-    and yields the envelope growth rate sigma of V - v_o (see
-    `_growth_rate`); a run stops early once ln(V/v_o) reaches CAP_GROWTH
+    and yields the envelope growth rate sigma of V - v_o, fitted to the
+    maxima of V (see `_growth_rate`); no run samples a grid, each maximum is
+    located on the integrator's interpolant of the step that holds it
+    (`_estimate_run`).  A run stops early once ln(V/v_o) reaches CAP_GROWTH
     times ln(1 + ESTIMATE_PERTURBATION), where growth is certain.  The
     search brackets the zero of sigma(K) starting from [0.9, 1.1] times the
     analytic critical value, halving the soft end or doubling the stiff end
@@ -353,8 +381,8 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
     within the dead band 1e-4*v_o/L counts as neutral and gives the
     estimate (the stiffness is then within about 4e-4 of critical); a
     bracket narrower than 1e-3 times the analytic value gives its midpoint.
-    The returned frequency comes from the peak times of a run at the
-    estimate that was not stopped early, fitted against the peak index as
+    The returned frequency comes from the times of the maxima of a run at
+    the estimate that was not stopped early, fitted against their index as
     the growth rate is fitted (`_measure_omega`).
 
     The dead band is the estimator's resolution: ESTIMATE_TOL = 1e-7 keeps
@@ -379,12 +407,11 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
                       tau=friction_stress(p, v0, p.L / p.v_o))
     cap = math.exp(CAP_GROWTH * math.log1p(ESTIMATE_PERTURBATION))
     duration = _estimate_duration(p)
-    runs: dict[float, BlockTrajectory] = {}
+    runs: dict[float, _Run] = {}
 
-    def run(k: float, runaway_factor: float) -> BlockTrajectory:
+    def run(k: float, runaway_factor: float) -> _Run:
         sb = SpringBlockParams(stiffness=k, mass=mass, friction=p)
-        return simulate_spring_block(sb, law, init=init, duration=duration,
-                                     tol=ESTIMATE_TOL, runaway_factor=runaway_factor)
+        return _estimate_run(sb, law, init, duration, ESTIMATE_TOL, runaway_factor)
 
     def sigma(k: float) -> float:
         runs[k] = run(k, cap)
@@ -433,7 +460,7 @@ def estimate_critical_stiffness(p: RateState, law: EvolutionLaw,
                 s_soft *= 0.5
             kept = -1
 
-    traj = runs.get(k_est)
-    if traj is None or traj.blew_up:
-        traj = run(k_est, RUNAWAY_FACTOR)
-    return k_est, _measure_omega(traj, p)
+    at_estimate = runs.get(k_est)
+    if at_estimate is None or at_estimate.capped:
+        at_estimate = run(k_est, RUNAWAY_FACTOR)
+    return k_est, _measure_omega(at_estimate, p)

@@ -361,14 +361,18 @@ class TestSimulate:
         assert "runaway threshold" in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_overflowing_step_exits_three(self, tmp_path, capsys):
-        # a light block: a trial step overflows exp(u) within the first
-        # steps, which used to escape as a bare OverflowError
+    def test_overflowing_trial_steps_are_rejected(self, tmp_path):
+        # a light block: trial steps overflow exp(u) from the first steps on
+        # (112 of them over this duration), which used to end the run with
+        # exit 3; each is now rejected and retried shorter
+        out = tmp_path / "x.csv"
         argv = (["simulate", "--stiffness", "5e8", "--mass", "0.05",
-                 "--law", "slip", "--perturb", "1e-3",
-                 "--out", str(tmp_path / "x.csv")] + self.FRICTION)
-        assert main(argv) == 3
-        assert "overflow" in capsys.readouterr().err
+                 "--law", "slip", "--perturb", "1e-3", "--duration", "1e-4",
+                 "--out", str(out)] + self.FRICTION)
+        assert main(argv) == 0
+        config, _, rows = read_csv(out)
+        assert config["blew_up"] is False and config["duration"] == 1e-4
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
 
     def test_evaluation_budget_exits_three(self, tmp_path, capsys, monkeypatch):
         # a light block makes the inertial equation stiff for the explicit

@@ -30,10 +30,11 @@ each row once per output time of its step and evaluates the interpolant's
 Horner form elementwise, in the order a per-sample loop would, so each
 sample rounds exactly as that loop's float arithmetic does.
 
-A run may instead, or as well, ask for the maxima of y[0].  Dense output is
-then built only in the steps that hold one (loc. cit., Sec. II.6): a step
-whose slope y[0]' falls from above 0 to 0 or below, and the maximum is
-located on that step's interpolant by Newton's method on its derivative.
+A run may instead ask for the maxima of y[0]; it then records no row and
+takes no sample.  Dense output is built only in the steps that hold one
+(loc. cit., Sec. II.6), whose slope y[0]' falls from above 0 to 0 or below
+short of the cap, and the maximum is located on that step's interpolant by
+Newton's method on its derivative.
 
 The tableau is copied, digit for digit, from scipy's
 `scipy/integrate/_ivp/dop853_coefficients.py` (scipy 1.17.1; BSD-3-Clause,
@@ -189,8 +190,8 @@ EXTRA = tuple(zip(C[13:], A[12:]))
 
 @dataclass(frozen=True)
 class Solution:
-    """One integration: samples at a prefix of the output times, and why it
-    stopped."""
+    """One integration: samples at a prefix of the output times or the
+    maxima of y[0], and why it stopped."""
 
     y: np.ndarray          # (components, samples): y at t_eval[:y.shape[1]]
     y_end: list[float]     # state at the last accepted step end
@@ -198,7 +199,7 @@ class Solution:
     capped: bool           # y[0] crossed the cap upward
     failure: str | None    # why the run stopped short of t_eval[-1]
     t_end: float = math.nan         # time of y_end
-    maxima: np.ndarray | None = None   # (2, maxima): t and y[0] at each, if asked
+    maxima: np.ndarray | None = None   # (2, maxima): t and y[0] at each, if asked for
 
 
 def _weighted(row, i: int) -> str:
@@ -293,7 +294,8 @@ def _initial_step(fun, t, y, f, span, rtol, atol) -> float:
 def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
               max_nfev: int, *, maxima: bool = False) -> Solution:
     """Integrate y' = fun(t, y) from t_eval[0] to t_eval[-1], sampling y at
-    every t_eval, until y[0] crosses `cap` upward.
+    every t_eval, or with `maxima` locating the maxima of y[0] instead, until
+    y[0] crosses `cap` upward.
 
     `fun(t, y)` takes and returns a sequence of floats; t_eval is an
     increasing list of floats.  Steps and evaluation counts follow
@@ -315,12 +317,12 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     again (`_unsquared_error`), and a trial step that raises is rejected
     (below).
 
-    With `maxima`, each accepted step whose slope y[0]' falls from above 0
-    at its start to 0 or below at its end builds its interpolant too (3
-    evaluations, once per step) and `Solution.maxima` holds the time and
-    the height of the interpolant's maximum of y[0] on it (see `_argmax`).
-    The step that crosses the cap is left out: its maximum is at or past
-    the crossing.
+    With `maxima`, the run reads only t_eval[0] and t_eval[-1], takes the
+    sampled run's steps and no sample (`Solution.y` has no column), and
+    only a step whose slope y[0]' falls from above 0 to 0 or below builds
+    its interpolant (3 evaluations): `Solution.maxima` holds the time and
+    height of its maximum of y[0] (see `_argmax`).  The step that crosses
+    the cap is left out: its maximum is at or past the crossing.
 
     A trial step whose right side raises OverflowError or ZeroDivisionError
     (exp overflowing, say) is rejected like a step whose error is too
@@ -375,20 +377,20 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
         t_old, y_old, slope = t, y, f[0]
         t, y, f = t_new, y_new, f_new
         capped = y_old[0] <= cap <= y[0]
-        i_end = bisect_right(t_eval, t, i_out)   # output times up to t
-        peak = maxima and not capped and slope > 0.0 >= f[0]
-        if capped or i_end > i_out or peak:
-            nfev += 3
-            coefficients = dense(fun, t_old, h, y_old, y, ks)
-            if peak:
-                x = _argmax(coefficients[0], h * slope, h * f[0])
-                peaks.extend((t_old + x * h, _interpolant(x, y_old[0], coefficients[0])[0]))
+        if not maxima:
+            i_end = bisect_right(t_eval, t, i_out)   # output times up to t
             if capped or i_end > i_out:
+                nfev += 3
                 rows.extend((t_old, h, *y_old))
-                for row in coefficients:
+                for row in dense(fun, t_old, h, y_old, y, ks):
                     rows.extend(row)
                 counts.append(i_end - i_out)
                 i_out = i_end
+        elif slope > 0.0 >= f[0] and not capped:
+            nfev += 3
+            row = dense(fun, t_old, h, y_old, y, ks)[0]
+            x = _argmax(row, h * slope, h * f[0])
+            peaks.extend((t_old + x * h, _interpolant(x, y_old[0], row)[0]))
         if capped or t == t_end:
             return _solution(t_eval, rows, counts, t, y, nfev, cap, capped, peaks, None)
 
@@ -474,6 +476,9 @@ def _solution(t_eval, rows, counts, t_end, y_end, nfev, cap, capped, peaks,
     last step stop at the first whose y[0] reaches the cap.
     """
     n = len(y_end)
+    if peaks is not None:
+        return Solution(np.empty((n, 0)), y_end, nfev, capped, failure, t_end,
+                        np.frombuffer(peaks).reshape(-1, 2).T)
     table = np.frombuffer(rows).reshape(-1, 2 + 8 * n).T
     step = np.repeat(np.arange(table.shape[1]), np.frombuffer(counts, dtype=np.int64))
     x = (np.array(t_eval[:step.size]) - table[0, step]) / table[1, step]
@@ -487,5 +492,4 @@ def _solution(t_eval, rows, counts, t_end, y_end, nfev, cap, capped, peaks,
         reached = np.flatnonzero(ys[0, first:] >= cap)
         if reached.size:
             ys = ys[:, :first + reached[0]]
-    maxima = None if peaks is None else np.frombuffer(peaks).reshape(-1, 2).T
-    return Solution(ys, y_end, nfev, capped, failure, t_end, maxima)
+    return Solution(ys, y_end, nfev, capped, failure, t_end)

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 CROSSING_MARGIN = 0.05   # certify_crossing and its gate count at (1 -/+ this)*k_cr
+POLISH_STEPS = 60     # polish_root's secant steps at most
+POLISH_TOL = 1e-12    # polish_root stops at a step this small, relative
 
 # the counter's initial path parameters: 2049 points over the upper half
 _PATH_START = np.linspace(0.0, 2.0, 2049)
@@ -351,20 +353,19 @@ def certify_crossing(p: RateState, bm: BiMaterial) -> bool:
     return above == 0 and below >= 2
 
 
-def polish_root(cp: CharParams, p_seed: complex, steps: int = 60,
-                tol: float = 1e-12) -> complex:
+def polish_root(cp: CharParams, p_seed: complex) -> complex:
     """Diagnostic root refinement by the secant method in the complex plane.
 
     Not used by the certified counter; handy for inspecting where a root
     actually sits (e.g. seeded from i*|k|*c of a neutral mode).  Converges
-    when the step falls below tol relative to the root's magnitude scale.
-    """
+    when the step falls below POLISH_TOL relative to the root's magnitude
+    scale, in at most POLISH_STEPS steps."""
     scale = max(abs(p_seed), cp.friction.v_o / cp.friction.L)
     p0 = complex(p_seed) + 1e-7 * scale
     p1 = complex(p_seed) + 1e-7j * scale
     f0 = characteristic_residual(cp, p0)
     f1 = characteristic_residual(cp, p1)
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         df = f1 - f0
         if df == 0.0:
             break
@@ -375,6 +376,6 @@ def polish_root(cp: CharParams, p_seed: complex, steps: int = 60,
         p0, f0 = p1, f1
         p1 = p2
         f1 = characteristic_residual(cp, p1)
-        if abs(p1 - p0) <= tol * max(abs(p1), scale):
+        if abs(p1 - p0) <= POLISH_TOL * max(abs(p1), scale):
             break
     return p1

@@ -201,7 +201,10 @@ def _subsonic_finish(t, m: float, r: float):
     # lost as c -> c1
     k_hat = (2.0 * m / (1.0 + m) * f_subsonic_denominator(t, m, r)
              * np.sqrt(1.0 + t) / (2.0 * m))
-    return np.sqrt(t / (1.0 + t)).tolist(), k_hat.tolist()
+    # c/c1 rounds onto 1 from q of about 7e7: the float below 1 keeps c < c1,
+    # as identical_isotropic_dynamic keeps c < c_s
+    x = np.minimum(np.sqrt(t / (1.0 + t)), math.nextafter(1.0, 0.0))
+    return x.tolist(), k_hat.tolist()
 
 
 def _subsonic_modes(qs, m: float, r: float):

@@ -131,8 +131,7 @@ def _rhs(p: RateState, stiffness: float, mass: float, law: EvolutionLaw):
 def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
                           init: BlockState | None = None,
                           duration: float | None = None,
-                          tol: float = 1e-10, *,
-                          runaway_factor: float = RUNAWAY_FACTOR) -> BlockTrajectory:
+                          tol: float = 1e-10) -> BlockTrajectory:
     """Integrate the spring-block system and sample it densely.
 
     Parameters
@@ -145,8 +144,8 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     init : BlockState, optional
         Initial condition; defaults to steady sliding (v_o, L/v_o, tau_o + ...).
         Without inertia the tau field is ignored (force balance fixes it).
-        An infinite theta, or with inertia a tau that is not finite, raises
-        DomainError.
+        An infinite theta, with inertia a tau that is not finite, or a V at
+        or above RUNAWAY_FACTOR*v_o (no sample before it) raises DomainError.
     duration : float, optional
         Integration time in seconds; defaults to 200*L/v_o.  A default
         that overflows to inf, a duration whose output grid would hold
@@ -156,19 +155,12 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
         Relative tolerance of the adaptive embedded Runge-Kutta integrator
         (DOP853: eighth order, fifth-order error estimate).  Absolute
         tolerance is tol*1e-3 on the logarithmic states.
-    runaway_factor : float
-        The run halts at the first upward crossing of V = runaway_factor*v_o.
-        Must exceed 1; defaults to RUNAWAY_FACTOR = 1e6.  The stiffness
-        estimator's runs take exp(CAP_GROWTH*ln(1 + ESTIMATE_PERTURBATION)),
-        so a growing run stops as soon as its growth is certain.  An initial
-        V at or above runaway_factor*v_o leaves no sample and raises
-        DomainError.
 
     Returns
     -------
     BlockTrajectory with at least ~64 samples per linear oscillation period.
     The run halts cleanly (metadata["blew_up"] = True) once V crosses
-    runaway_factor*v_o upward at an accepted step end; samples stop before
+    RUNAWAY_FACTOR*v_o upward at an accepted step end; samples stop before
     the crossing.  metadata["nfev"] counts every right-side evaluation.  A
     step-size underflow, or a run that would exceed MAX_EVALUATIONS
     evaluations, raises StepFailure carrying the last accepted state.  A
@@ -180,7 +172,7 @@ def simulate_spring_block(sb: SpringBlockParams, law: EvolutionLaw,
     lam = p.v_o / p.L
     if duration is None:
         duration = _scale("the default duration 200*L/v_o", 200.0 / lam, L=p.L, v_o=p.v_o)
-    rhs, y0, cap = _start(sb, law, init, duration, tol, runaway_factor)
+    rhs, y0, cap = _start(sb, law, init, duration, tol, RUNAWAY_FACTOR)
 
     # output grid dense enough for envelope and period extraction
     w_lin = (p.b - p.a) / p.a
@@ -216,14 +208,12 @@ def _start(sb: SpringBlockParams, law: EvolutionLaw, init: BlockState | None,
            duration: float, tol: float, runaway_factor: float):
     """The right side, the start state (ln(V/v_o), ln(v_o*theta/L)[, tau])
     and the cap ln(runaway_factor) of a run, after the checks of every run's
-    arguments (see `simulate_spring_block`)."""
+    arguments (see `simulate_spring_block`); runaway_factor > 1 is not checked."""
     p = sb.friction
     if not duration > 0.0:
         raise DomainError(f"duration must be positive, got {duration}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if not runaway_factor > 1.0:
-        raise DomainError(f"runaway_factor must exceed 1, got {runaway_factor}")
 
     if init is None:
         v0, theta0 = p.v_o, p.L / p.v_o
@@ -250,12 +240,13 @@ def _start(sb: SpringBlockParams, law: EvolutionLaw, init: BlockState | None,
 
 
 def _solve(p: RateState, rhs, t_eval: list[float], y0: list[float], tol: float,
-           cap: float, **options) -> Solution:
+           cap: float, maxima: bool = False) -> Solution:
     """One integration at relative tolerance tol and absolute tol*1e-3, by
     `solve_ivp` looked up as the module global at each call (a tracer
     rebinds it), with a run that stops short raised as StepFailure."""
     try:
-        sol = solve_ivp(rhs, t_eval, y0, tol, tol * 1e-3, cap, MAX_EVALUATIONS, **options)
+        sol = solve_ivp(rhs, t_eval, y0, tol, tol * 1e-3, cap, MAX_EVALUATIONS,
+                        maxima=maxima)
     except OverflowError as exc:
         # exp(u) overflowed outside a trial step; the RHS stays unguarded (hot loop)
         raise StepFailure(f"integrator step overflowed: {exc}") from exc

@@ -7,7 +7,11 @@ from __future__ import annotations
 import enum
 import importlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,9 +64,8 @@ KNOBS = {
     "StabilityVerdict": ("mode",),
     "StepFailure": ("last_state",),
     "estimate_critical_stiffness": ("mass",),
-    "polish_root": ("steps", "tol"),
     "quasistatic_continuum": ("mu_prime",),
-    "simulate_spring_block": ("init", "duration", "tol", "runaway_factor"),
+    "simulate_spring_block": ("init", "duration", "tol"),
     "spring_block_critical": ("mass",),
 }
 
@@ -117,3 +120,29 @@ def test_no_module_imports_scipy():
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if re.search(r"^\s*(import|from)\s+scipy\b", path.read_text(), re.M)]
     assert offenders == []
+
+
+# Prints the top-level names of the modules that `import slipstab.cli`
+# loads, and the number of DOP853 kernel pairs built by then.
+_CLI_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import slipstab.cli
+from slipstab import _dop853
+loaded = sorted({name.split(".")[0] for name in set(sys.modules) - before})
+print(json.dumps([loaded, _dop853._kernels.cache_info().currsize]))
+"""
+
+
+def test_cli_import_does_no_module_level_work(tmp_path):
+    """Every CLI call pays for the import, so in a fresh interpreter
+    `import slipstab.cli` loads only the standard library, numpy and
+    slipstab, and generates no integrator kernel."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_IMPORT], cwd=tmp_path, capture_output=True,
+        text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(slipstab.__file__).parents[1])})
+    loaded, kernels = json.loads(proc.stdout.splitlines()[-1])
+    assert [name for name in loaded if name not in sys.stdlib_module_names] == [
+        "numpy", "slipstab"]
+    assert kernels == 0

@@ -213,11 +213,11 @@ def test_overflowing_trial_step_is_rejected(monkeypatch):
     assert np.max(traj.v) == pytest.approx(82.8 * FR.v_o, rel=1e-3)
 
 
-def test_runaway_factor_halts_early():
+def test_runaway_factor_halts_early(monkeypatch):
     sb = SpringBlockParams(stiffness=0.5 * K_CR, mass=0.0, friction=FR)
     full = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
-    capped = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed(),
-                                   runaway_factor=1.01)
+    monkeypatch.setattr(simulate, "RUNAWAY_FACTOR", 1.01)
+    capped = simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
     assert capped.blew_up and full.blew_up
     assert capped.t[-1] < full.t[-1]
     assert np.max(capped.v) < 1.01 * FR.v_o
@@ -227,23 +227,16 @@ def test_runaway_factor_halts_early():
     assert np.array_equal(capped.t, full.t[:n])
 
 
-@pytest.mark.parametrize("factor", [1.0, 0.5, float("nan")])
-def test_runaway_factor_validation(factor):
-    sb = SpringBlockParams(stiffness=K_CR, mass=0.0, friction=FR)
-    with pytest.raises(DomainError):
-        simulate_spring_block(sb, EvolutionLaw.AGEING, runaway_factor=factor)
-
-
 @pytest.mark.parametrize("rel, factor", [(999999.0, simulate.RUNAWAY_FACTOR),
                                          (1e7, simulate.RUNAWAY_FACTOR),
                                          (0.02, 1.01)])
-def test_start_at_the_runaway_threshold_is_domain_error(rel, factor):
+def test_start_at_the_runaway_threshold_is_domain_error(monkeypatch, rel, factor):
     # V0 = 1e6*v_o used to return a trajectory with no samples, and a start
     # above the threshold integrated on until a step overflowed
     sb = SpringBlockParams(stiffness=0.5 * K_CR, mass=0.0, friction=FR)
+    monkeypatch.setattr(simulate, "RUNAWAY_FACTOR", factor)
     with pytest.raises(DomainError, match="runaway threshold"):
-        simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed(rel),
-                              runaway_factor=factor)
+        simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed(rel))
 
 
 @pytest.mark.parametrize("law", list(EvolutionLaw))
@@ -493,16 +486,19 @@ def test_evaluation_budget_bounds_each_run(monkeypatch):
 # V located on the interpolant: the estimates moved by at most 9.5e-8 in K
 # and 1.2e-7 in omega (relative), and the runs take 16-17% fewer
 # evaluations (they were [1415, 3140, 3494], [2675, 3341, 3713],
-# [1415, 3140, 3521] and [2573, 3341, 3701]).
+# [1415, 3140, 3521] and [2573, 3341, 3701]).  Once the maxima runs stopped
+# building interpolants for output times, every run took 6 fewer, the
+# estimates unchanged: [1184, 2636, 2885], [2237, 2804, 3113],
+# [1184, 2636, 2909] and [2162, 2804, 3101] before.
 PINNED_ESTIMATES = [
     (EvolutionLaw.AGEING, 0.0,
-     "(500077990.1390331, 70.71618563593975)", [1184, 2636, 2885]),
+     "(500077990.1390331, 70.71618563593975)", [1178, 2630, 2879]),
     (EvolutionLaw.AGEING, INERTIAL_MASS,
-     "(749731368.326954, 70.69666818202816)", [2237, 2804, 3113]),
+     "(749731368.326954, 70.69666818202816)", [2231, 2798, 3107]),
     (EvolutionLaw.SLIP, 0.0,
-     "(500094426.4527028, 70.71734317568941)", [1184, 2636, 2909]),
+     "(500094426.4527028, 70.71734317568941)", [1178, 2630, 2903]),
     (EvolutionLaw.SLIP, INERTIAL_MASS,
-     "(749736760.3957808, 70.69694811996558)", [2162, 2804, 3101]),
+     "(749736760.3957808, 70.69694811996558)", [2156, 2798, 3095]),
 ]
 
 
@@ -510,16 +506,18 @@ PINNED_ESTIMATES = [
 # Re-recorded with the maxima: the estimates moved by at most 9.8e-8 in K
 # and 1.3e-7 in omega (relative) from the grid's, whose runs took
 # [1187, 2609, 3050], [2171, 2729, 2963], [1187, 2609, 3086] and
-# [2159, 2729, 2951] evaluations.
+# [2159, 2729, 2951] evaluations.  With no interpolant for output times,
+# every run takes 6 fewer, the estimates unchanged: [1016, 2240, 2597],
+# [1853, 2336, 2525], [1016, 2240, 2633] and [1841, 2336, 2513] before.
 PINNED_ESTIMATES_AT_1E7 = [
     (EvolutionLaw.AGEING, 0.0,
-     "(500078004.2701472, 70.71618622567365)", [1016, 2240, 2597]),
+     "(500078004.2701472, 70.71618622567365)", [1010, 2234, 2591]),
     (EvolutionLaw.AGEING, INERTIAL_MASS,
-     "(749731357.9183869, 70.69666588323801)", [1853, 2336, 2525]),
+     "(749731357.9183869, 70.69666588323801)", [1847, 2330, 2519]),
     (EvolutionLaw.SLIP, 0.0,
-     "(500094433.3558364, 70.71734314125544)", [1016, 2240, 2633]),
+     "(500094433.3558364, 70.71734314125544)", [1010, 2234, 2627]),
     (EvolutionLaw.SLIP, INERTIAL_MASS,
-     "(749741108.6563487, 70.69717340818532)", [1841, 2336, 2513]),
+     "(749741108.6563487, 70.69717340818532)", [1835, 2330, 2507]),
 ]
 
 
@@ -528,16 +526,19 @@ PINNED_ESTIMATES_AT_1E7 = [
 # runs each.  Re-recorded with the maxima: the estimates moved by at most
 # 1.6e-7 in K and 8.9e-8 in omega (relative) from the grid's, whose runs
 # took [1187, 1430, 1526], [1535, 1511, 1526], [1187, 1430, 1526] and
-# [1523, 1511, 1514] evaluations.
+# [1523, 1511, 1514] evaluations.  With no interpolant for output times,
+# each run takes 6 fewer, or 3 where its last step holds a maximum, the
+# estimates unchanged: [1016, 1220, 1301], [1313, 1292, 1304],
+# [1016, 1220, 1301] and [1301, 1292, 1292] before.
 PINNED_ESTIMATES_AT_SPAN = [
     (EvolutionLaw.AGEING, 0.0,
-     "(500074379.1697638, 70.71592990341838)", [1016, 1220, 1301]),
+     "(500074379.1697638, 70.71592990341838)", [1010, 1214, 1298]),
     (EvolutionLaw.AGEING, INERTIAL_MASS,
-     "(749716264.2994142, 70.69588249512134)", [1313, 1292, 1304]),
+     "(749716264.2994142, 70.69588249512134)", [1307, 1286, 1298]),
     (EvolutionLaw.SLIP, 0.0,
-     "(500090127.11475474, 70.71703873859532)", [1016, 1220, 1301]),
+     "(500090127.11475474, 70.71703873859532)", [1010, 1214, 1298]),
     (EvolutionLaw.SLIP, INERTIAL_MASS,
-     "(749722853.7117345, 70.69622382233119)", [1301, 1292, 1292]),
+     "(749722853.7117345, 70.69622382233119)", [1295, 1286, 1286]),
 ]
 
 
@@ -696,12 +697,12 @@ PINNED_CAPPED_RUNS = [
 
 
 @pytest.mark.parametrize("law, mass, samples, sha256", PINNED_CAPPED_RUNS)
-def test_capped_run_is_bit_identical(law, mass, samples, sha256):
+def test_capped_run_is_bit_identical(monkeypatch, law, mass, samples, sha256):
     sb = SpringBlockParams(stiffness=0.9 * spring_block_critical(FR, mass)[0],
                            mass=mass, friction=FR)
     cap = math.exp(simulate.CAP_GROWTH * abs(math.log1p(1e-3)))
-    traj = simulate_spring_block(sb, law, init=perturbed(), tol=1e-8,
-                                 runaway_factor=cap)
+    monkeypatch.setattr(simulate, "RUNAWAY_FACTOR", cap)
+    traj = simulate_spring_block(sb, law, init=perturbed(), tol=1e-8)
     assert traj.blew_up and traj.t.size == samples
     assert digest(traj.t, traj.v, traj.theta, traj.tau) == sha256
 
@@ -755,9 +756,11 @@ LN_TOL = 1e-9
 TAU_TOL = 1e-11
 
 
-def scipy_dop853(fun, t_eval, y0, rtol, atol, cap, max_nfev):
-    """simulate.solve_ivp's contract, on scipy.integrate.solve_ivp."""
+def scipy_dop853(fun, t_eval, y0, rtol, atol, cap, max_nfev, maxima=False):
+    """simulate.solve_ivp's contract for a sampled run, on
+    scipy.integrate.solve_ivp."""
     from scipy.integrate import solve_ivp
+    assert not maxima
 
     def runaway(_t, y):
         return y[0] - cap
@@ -794,16 +797,36 @@ def _gate_runs():
 def test_integrator_matches_scipy_dop853(monkeypatch, sb, law, init, tol,
                                          runaway_factor):
     pytest.importorskip("scipy.integrate")
-    ours = simulate_spring_block(sb, law, init=init, tol=tol,
-                                 runaway_factor=runaway_factor)
+    monkeypatch.setattr(simulate, "RUNAWAY_FACTOR", runaway_factor)
+    ours = simulate_spring_block(sb, law, init=init, tol=tol)
     monkeypatch.setattr(simulate, "solve_ivp", scipy_dop853)
-    ref = simulate_spring_block(sb, law, init=init, tol=tol,
-                                runaway_factor=runaway_factor)
+    ref = simulate_spring_block(sb, law, init=init, tol=tol)
     assert ours.metadata == ref.metadata
     assert np.array_equal(ours.t, ref.t)
     assert np.max(np.abs(np.log(ours.v / ref.v))) <= LN_TOL
     assert np.max(np.abs(np.log(ours.theta / ref.theta))) <= LN_TOL
     assert np.max(np.abs(ours.tau / ref.tau - 1.0)) <= TAU_TOL
+
+
+@pytest.mark.parametrize("sb, law, init, tol, runaway_factor",
+                         [run for run in _gate_runs() if run.id != "readme"])
+def test_maxima_run_samples_nothing(sb, law, init, tol, runaway_factor):
+    """A maxima run over the estimator's duration takes the steps of the
+    sampled run with the same arguments and ends where it ends, returns no
+    sample, and builds an interpolant (3 evaluations) only in the steps that
+    hold a maximum: none for the output times or the crossing."""
+    duration = simulate._estimate_duration(FR)
+    rhs, y0, cap = simulate._start(sb, law, init, duration, tol, runaway_factor)
+    args = (rhs, [0.0, duration], y0, tol, tol * 1e-3, cap, simulate.MAX_EVALUATIONS)
+    sampled = _dop853.solve_ivp(*args)
+    located = _dop853.solve_ivp(*args, maxima=True)
+    assert located.failure is None and sampled.failure is None
+    assert located.capped == sampled.capped
+    assert [v.hex() for v in (located.t_end, *located.y_end)] == [
+        v.hex() for v in (sampled.t_end, *sampled.y_end)]
+    assert located.y.shape == (len(y0), 0)
+    assert located.maxima.shape[1] > 0
+    assert (located.nfev - 2 - 3 * located.maxima.shape[1]) % 12 == 0
 
 
 def _cubic_row():
@@ -858,7 +881,8 @@ def _maxima_cases():
 
 
 @pytest.mark.parametrize("law, b_over_a, mass_factor, factor", _maxima_cases())
-def test_located_maxima_match_the_sampled_ones(law, b_over_a, mass_factor, factor):
+def test_located_maxima_match_the_sampled_ones(monkeypatch, law, b_over_a, mass_factor,
+                                               factor):
     """The run takes the steps of the sampled run with the same arguments,
     so each located maximum sits on the interpolant the samples are taken
     from: it is as high as any sample near it, and the maxima above each
@@ -872,8 +896,9 @@ def test_located_maxima_match_the_sampled_ones(law, b_over_a, mass_factor, facto
     sb = SpringBlockParams(stiffness=factor * spring_block_critical(fr, mass)[0],
                            mass=mass, friction=fr)
     run = simulate._estimate_run(sb, law, init, duration, simulate.ESTIMATE_TOL, cap)
+    monkeypatch.setattr(simulate, "RUNAWAY_FACTOR", cap)
     traj = simulate_spring_block(sb, law, init=init, duration=duration,
-                                 tol=simulate.ESTIMATE_TOL, runaway_factor=cap)
+                                 tol=simulate.ESTIMATE_TOL)
     x_grid = _grid_maxima(traj.v) - fr.v_o
     x_start = traj.v[0] - fr.v_o
     for floor in (max(1e-11 * fr.v_o, 1e-4 * abs(x_start)), 1e-12 * fr.v_o):

@@ -21,20 +21,14 @@ kernels round exactly as that loop does.  Terms whose coefficient is 0.0
 are left out; with finite stage values each adds a signed zero to a sum
 that starts at +0.0, which changes no bit of it.
 
-A run has several output times per step, so the stepping loop does not
-evaluate the interpolant.  Each step that holds an output time (or the
-crossing of the cap) appends one row to flat float buffers: t_old, h, the
-state at the step start and the seven interpolant coefficients of every
-component.  When the run ends, however it ends, one numpy pass repeats
-each row once per output time of its step and evaluates the interpolant's
-Horner form elementwise, in the order a per-sample loop would, so each
-sample rounds exactly as that loop's float arithmetic does.
-
-A run may instead ask for the maxima of y[0]; it then records no row and
-takes no sample.  Dense output is built only in the steps that hold one
-(loc. cit., Sec. II.6), whose slope y[0]' falls from above 0 to 0 or below
-short of the cap, and the maximum is located on that step's interpolant by
-Newton's method on its derivative.
+A run samples y at output times: each step that holds some builds its
+dense output (loc. cit., Sec. II.6) and evaluates it there on Python
+floats.  A run may instead ask for the maxima of y[0]; it then takes no
+sample, builds dense output only in the steps that hold one, whose slope
+y[0]' falls from above 0 to 0 or below short of the cap, and locates the
+maximum on that step's interpolant by Newton's method on its derivative.
+A sample and a peak height come from the same Horner form in the same
+float operations.
 
 The tableau is copied, digit for digit, from scipy's
 `scipy/integrate/_ivp/dop853_coefficients.py` (scipy 1.17.1; BSD-3-Clause,
@@ -198,8 +192,8 @@ class Solution:
     nfev: int              # right-side evaluations, scipy's count
     capped: bool           # y[0] crossed the cap upward
     failure: str | None    # why the run stopped short of t_eval[-1]
-    t_end: float = math.nan         # time of y_end
-    maxima: np.ndarray | None = None   # (2, maxima): t and y[0] at each, if asked for
+    t_end: float           # time of y_end
+    maxima: np.ndarray | None   # (2, maxima): t and y[0] at each, if asked for
 
 
 def _weighted(row, i: int) -> str:
@@ -303,12 +297,12 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol, events=...)` with
     a terminal upward event y[0] - cap: 2 evaluations to start, 12 per
     attempted step and 3 more for the interpolant of each step that holds
-    an output time or the crossing.  Such a step records its row (t_old,
-    h, y_old and the interpolant coefficients); the samples are evaluated
-    from the recorded rows in one numpy pass when the run returns, and
-    `Solution.y` holds them as a float64 array, one row per component.
-    The crossing is tested at each accepted step end; the samples of that
-    step stop at the first one whose interpolated y[0] reaches the cap.
+    an output time or the crossing.  Such a step evaluates its interpolant
+    at its output times on Python floats, in the Horner order of
+    `_interpolant`, as soon as it builds it; `Solution.y` holds the samples
+    as a float64 array, one row per component.  The crossing is tested at
+    each accepted step end; the samples of that step stop at the first one
+    whose interpolated y[0] reaches the cap.
     The run stops short, with `failure` set and the samples of its
     completed steps, when the step size falls below 10 ulp(t) or when the
     next step could take the evaluation count past max_nfev.  rtol is
@@ -338,8 +332,7 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
     nfev = 2
-    rows = array("d")    # per recorded step: t_old, h, y_old, f0-f6 of each y_i
-    counts = array("q")  # output times up to the end of each recorded step
+    columns = [array("d") for _ in range(n)]   # the samples of each y_i
     peaks = array("d") if maxima else None   # t, y[0] of each maximum
     i_out = 0   # next output time
     while True:
@@ -348,10 +341,10 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
         rejected = False
         while True:   # attempt steps until one is accepted
             if h_abs < min_step:
-                return _solution(t_eval, rows, counts, t, y, nfev, cap, False, peaks,
+                return _solution(columns, t, y, nfev, False, peaks,
                                  f"step size {h_abs:.3g} below 10 ulp at t = {t!r}")
             if nfev + 15 > max_nfev:
-                return _solution(t_eval, rows, counts, t, y, nfev, cap, False, peaks,
+                return _solution(columns, t, y, nfev, False, peaks,
                                  f"evaluation budget {max_nfev} spent at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
@@ -381,10 +374,17 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
             i_end = bisect_right(t_eval, t, i_out)   # output times up to t
             if capped or i_end > i_out:
                 nfev += 3
-                rows.extend((t_old, h, *y_old))
-                for row in dense(fun, t_old, h, y_old, y, ks):
-                    rows.extend(row)
-                counts.append(i_end - i_out)
+                xs = [(s - t_old) / h for s in t_eval[i_out:i_end]]
+                xms = [1.0 - x for x in xs]
+                samples = [[((((((f6 * x + f5) * xm + f4) * x + f3) * xm + f2) * x + f1) * xm
+                             + f0) * x + old for x, xm in zip(xs, xms)]
+                           for old, (f0, f1, f2, f3, f4, f5, f6)
+                           in zip(y_old, dense(fun, t_old, h, y_old, y, ks))]
+                if capped:   # keep the samples before the crossing
+                    kept = next((j for j, v in enumerate(samples[0]) if v >= cap), len(xs))
+                    samples = [column[:kept] for column in samples]
+                for column, values in zip(columns, samples):
+                    column.extend(values)
                 i_out = i_end
         elif slope > 0.0 >= f[0] and not capped:
             nfev += 3
@@ -392,7 +392,7 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
             x = _argmax(row, h * slope, h * f[0])
             peaks.extend((t_old + x * h, _interpolant(x, y_old[0], row)[0]))
         if capped or t == t_end:
-            return _solution(t_eval, rows, counts, t, y, nfev, cap, capped, peaks, None)
+            return _solution(columns, t, y, nfev, capped, peaks, None)
 
 
 def _unsquared_error(h, y, y_new, ks, rtol, atol) -> float:
@@ -421,10 +421,10 @@ def _interpolant(x: float, y_old: float, f) -> tuple[float, float, float]:
     """P(x), P'(x) and P''(x), derivatives in x, of one component's
     interpolant on a step, P(0) = y_old, from its coefficients f0-f6.
 
-    P(x) is the Horner form of `_solution` in its order of operations, so
-    it is bit for bit the sample `_solution` takes at x; the derivatives
-    are carried through the same nest, each factor x or 1 - x adding its
-    slope +1 or -1."""
+    P(x) is the Horner form a sampled step evaluates, in its order of
+    operations, so it is bit for bit the sample at x; the derivatives are
+    carried through the same nest, each factor x or 1 - x adding its slope
+    +1 or -1."""
     xm = 1.0 - x
     p, d1, d2 = f[6], 0.0, 0.0
     for c, m, s in ((f[5], x, 1.0), (f[4], xm, -1.0), (f[3], x, 1.0),
@@ -461,35 +461,7 @@ def _argmax(f, slope0: float, slope1: float) -> float:
     return x
 
 
-def _solution(t_eval, rows, counts, t_end, y_end, nfev, cap, capped, peaks,
-              failure) -> Solution:
-    """Evaluate the recorded interpolants at their output times in one pass.
-
-    Each output time takes the row of the step that holds it, and the
-    Horner form of the interpolant, `((((((f6*x + f5)*xm + f4)*x + f3)*xm
-    + f2)*x + f1)*xm + f0)*x + y_old` with x = (t - t_old)/h and xm = 1 - x,
-    is evaluated elementwise in that order.  Each array operation rounds
-    each element once, as the float operation does, so every sample is
-    bit for bit the value a per-sample evaluation gives.  The coefficients
-    are gathered one at a time, so the pass holds a few sample-length
-    arrays at once, not the whole repeated table.  The samples of a capped
-    last step stop at the first whose y[0] reaches the cap.
-    """
-    n = len(y_end)
-    if peaks is not None:
-        return Solution(np.empty((n, 0)), y_end, nfev, capped, failure, t_end,
-                        np.frombuffer(peaks).reshape(-1, 2).T)
-    table = np.frombuffer(rows).reshape(-1, 2 + 8 * n).T
-    step = np.repeat(np.arange(table.shape[1]), np.frombuffer(counts, dtype=np.int64))
-    x = (np.array(t_eval[:step.size]) - table[0, step]) / table[1, step]
-    xm = 1.0 - x
-    ys = np.empty((n, step.size))
-    for i, (f0, f1, f2, f3, f4, f5, f6) in enumerate(table[2 + n:].reshape(n, 7, -1)):
-        ys[i] = ((((((f6[step] * x + f5[step]) * xm + f4[step]) * x + f3[step]) * xm
-                   + f2[step]) * x + f1[step]) * xm + f0[step]) * x + table[2 + i, step]
-    if capped:   # keep the samples before the crossing
-        first = step.size - counts[-1]
-        reached = np.flatnonzero(ys[0, first:] >= cap)
-        if reached.size:
-            ys = ys[:, :first + reached[0]]
-    return Solution(ys, y_end, nfev, capped, failure, t_end)
+def _solution(columns, t_end, y_end, nfev, capped, peaks, failure) -> Solution:
+    maxima = None if peaks is None else np.frombuffer(peaks).reshape(-1, 2).T
+    return Solution(np.array([np.frombuffer(c) for c in columns]), y_end, nfev, capped,
+                    failure, t_end, maxima)

@@ -154,7 +154,8 @@ def characteristic_residual(cp: CharParams, p: complex) -> complex:
 
 
 class _NearContourZero(Exception):
-    """Internal: a contour sample sat too close to a root."""
+    """Internal: a contour sample sat too close to a root; the argument
+    names the test that found it."""
 
 
 def _spliced(old: np.ndarray, new: np.ndarray, at: np.ndarray,
@@ -230,7 +231,7 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float, k: float,
             raise DomainError("characteristic residual is not finite on the "
                               f"counting contour at k = {k!r}")
         if (np.abs(resid) < 1e-12 * scale).any():
-            raise _NearContourZero
+            raise _NearContourZero("a residual below 1e-12 of its scale")
         return resid
 
     us = _PATH_START
@@ -242,7 +243,7 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float, k: float,
         if not split.size:
             turns = float(incs.sum()) / math.pi
             if abs(turns - round(turns)) >= 1e-6:
-                raise _NearContourZero
+                raise _NearContourZero("a phase change off a multiple of pi")
             count = int(round(turns))
             if confirmed == count:
                 return count, us.size
@@ -250,7 +251,7 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float, k: float,
             # confirm round: every segment splits, so the midpoints and
             # the two halves' increments interleave with the old arrays
             if 2 * incs.size > 2 ** 20:
-                raise _NearContourZero
+                raise _NearContourZero("the 2**20-segment budget")
             mid_us = us[:-1] + 0.5 * (us[1:] - us[:-1])
             mid_vals = sample(mid_us)
             incs = _interleaved(_phase_steps(mid_vals, vals[:-1]),
@@ -260,11 +261,11 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float, k: float,
             continue
         confirmed = None
         if incs.size + split.size > 2 ** 20:
-            raise _NearContourZero
+            raise _NearContourZero("the 2**20-segment budget")
         lo_us, hi_us = us[split], us[split + 1]
         mid_us = lo_us + 0.5 * (hi_us - lo_us)
         if ((mid_us == lo_us) | (mid_us == hi_us)).any():
-            raise _NearContourZero   # a segment too short to halve
+            raise _NearContourZero("a segment too short to halve")
         mid_vals = sample(mid_us)
         # each midpoint, and the increment of its segment's second half,
         # lands right after its segment's start, which moves up by the
@@ -294,9 +295,10 @@ def count_unstable(cp: CharParams) -> RootCount:
     boundary (see _winding_on_rectangle).  A contour sample whose residual
     is smaller than 1e-12 of its term-magnitude scale means a root sits on
     the path: the contour is then dilated by 1% and the count retried, up
-    to five times, before ContourThroughZero escapes.  A k at which the
-    residual overflows on the contour raises DomainError, as does a contour
-    whose dimensional Re p would overflow.
+    to five times, before ContourThroughZero escapes, naming the test that
+    ended the last attempt.  A k at which the residual overflows on the
+    contour raises DomainError, as does a contour whose dimensional Re p
+    would overflow.
     """
     params = _hat_params(cp)
     lam = cp.friction.v_o / cp.friction.L
@@ -317,7 +319,8 @@ def count_unstable(cp: CharParams) -> RootCount:
             with np.errstate(all="ignore"):
                 count, samples = _winding_on_rectangle(re_lo, re_hi, im_max,
                                                        cp.k, params)
-        except _NearContourZero:
+        except _NearContourZero as exc:
+            reason = exc.args[0]
             continue
         return RootCount(
             n_unstable=count,
@@ -325,7 +328,8 @@ def count_unstable(cp: CharParams) -> RootCount:
             samples=samples,
         )
     raise ContourThroughZero(
-        "a characteristic root stayed on the counting contour through 5 dilations"
+        "a characteristic root stayed on the counting contour through 5 dilations; "
+        f"the last attempt ended on {reason}"
     )
 
 

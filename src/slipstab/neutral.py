@@ -329,8 +329,11 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
     q must be positive and finite.  Equal wave speeds leave no interval and
     return [].  The intersonic equations involve b/a on their own, hence the
     extra argument; it must be > 1 (velocity weakening) and at most 1e100,
-    beyond which the phase equation overflows.  The modes carry no
-    dimensional fields.
+    beyond which the phase equation overflows.  A q that the search out to
+    tau = -600 and +600 cannot bracket (Q there is about 6.9e129 at m = 1,
+    r = 1.2, b/a = 1.2) raises DomainError naming q, although
+    solve_subsonic still answers there.  The modes carry no dimensional
+    fields.
     """
     _check_q(q)
     if not 1.0 < b_over_a <= _MAX_B_OVER_A:
@@ -399,7 +402,9 @@ def critical_mode(p: RateState, bm: BiMaterial) -> StabilityVerdict:
 def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> SweepTable:
     """Neutral modes at every q of a grid, as one SweepTable without
     dimensional fields.  The grid must be positive, finite and sorted
-    ascending, and b/a > 1 and at most 1e100, as for solve_intersonic.
+    ascending, and b/a > 1 and at most 1e100, as for solve_intersonic.  A
+    q beyond solve_intersonic's range refuses the whole grid with its
+    DomainError, which names the grid's largest q.
 
     One _bracketed_roots call solves both branches: its elements are the
     subsonic t of every q, then the two intersonic tau of every q above the

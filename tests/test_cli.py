@@ -88,6 +88,15 @@ class TestKcr:
             "status = critical-mode\nbranch = subsonic\n"
             f"c_over_c1 = {c_over_c1}\nk_hat = {k_hat}\n")
 
+    def test_q_beyond_the_intersonic_range_solves(self, capsys):
+        # the sweep refuses this q (TestSweep), but the critical mode is
+        # subsonic and needs no intersonic solve
+        assert main(["kcr", "--q", "1e150", "--b-over-a", "1.2",
+                     "--speed-ratio", "1.2"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert kv["status"] == "critical-mode"
+        assert kv["branch"] == "subsonic"
+
     def test_nondimensional_always_stable(self, capsys):
         assert main(["kcr", "--q", "1", "--b-over-a", "0.9"]) == 0
         assert capsys.readouterr().out.strip() == "always-stable"
@@ -217,6 +226,15 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"error: cannot write {out}: No such file or directory\n")
 
+    def test_q_beyond_the_intersonic_range_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--q-min", "1", "--q-max", "1e150", "--q-points", "5",
+                "--b-over-a", "1.2", "--speed-ratio", "1.2", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: q = 1e+150 is beyond the intersonic solve's range\n")
+        assert not out.exists()
+
     def test_closed_pipe_exits_zero(self):
         # the reader stops after one line of a CSV larger than a pipe buffer
         with subprocess.Popen(
@@ -231,6 +249,25 @@ class TestSweep:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 0
             assert proc.stderr.read() == b""
+
+    def test_broken_stdout_exits_zero(self, tmp_path, monkeypatch):
+        """A stdout write that raises BrokenPipeError exits 0 with the
+        descriptor pointed at os.devnull, so the interpreter's closing
+        flush cannot raise again."""
+        class BrokenStdout:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, _text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", BrokenStdout(target.fileno()))
+            assert main(self.BASE + ["--out", "-"]) == 0
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
 
     def test_grid_validation(self, tmp_path, capsys):
         argv = ["sweep", "--q-min", "2.0", "--q-max", "0.5", "--q-points",
@@ -314,7 +351,8 @@ class TestRoots:
         assert main(["roots", f"--k={k}"] + self.README[3:]) == 3
         assert capsys.readouterr().err == (
             "solver error: a characteristic root stayed on the counting "
-            "contour through 5 dilations\n")
+            "contour through 5 dilations; the last attempt ended on a segment "
+            "too short to halve\n")
 
     def test_requires_friction(self, capsys):
         assert main(["roots", "--k", "1.0", "--mu", "30e9",

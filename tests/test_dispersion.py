@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from slipstab import (
     CharParams,
+    ContourThroughZero,
     DomainError,
     EffectiveMedium,
     RateState,
@@ -50,6 +51,24 @@ def test_char_params_rejects_zero_k(q_one):
     fr, bm, _ = q_one
     with pytest.raises(DomainError):
         CharParams(k=0.0, friction=fr, bimaterial=bm)
+
+
+def test_contour_through_zero_names_the_last_attempts_test(q_one, monkeypatch):
+    """Six attempts end near a root; the error names the test that ended
+    the last one, not the first."""
+    fr, bm, mode = q_one
+    reasons = iter(["a residual below 1e-12 of its scale"] * 5
+                   + ["a phase change off a multiple of pi"])
+
+    def near_zero(*_args):
+        raise dispersion._NearContourZero(next(reasons))
+    monkeypatch.setattr(dispersion, "_winding_on_rectangle", near_zero)
+    with pytest.raises(ContourThroughZero) as info:
+        count_unstable(CharParams(k=mode.k_mag, friction=fr, bimaterial=bm))
+    assert str(info.value) == (
+        "a characteristic root stayed on the counting contour through 5 "
+        "dilations; the last attempt ended on a phase change off a multiple of pi")
+    assert next(reasons, None) is None
 
 
 @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 1e300, 1e-300])

@@ -232,6 +232,16 @@ class TestIntersonic:
         with pytest.raises(SlipStabError, match="off the search range"):
             solve_intersonic(1e3, 8.062203220539252e+83, bm)
 
+    @pytest.mark.parametrize("solve", [lambda: sweep_q([1e150], 1.2, MILD),
+                                       lambda: sweep_q([1.0, 1e150], 1.2, MILD),
+                                       lambda: solve_intersonic(1e150, 1.2, MILD)],
+                             ids=["sweep", "sweep-grid", "one-q"])
+    def test_q_beyond_the_tau_range_is_refused(self, solve):
+        # Q at tau = -600 is 6.9e129 here: the tau search brackets no root
+        with pytest.raises(DomainError,
+                           match=r"^q = 1e\+150 is beyond the intersonic solve's range$"):
+            solve()
+
     def test_identical_speeds_return_empty(self):
         bm = BiMaterial.from_ratios(1.0, 1.0)
         with warnings.catch_warnings():

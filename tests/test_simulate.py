@@ -457,6 +457,23 @@ def test_integrator_hook_is_the_module_global(monkeypatch):
     assert traced.metadata == plain.metadata
 
 
+@pytest.mark.parametrize("error, text", [(OverflowError, "overflowed"),
+                                         (ZeroDivisionError, "underflowed")])
+def test_error_outside_a_trial_step_is_step_failure(monkeypatch, error, text):
+    """An overflow or a division by an underflowed zero that escapes the
+    integrator (at the start, or in an interpolant) raises StepFailure
+    without a state, with the original error chained."""
+    def raising(*_args, **_kwargs):
+        raise error("math range error")
+    monkeypatch.setattr(simulate, "solve_ivp", raising)
+    sb = SpringBlockParams(stiffness=2.0 * K_CR, mass=0.0, friction=FR)
+    with pytest.raises(StepFailure) as exc:
+        simulate_spring_block(sb, EvolutionLaw.AGEING, init=perturbed())
+    assert str(exc.value) == f"integrator step {text}: math range error"
+    assert exc.value.last_state is None
+    assert isinstance(exc.value.__cause__, error)
+
+
 def test_evaluation_budget_bounds_each_run(monkeypatch):
     """A run may use exactly MAX_EVALUATIONS right-side evaluations; one
     fewer raises StepFailure carrying the last accepted state."""
@@ -770,7 +787,7 @@ def scipy_dop853(fun, t_eval, y0, rtol, atol, cap, max_nfev, maxima=False):
                     t_eval=t_eval, rtol=rtol, atol=atol, events=runaway)
     assert sol.status >= 0, sol.message
     return _dop853.Solution([list(c) for c in sol.y], list(sol.y[:, -1]),
-                            sol.nfev, sol.status == 1, None)
+                            sol.nfev, sol.status == 1, None, float(sol.t[-1]), None)
 
 
 def _gate_runs():

@@ -216,7 +216,7 @@ def _cmd_medium(cfg: dict) -> int:
         two = _side(cfg, _RAW_2, raw=True)
         bm = make_bimaterial(one, two)
         _print_kv(mu_2=two.mu, c1_2=two.c1, mu_ratio=bm.mu_ratio,
-                  speed_ratio=bm.speed_ratio, swapped=bm.swapped)
+                  speed_ratio=bm.speed_ratio, swapped=bm.slow is not one)
     return 0
 
 
@@ -277,8 +277,6 @@ def _sweep_echo(mode: str, cfg: dict, bm: BiMaterial, b_over_a: float) -> dict:
 def _cmd_sweep(cfg: dict) -> int:
     grid = _sweep_grid(cfg)
     b_over_a = _require(cfg, "b_over_a")
-    if not b_over_a > 1.0:
-        raise InputError(f"b_over_a must exceed 1 for a sweep, got {b_over_a}")
     bm = BiMaterial.from_ratios(cfg.get("mu_ratio", 1.0),
                                 cfg.get("speed_ratio", 1.0))
     table = sweep_q(grid, b_over_a, bm)
@@ -431,7 +429,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if rejected else 3
     except BrokenPipeError:
         # the reader stopped consuming (e.g. | head); not our failure
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 0
 
 

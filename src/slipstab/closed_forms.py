@@ -99,19 +99,17 @@ def spring_block_critical(p: RateState, mass: float = 0.0):
     return k_cr, _checked_omega(p)
 
 
-def quasistatic_continuum(p: RateState, mu: float, mu_prime: float | None = None):
+def quasistatic_continuum(p: RateState, mu: float, mu_prime: float):
     """Quasi-static critical wavenumber (k_cr, c, omega), or None if b <= a.
 
     A slip mode of wavenumber k loads the interface like a spring of
     stiffness mu*mu'*|k|/(mu + mu'), so the spring-block threshold translates
-    directly: k_cr = (b-a)*sigma_o*(mu + mu')/(L*mu*mu'), with mu' = mu
-    (identical solids) when mu_prime is omitted.  Orthotropic sliding on
-    isotropic takes mu' = effective_medium(orthotropic).mu, which is
-    sqrt(c44*c55) when c45 = 0.  omega is `_omega`'s, and c = omega/k_cr.
+    directly: k_cr = (b-a)*sigma_o*(mu + mu')/(L*mu*mu'); identical solids
+    take mu' = mu.  Orthotropic sliding on isotropic takes
+    mu' = effective_medium(orthotropic).mu, which is sqrt(c44*c55) when
+    c45 = 0.  omega is `_omega`'s, and c = omega/k_cr.
     A k_cr, c or omega that overflows or underflows raises DomainError.
     """
-    if mu_prime is None:
-        mu_prime = mu
     if not 0.0 < mu < math.inf:
         raise DomainError(f"mu must be positive and finite, got {mu}")
     if not 0.0 < mu_prime < math.inf:

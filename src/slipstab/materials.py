@@ -3,14 +3,15 @@
 For anti-plane shear the three stiffnesses c44, c55, c45 and the density of
 each half-space enter the sliding-stability problem only through an effective
 shear modulus mu = sqrt(c44*c55 - c45^2) and a single wave speed
-c1 = mu / sqrt(c44*rho).  This module performs that reduction and assembles
-the ordered pair of half-spaces (slow side first) that every solver consumes.
+c1 = mu / sqrt(c44*rho).  This module performs that reduction and orders
+the two half-spaces into the pair (slow side first) that every solver
+consumes; the pair's two ratios are derived from its media.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotPositiveDefinite
 
@@ -81,20 +82,20 @@ def effective_medium(s: ShearStiffness) -> EffectiveMedium:
 class BiMaterial:
     """Ordered pair of effective media: slow side first.
 
-    `slow` is the side with the smaller wave speed (ties keep input order).
-    The solvers consume only the two nondimensional ratios:
-    mu_ratio = fast.mu / slow.mu and speed_ratio = fast.c1 / slow.c1 >= 1.
-    `swapped` records whether make_bimaterial reordered its arguments.
+    The pair is its two media.  The solvers consume only the two ratios
+    mu_ratio = fast.mu / slow.mu and speed_ratio = fast.c1 / slow.c1 >= 1,
+    derived from the media at construction; they cannot be passed in.
     """
 
     slow: EffectiveMedium
     fast: EffectiveMedium
-    mu_ratio: float
-    speed_ratio: float
-    swapped: bool
+    mu_ratio: float = field(init=False)
+    speed_ratio: float = field(init=False)
 
     def __post_init__(self):
-        # fast.mu/slow.mu of two valid media can still under- or overflow
+        object.__setattr__(self, "mu_ratio", self.fast.mu / self.slow.mu)
+        object.__setattr__(self, "speed_ratio", self.fast.c1 / self.slow.c1)
+        # the ratios of two valid media can still under- or overflow
         if not 0.0 < self.mu_ratio < math.inf:
             raise NotPositiveDefinite(
                 f"mu_ratio must be positive and finite, got {self.mu_ratio}")
@@ -102,6 +103,8 @@ class BiMaterial:
             raise NotPositiveDefinite(
                 f"speed_ratio must be >= 1 (slow side first), got {self.speed_ratio}"
             )
+        if self.speed_ratio == math.inf:
+            raise NotPositiveDefinite("speed_ratio must be finite, got inf")
 
     @classmethod
     def from_ratios(cls, mu_ratio: float, speed_ratio: float) -> "BiMaterial":
@@ -111,22 +114,13 @@ class BiMaterial:
                 raise NotPositiveDefinite(f"{name} must be finite, got {ratio}")
         if not mu_ratio > 0.0:
             raise NotPositiveDefinite(f"mu_ratio must be positive, got {mu_ratio}")
-        slow = EffectiveMedium(mu=1.0, c1=1.0)
-        fast = EffectiveMedium(mu=mu_ratio, c1=speed_ratio)
-        return cls(slow=slow, fast=fast, mu_ratio=mu_ratio,
-                   speed_ratio=speed_ratio, swapped=False)
+        return cls(slow=EffectiveMedium(mu=1.0, c1=1.0),
+                   fast=EffectiveMedium(mu=mu_ratio, c1=speed_ratio))
 
 
 def make_bimaterial(one: EffectiveMedium, other: EffectiveMedium) -> BiMaterial:
-    """Order two effective media into a BiMaterial (slow side unprimed)."""
+    """Order two effective media into a BiMaterial (slow side first, ties
+    keep input order)."""
     if other.c1 < one.c1:
-        slow, fast, swapped = other, one, True
-    else:
-        slow, fast, swapped = one, other, False
-    return BiMaterial(
-        slow=slow,
-        fast=fast,
-        mu_ratio=fast.mu / slow.mu,
-        speed_ratio=fast.c1 / slow.c1,
-        swapped=swapped,
-    )
+        return BiMaterial(slow=other, fast=one)
+    return BiMaterial(slow=one, fast=other)

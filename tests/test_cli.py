@@ -253,7 +253,8 @@ class TestSweep:
     def test_broken_stdout_exits_zero(self, tmp_path, monkeypatch):
         """A stdout write that raises BrokenPipeError exits 0 with the
         descriptor pointed at os.devnull, so the interpreter's closing
-        flush cannot raise again."""
+        flush cannot raise again, and closes the descriptor it opened for
+        that, so repeated library calls leak none."""
         class BrokenStdout:
             def __init__(self, fd):
                 self.fd = fd
@@ -264,10 +265,24 @@ class TestSweep:
             def fileno(self):
                 return self.fd
 
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        real_open = os.open
+        monkeypatch.setattr(os, "open", recording_open)
         with open(tmp_path / "stdout", "w") as target:
             monkeypatch.setattr(sys, "stdout", BrokenStdout(target.fileno()))
-            assert main(self.BASE + ["--out", "-"]) == 0
-            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+            for _ in range(3):
+                assert main(self.BASE + ["--out", "-"]) == 0
+                assert os.path.samestat(os.fstat(target.fileno()),
+                                        os.stat(os.devnull))
+        assert len(opened) == 3
+        for fd in opened:
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
     def test_grid_validation(self, tmp_path, capsys):
         argv = ["sweep", "--q-min", "2.0", "--q-max", "0.5", "--q-points",
@@ -295,6 +310,14 @@ class TestMedium:
         assert float(kv["speed_ratio"]) == pytest.approx(
             c1_2 / math.sqrt(1e7), rel=1e-12)
         assert kv["swapped"] == "False"
+
+    def test_slower_second_side_is_swapped(self, capsys):
+        assert main(["medium", "--c44", "30e9", "--c55", "30e9", "--rho", "3000",
+                     "--c44-2", "30e9", "--c55-2", "30e9", "--rho-2", "4000"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert kv["swapped"] == "True"
+        assert float(kv["speed_ratio"]) == pytest.approx(
+            math.sqrt(4000.0 / 3000.0), rel=1e-15)
 
     def test_rejects_indefinite_stiffness(self, capsys):
         assert main(["medium", "--c44", "1e9", "--c45", "31e9",
@@ -833,7 +856,8 @@ def test_nonpositive_b_over_a_is_input_error(capsys, b_over_a):
 
 def test_sweep_nan_b_over_a_is_input_error(capsys):
     assert main(TestSweep.BASE[:8] + ["nan", "--out", "-"]) == 2
-    assert capsys.readouterr().err.startswith("error: b_over_a must exceed 1")
+    assert capsys.readouterr().err.startswith(
+        "error: sweep requires a finite b/a > 1 and at most 1e+100, got nan")
 
 
 def test_sweep_b_over_a_above_the_bound_is_input_error(capsys):

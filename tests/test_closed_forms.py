@@ -89,7 +89,7 @@ class TestSpringBlock:
 
 class TestQuasistatic:
     def test_identical_solids_values(self):
-        k_cr, c, omega = quasistatic_continuum(LAB, mu=30e9)
+        k_cr, c, omega = quasistatic_continuum(LAB, mu=30e9, mu_prime=30e9)
         assert k_cr == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert c == pytest.approx(30e9 * 1e-3 / (2.0 * math.sqrt(5e-5) * 1e8),
                                   rel=1e-15)
@@ -98,8 +98,6 @@ class TestQuasistatic:
         assert omega == pytest.approx(k_cr * c, rel=1e-15)
 
     def test_dissimilar_reduces_and_is_symmetric(self):
-        same = quasistatic_continuum(LAB, mu=30e9, mu_prime=30e9)
-        assert same == quasistatic_continuum(LAB, mu=30e9)
         ab = quasistatic_continuum(LAB, mu=30e9, mu_prime=45e9)
         ba = quasistatic_continuum(LAB, mu=45e9, mu_prime=30e9)
         assert ab[0] == pytest.approx(ba[0], rel=1e-15)
@@ -110,7 +108,7 @@ class TestQuasistatic:
         # k_cr = (b-a)*sigma_o/L * (1/mu + 1/mu'): a rigid partner leaves the
         # single-half-space floor, a compliant one raises k_cr without bound
         k_soft = quasistatic_continuum(LAB, mu=30e9, mu_prime=3e9)[0]
-        k_same = quasistatic_continuum(LAB, mu=30e9)[0]
+        k_same = quasistatic_continuum(LAB, mu=30e9, mu_prime=30e9)[0]
         k_rigid = quasistatic_continuum(LAB, mu=30e9, mu_prime=3e15)[0]
         floor = 0.005 * 1e8 / (1e-4 * 30e9)
         assert k_soft > k_same > k_rigid > floor
@@ -120,7 +118,7 @@ class TestQuasistatic:
         ortho = ShearStiffness(c44=30e9, c45=0.0, c55=30e9, rho=2700.0)
         k_o, c_o, w_o = quasistatic_continuum(
             LAB, mu=30e9, mu_prime=effective_medium(ortho).mu)
-        k_i, c_i, w_i = quasistatic_continuum(LAB, mu=30e9)
+        k_i, c_i, w_i = quasistatic_continuum(LAB, mu=30e9, mu_prime=30e9)
         assert k_o == pytest.approx(k_i, rel=1e-15)
         assert w_o == w_i
 
@@ -134,13 +132,13 @@ class TestQuasistatic:
 
     def test_argument_screening(self):
         with pytest.raises(DomainError):
-            quasistatic_continuum(LAB, mu=-30e9)
+            quasistatic_continuum(LAB, mu=-30e9, mu_prime=-30e9)
         with pytest.raises(DomainError):
             quasistatic_continuum(LAB, mu=30e9, mu_prime=-1.0)
 
     def test_strengthening_returns_none(self):
         p = RateState(a=0.01, b=0.005, L=1e-4, sigma_o=1e6, v_o=1e-3)
-        assert quasistatic_continuum(p, mu=30e9) is None
+        assert quasistatic_continuum(p, mu=30e9, mu_prime=30e9) is None
 
 
 class TestDynamicIdentical:
@@ -153,21 +151,21 @@ class TestDynamicIdentical:
     def test_q_one(self):
         p = self._friction_for_q(1.0)
         k_dyn, c = identical_isotropic_dynamic(p, mu=30e9, c_s=3000.0)
-        k_qs = quasistatic_continuum(p, mu=30e9)[0]
+        k_qs = quasistatic_continuum(p, mu=30e9, mu_prime=30e9)[0]
         assert k_dyn == pytest.approx(k_qs * math.sqrt(2.0), rel=1e-14)
         assert c == pytest.approx(3000.0 / math.sqrt(2.0), rel=1e-14)
 
     def test_q_sqrt_three(self):
         p = self._friction_for_q(math.sqrt(3.0))
         k_dyn, c = identical_isotropic_dynamic(p, mu=30e9, c_s=3000.0)
-        k_qs = quasistatic_continuum(p, mu=30e9)[0]
+        k_qs = quasistatic_continuum(p, mu=30e9, mu_prime=30e9)[0]
         assert k_dyn == pytest.approx(2.0 * k_qs, rel=1e-14)
         assert c == pytest.approx(3000.0 * math.sqrt(3.0) / 2.0, rel=1e-14)
 
     def test_quasistatic_limit(self):
         p = self._friction_for_q(1e-8)
         k_dyn, c = identical_isotropic_dynamic(p, mu=30e9, c_s=3000.0)
-        assert k_dyn == pytest.approx(quasistatic_continuum(p, mu=30e9)[0],
+        assert k_dyn == pytest.approx(quasistatic_continuum(p, mu=30e9, mu_prime=30e9)[0],
                                       rel=1e-15)
 
     def test_matches_general_solver(self):
@@ -217,14 +215,14 @@ class TestFloatRange:
             RateState(a=0.01, b=0.015, L=1e300, sigma_o=1e6, v_o=1e-30)),
          "sqrt((b-a)/a)*v_o/L underflows to 0 (a = 0.01, b = 0.015, "
          "v_o = 1e-30, L = 1e+300)"),
-        (lambda: quasistatic_continuum(HUGE, 30e9),
+        (lambda: quasistatic_continuum(HUGE, 30e9, 30e9),
          "(b-a)*sigma_o*(mu+mu')/(L*mu*mu') overflows to inf (a = 0.01, "
          "b = 0.015, sigma_o = 1e+300, mu = 30000000000.0, "
          "mu_prime = 30000000000.0, L = 1e-300)"),
-        (lambda: quasistatic_continuum(HUGE, 1e-300),
+        (lambda: quasistatic_continuum(HUGE, 1e-300, 1e-300),
          "L*mu*mu' underflows to 0 (L = 1e-300, mu = 1e-300, mu_prime = 1e-300)"),
         (lambda: quasistatic_continuum(
-            RateState(a=0.01, b=0.015, L=1e-200, sigma_o=1e-150, v_o=1e-3), 1e250),
+            RateState(a=0.01, b=0.015, L=1e-200, sigma_o=1e-150, v_o=1e-3), 1e250, 1e250),
          "c = omega/k_cr overflows to inf"),
         (lambda: identical_isotropic_dynamic(
             RateState(a=0.01, b=0.015, L=1e-4, sigma_o=1e-150, v_o=1e-3),
@@ -237,7 +235,7 @@ class TestFloatRange:
 
     def test_unbounded_moduli_rejected(self):
         with pytest.raises(DomainError, match="mu must be positive and finite"):
-            quasistatic_continuum(LAB, mu=math.inf)
+            quasistatic_continuum(LAB, mu=math.inf, mu_prime=math.inf)
         with pytest.raises(DomainError, match="need finite mu > 0"):
             identical_isotropic_dynamic(LAB, mu=math.inf, c_s=3000.0)
 
@@ -275,7 +273,7 @@ def test_omega_shared_across_closed_forms(p, mu, mu_prime):
        st.floats(min_value=100.0, max_value=10000.0))
 def test_dynamic_never_below_quasistatic(p, mu, c_s):
     k_dyn, c = identical_isotropic_dynamic(p, mu=mu, c_s=c_s)
-    k_qs = quasistatic_continuum(p, mu=mu)[0]
+    k_qs = quasistatic_continuum(p, mu=mu, mu_prime=mu)[0]
     assert k_dyn >= k_qs
     assert 0.0 < c < c_s
 

@@ -1,9 +1,10 @@
 """The package namespace: every exported name resolves, every public name
 of the solver modules is re-exported, so a deleted name cannot linger, and
-the public surface, names and options, is pinned."""
+the public surface, names, options and record fields, is pinned."""
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import importlib
 import inspect
@@ -64,7 +65,6 @@ KNOBS = {
     "StabilityVerdict": ("mode",),
     "StepFailure": ("last_state",),
     "estimate_critical_stiffness": ("mass",),
-    "quasistatic_continuum": ("mu_prime",),
     "simulate_spring_block": ("init", "duration", "tol"),
     "spring_block_critical": ("mass",),
 }
@@ -87,6 +87,33 @@ def test_public_options_are_pinned():
     options = {name: _options(getattr(slipstab, name)) for name in slipstab.__all__
                if callable(getattr(slipstab, name))}
     assert {name: opts for name, opts in options.items() if opts} == KNOBS
+
+
+# the constructor fields of every public dataclass: a record holds only what
+# it is built from, so adding a field, or storing a value the code derives,
+# takes an edit here
+RECORDS = {
+    "BiMaterial": ("slow", "fast"),
+    "BlockState": ("v", "theta", "tau"),
+    "BlockTrajectory": ("t", "v", "theta", "tau", "metadata"),
+    "CharParams": ("k", "friction", "bimaterial"),
+    "EffectiveMedium": ("mu", "c1"),
+    "NeutralMode": ("q", "branch", "c_over_c1", "k_hat", "k_mag", "omega"),
+    "RateState": ("a", "b", "L", "sigma_o", "v_o", "f"),
+    "RootCount": ("n_unstable", "contour", "samples"),
+    "ShearStiffness": ("c44", "c45", "c55", "rho"),
+    "SpringBlockParams": ("stiffness", "mass", "friction"),
+    "StabilityVerdict": ("mode",),
+    "SweepTable": ("q", "branch", "c_over_c1", "k_hat"),
+    "VerifyResult": ("name", "ok", "detail", "elapsed"),
+}
+
+
+def test_public_records_are_pinned():
+    records = {name: getattr(slipstab, name) for name in slipstab.__all__}
+    assert {name: tuple(f.name for f in dataclasses.fields(obj) if f.init)
+            for name, obj in records.items()
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)} == RECORDS
 
 
 def test_every_library_module_declares_its_exports():

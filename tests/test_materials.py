@@ -95,15 +95,13 @@ class TestBiMaterial:
             assert bm.fast is fast
             assert bm.speed_ratio == pytest.approx(1.5)
             assert bm.mu_ratio == pytest.approx(10e9 / 30e9)
-        assert make_bimaterial(slow, fast).swapped is False
-        assert make_bimaterial(fast, slow).swapped is True
 
     def test_tie_keeps_input_order(self):
         one = EffectiveMedium(mu=30e9, c1=3000.0)
         two = EffectiveMedium(mu=40e9, c1=3000.0)
         bm = make_bimaterial(one, two)
         assert bm.slow is one and bm.fast is two
-        assert not bm.swapped
+        assert make_bimaterial(two, one).slow is two
 
     def test_from_ratios(self):
         bm = BiMaterial.from_ratios(0.1, 5.0)
@@ -125,6 +123,31 @@ class TestBiMaterial:
     def test_effective_medium_rejects_infinite(self, mu, c1):
         with pytest.raises(NotPositiveDefinite, match="finite"):
             EffectiveMedium(mu=mu, c1=c1)
+
+    SLOW = EffectiveMedium(mu=30e9, c1=3000.0)
+    FAST = EffectiveMedium(mu=36e9, c1=3600.0)
+
+    def test_order_of_arguments_does_not_matter(self):
+        assert (make_bimaterial(self.SLOW, self.FAST)
+                == make_bimaterial(self.FAST, self.SLOW))
+
+    def test_ratios_are_derived_from_the_media(self):
+        bm = BiMaterial(slow=self.SLOW, fast=self.FAST)
+        assert bm.mu_ratio == self.FAST.mu / self.SLOW.mu
+        assert bm.speed_ratio == self.FAST.c1 / self.SLOW.c1
+        with pytest.raises(TypeError, match="mu_ratio"):
+            BiMaterial(slow=self.SLOW, fast=self.FAST, mu_ratio=5.0)
+
+    def test_flipped_pair_is_rejected(self):
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^speed_ratio must be >= 1 \(slow side first\)"):
+            BiMaterial(slow=self.FAST, fast=self.SLOW)
+
+    def test_overflowing_speed_ratio_is_rejected(self):
+        # the solvers took speed_ratio = inf and blamed q or the search range
+        with pytest.raises(NotPositiveDefinite, match="^speed_ratio must be finite"):
+            make_bimaterial(EffectiveMedium(mu=1.0, c1=1e-300),
+                            EffectiveMedium(mu=1.0, c1=1e300))
 
     def test_speed_ratio_at_least_one(self):
         bm = make_bimaterial(EffectiveMedium(mu=1.0, c1=2.0),

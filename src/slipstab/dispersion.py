@@ -108,17 +108,28 @@ def _residual(p_hat, kappa: float, nu: float, w: float, m: float, r: float):
     """Nondimensional left side kappa*(p_hat + 1)*F(nu*p_hat) + p_hat*(p_hat - W)
     and its term-magnitude scale, at a complex scalar or ndarray p_hat.
 
-    Every complex product keeps its operand order: numpy's array complex
-    multiply is fused (FMA), so a*b and b*a can differ in the last bit, and
-    the counter's samples are pinned.  In-place updates only ever put the
-    new factor on the right."""
+    A Python complex p_hat runs through the same statements on Python
+    numbers, with the built-in abs, and gives a Python complex and float:
+    characteristic_residual's point and the counter's refinement samples
+    (see _winding_on_rectangle).  An ndarray, the counter's initial path
+    and confirm rounds, runs through numpy.  Every complex product keeps
+    its operand order: numpy's array complex multiply is fused (FMA),
+    Python's is not, so a*b and b*a can differ in the last bit, and the
+    counter's samples are pinned.  In-place updates only ever put the new
+    factor on the right.  A modulus that overflows leaves the scale not
+    finite on both: numpy's abs returns inf where Python's raises
+    OverflowError, which makes the scale inf."""
+    modulus = abs if isinstance(p_hat, complex) else np.abs
     f_val = f_normalized(p_hat * nu, m, r)
     p1 = p_hat + 1.0
-    abs_p = np.abs(p_hat)
     resid = kappa * p1 * f_val
     resid += p_hat * (p_hat - w)
-    scale = kappa * np.abs(p1) * np.abs(f_val)
-    scale += abs_p * (abs_p + abs(w))
+    try:
+        abs_p = modulus(p_hat)
+        scale = kappa * modulus(p1) * modulus(f_val)
+        scale += abs_p * (abs_p + abs(w))
+    except OverflowError:
+        scale = math.inf
     return resid, scale
 
 
@@ -143,10 +154,10 @@ def characteristic_residual(cp: CharParams, p: complex) -> complex:
     """
     fr = cp.friction
     lam = fr.v_o / fr.L
-    # an overflow shows as a non-finite residual, reported below
-    with np.errstate(all="ignore"):
-        resid, _ = _residual(closed_half_plane(p) / lam, *_hat_params(cp))
-    value = complex(resid) * (fr.a * fr.sigma_o * lam * lam / fr.v_o)
+    # on Python numbers, an overflow shows as a non-finite residual,
+    # reported below
+    resid, _ = _residual(closed_half_plane(p) / lam, *_hat_params(cp))
+    value = resid * (fr.a * fr.sigma_o * lam * lam / fr.v_o)
     if not cmath.isfinite(value):
         raise DomainError(
             f"characteristic residual is not finite at k = {cp.k!r}, p = {p!r}")
@@ -156,6 +167,15 @@ def characteristic_residual(cp: CharParams, p: complex) -> complex:
 class _NearContourZero(Exception):
     """Internal: a contour sample sat too close to a root; the argument
     names the test that found it."""
+
+
+def _below_scale(resid: complex, scale: float) -> bool:
+    """abs(resid) < 1e-12*scale on Python numbers; a modulus that overflows,
+    which Python's abs raises on, is not below (numpy's abs gives inf)."""
+    try:
+        return abs(resid) < 1e-12 * scale
+    except OverflowError:
+        return False
 
 
 def _spliced(old: np.ndarray, new: np.ndarray, at: np.ndarray,
@@ -196,24 +216,31 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float, k: float,
     along the top and down the left edge to (re_lo, 0), divided by pi.
 
     The path starts as 2049 uniform samples, 1/1024 of an edge apart, and
-    every segment whose phase increment reaches pi/2 is bisected, so a root
-    sitting a few 1e-5 away from an edge (weakly growing modes hug the left
-    edge) produces local refinement instead of a missed half-turn.  Once all
-    increments are small every segment is bisected once more and the
-    integer must reproduce.  A refinement round splices its midpoints in at
-    known places and recomputes only the split segments' increments; the
-    confirm round, which splits every segment, interleaves the midpoints
-    and the halves' increments with the old arrays.  Returns (count,
-    samples used).  Raises DomainError if a sample's residual is not
-    finite, and _NearContourZero if one is below 1e-12 of its term scale,
-    the phase change is not within 1e-6 of a multiple of pi, the path would
-    need more than 2**20 segments (the density of 2**21 samples on the
-    whole boundary), or a segment to be split is too short to halve (its
-    midpoint rounds onto an end), any of which means a root (or something
-    indistinguishable from one) touches the path.
+    every segment whose phase increment reaches pi/2 is bisected, round by
+    round, so a root sitting a few 1e-5 away from an edge (weakly growing
+    modes hug the left edge) produces local refinement instead of a missed
+    half-turn.  Once all increments are small every segment is bisected
+    once more and the integer must reproduce.  The initial path and the
+    confirm round, which splits every segment and interleaves the midpoints
+    and the halves' increments with the old arrays, are numpy arrays.  A
+    refinement phase, the rounds between two of those, walks only the
+    split segments on Python numbers (a round holds a few points) and
+    splices its new points and increments into the arrays once, when no
+    segment is left to split.  Returns (count, samples used).  Raises
+    DomainError if a sample's residual is not finite, and _NearContourZero
+    if one is below 1e-12 of its term scale, the phase change is not within
+    1e-6 of a multiple of pi, the path would need more than 2**20 segments
+    (the density of 2**21 samples on the whole boundary), or a segment to
+    be split is too short to halve (its midpoint rounds onto an end), any
+    of which means a root (or something indistinguishable from one)
+    touches the path.  A round tests all its segments against the budget,
+    then all its midpoints for being too short, then all its residuals for
+    being finite, then for being small, the order sample tests an array in.
     """
     width = re_hi - re_lo
     height = 2.0 * im_max
+    not_finite = ("characteristic residual is not finite on the counting "
+                  f"contour at k = {k!r}")
 
     def sample(us: np.ndarray) -> np.ndarray:
         # the residual on the path at us ascending: [0, 0.5) right edge,
@@ -228,11 +255,60 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float, k: float,
             pts[j:] = re_lo + 1j * (im_max - height * (us[j:] - 1.5))
         resid, scale = _residual(pts, *params)
         if not (np.isfinite(resid).all() and np.isfinite(scale).all()):
-            raise DomainError("characteristic residual is not finite on the "
-                              f"counting contour at k = {k!r}")
+            raise DomainError(not_finite)
         if (np.abs(resid) < 1e-12 * scale).any():
             raise _NearContourZero("a residual below 1e-12 of its scale")
         return resid
+
+    def point(u: float) -> complex:
+        # sample's point at one u, with the same bits
+        if u < 0.5:
+            return complex(re_hi, -im_max + height * (u + 0.5))
+        if u < 1.5:
+            return complex(re_hi - width * (u - 0.5), im_max)
+        return complex(re_lo, im_max - height * (u - 1.5))
+
+    def refined(us: np.ndarray, vals: np.ndarray, segments: int,
+                split: np.ndarray):
+        # every point the phase touches, with its u, value and the increment
+        # of the segment it starts: the split segments' starts, then each
+        # midpoint as it is made; the frontier holds the segments still to
+        # split, in path order, as (start's index there, end's u, end's value)
+        pu, pv = us[split].tolist(), vals[split].tolist()
+        pinc = [0.0] * split.size
+        frontier = list(zip(range(split.size), us[split + 1].tolist(),
+                            vals[split + 1].tolist()))
+        while frontier:
+            if segments + len(frontier) > 2 ** 20:
+                raise _NearContourZero("the 2**20-segment budget")
+            mids = [pu[i] + 0.5 * (u_hi - pu[i]) for i, u_hi, _ in frontier]
+            if any(u == pu[i] or u == u_hi
+                   for u, (i, u_hi, _) in zip(mids, frontier)):
+                raise _NearContourZero("a segment too short to halve")
+            evals = [_residual(point(u), *params) for u in mids]
+            if not all(cmath.isfinite(resid) and math.isfinite(scale)
+                       for resid, scale in evals):
+                raise DomainError(not_finite)
+            if any(_below_scale(resid, scale) for resid, scale in evals):
+                raise _NearContourZero("a residual below 1e-12 of its scale")
+            segments += len(frontier)
+            ahead = []
+            for (i, u_hi, v_hi), u, (v, _) in zip(frontier, mids, evals):
+                j = len(pu)
+                pinc[i] = cmath.phase(v / pv[i])
+                pu.append(u)
+                pv.append(v)
+                pinc.append(cmath.phase(v_hi / v))
+                if abs(pinc[i]) >= 0.5 * math.pi:
+                    ahead.append((i, u, v))
+                if abs(pinc[j]) >= 0.5 * math.pi:
+                    ahead.append((j, u_hi, v_hi))
+            frontier = ahead
+        # the split segments' new increments, then the new points in path
+        # order: their u, values and the increments of the segments they start
+        new = sorted(range(split.size, len(pu)), key=pu.__getitem__)
+        return (pinc[:split.size], np.array([pu[j] for j in new]),
+                np.array([pv[j] for j in new]), np.array([pinc[j] for j in new]))
 
     us = _PATH_START
     vals = sample(us)
@@ -240,46 +316,36 @@ def _winding_on_rectangle(re_lo: float, re_hi: float, im_max: float, k: float,
     confirmed = None
     while True:
         split = np.flatnonzero(np.abs(incs) >= 0.5 * math.pi)
-        if not split.size:
-            turns = float(incs.sum()) / math.pi
-            if abs(turns - round(turns)) >= 1e-6:
-                raise _NearContourZero("a phase change off a multiple of pi")
-            count = int(round(turns))
-            if confirmed == count:
-                return count, us.size
-            confirmed = count
-            # confirm round: every segment splits, so the midpoints and
-            # the two halves' increments interleave with the old arrays
-            if 2 * incs.size > 2 ** 20:
-                raise _NearContourZero("the 2**20-segment budget")
-            mid_us = us[:-1] + 0.5 * (us[1:] - us[:-1])
-            mid_vals = sample(mid_us)
-            incs = _interleaved(_phase_steps(mid_vals, vals[:-1]),
-                                _phase_steps(vals[1:], mid_vals))
-            us = _interleaved(us, mid_us)
-            vals = _interleaved(vals, mid_vals)
-            continue
-        confirmed = None
-        if incs.size + split.size > 2 ** 20:
+        if split.size:
+            confirmed = None
+            first, new_us, new_vals, new_incs = refined(us, vals, incs.size, split)
+            incs[split] = first
+            # each new point, and the increment of the segment it starts,
+            # lands after the old points below it and the new points before it
+            at = np.searchsorted(us, new_us) + np.arange(new_us.size)
+            kept = np.ones(us.size + new_us.size, dtype=bool)
+            kept[at] = False
+            us = _spliced(us, new_us, at, kept)
+            vals = _spliced(vals, new_vals, at, kept)
+            # one increment fewer than points; the last point is never new
+            incs = _spliced(incs, new_incs, at, kept[:-1])
+        turns = float(incs.sum()) / math.pi
+        if abs(turns - round(turns)) >= 1e-6:
+            raise _NearContourZero("a phase change off a multiple of pi")
+        count = int(round(turns))
+        if confirmed == count:
+            return count, us.size
+        confirmed = count
+        # confirm round: every segment splits, so the midpoints and the two
+        # halves' increments interleave with the old arrays
+        if 2 * incs.size > 2 ** 20:
             raise _NearContourZero("the 2**20-segment budget")
-        lo_us, hi_us = us[split], us[split + 1]
-        mid_us = lo_us + 0.5 * (hi_us - lo_us)
-        if ((mid_us == lo_us) | (mid_us == hi_us)).any():
-            raise _NearContourZero("a segment too short to halve")
+        mid_us = us[:-1] + 0.5 * (us[1:] - us[:-1])
         mid_vals = sample(mid_us)
-        # each midpoint, and the increment of its segment's second half,
-        # lands right after its segment's start, which moves up by the
-        # number of segments split before it
-        at = split + np.arange(1, split.size + 1)
-        kept = np.ones(us.size + split.size, dtype=bool)
-        kept[at] = False
-        before = _phase_steps(mid_vals, vals[split])
-        after = _phase_steps(vals[split + 1], mid_vals)
-        us = _spliced(us, mid_us, at, kept)
-        vals = _spliced(vals, mid_vals, at, kept)
-        # one increment fewer than points; the last point is never new
-        incs = _spliced(incs, after, at, kept[:-1])
-        incs[at - 1] = before
+        incs = _interleaved(_phase_steps(mid_vals, vals[:-1]),
+                            _phase_steps(vals[1:], mid_vals))
+        us = _interleaved(us, mid_us)
+        vals = _interleaved(vals, mid_vals)
 
 
 def count_unstable(cp: CharParams) -> RootCount:

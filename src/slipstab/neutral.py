@@ -238,7 +238,10 @@ def _intersonic_terms(tau, m: float, r: float, b_over_a: float):
 
 def _intersonic_window(m: float, r: float, b_over_a: float) -> tuple[float, float]:
     """(tau*, q_w): the minimiser of Q in tau, by golden section, and Q there.
-    Q is flat at its minimum, so a 1e-8 tau bracket gives q_w to rounding."""
+    Q is flat at its minimum, so a 1e-8 tau bracket gives q_w to rounding.
+    A minimum within 1 of the range's ends is taken as off it: the ratios
+    lie outside what the solve resolves (r above about 1e16, or F1 and F2
+    underflowing), and DomainError names them."""
     def q_at(tau: float) -> float:
         try:
             return _intersonic_terms(tau, m, r, b_over_a)[0]
@@ -259,7 +262,9 @@ def _intersonic_window(m: float, r: float, b_over_a: float) -> tuple[float, floa
             q2 = q_at(t2)
     tau_w, q_w = (t1, q1) if q1 <= q2 else (t2, q2)
     if not abs(tau_w) < _TAU_WINDOW - 1.0:
-        raise SlipStabError(f"window minimum at tau = {tau_w} is off the search range")
+        raise DomainError(f"window minimum at tau = {tau_w} is off the search range: "
+                          f"speed_ratio = {r!r} with mu_ratio = {m!r} lies outside "
+                          f"the range the intersonic solve resolves")
     return tau_w, q_w
 
 
@@ -332,8 +337,10 @@ def solve_intersonic(q: float, b_over_a: float, bm: BiMaterial) -> list[NeutralM
     beyond which the phase equation overflows.  A q that the search out to
     tau = -600 and +600 cannot bracket (Q there is about 6.9e129 at m = 1,
     r = 1.2, b/a = 1.2) raises DomainError naming q, although
-    solve_subsonic still answers there.  The modes carry no dimensional
-    fields.
+    solve_subsonic still answers there.  So do material ratios whose window
+    minimum lies off the golden-section range (speed ratios above about
+    1e16 at mu_ratio = 1), with a DomainError naming speed_ratio and
+    mu_ratio.  The modes carry no dimensional fields.
     """
     _check_q(q)
     if not 1.0 < b_over_a <= _MAX_B_OVER_A:
@@ -404,7 +411,9 @@ def sweep_q(q_grid, b_over_a: float, bm: BiMaterial) -> SweepTable:
     dimensional fields.  The grid must be positive, finite and sorted
     ascending, and b/a > 1 and at most 1e100, as for solve_intersonic.  A
     q beyond solve_intersonic's range refuses the whole grid with its
-    DomainError, which names the grid's largest q.
+    DomainError, which names the grid's largest q; so do material ratios
+    outside that range, with the DomainError naming speed_ratio and
+    mu_ratio.
 
     One _bracketed_roots call solves both branches: its elements are the
     subsonic t of every q, then the two intersonic tau of every q above the

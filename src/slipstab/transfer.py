@@ -19,6 +19,7 @@ The public entry points:
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -34,29 +35,39 @@ def f_normalized(z, mu_ratio: float, speed_ratio: float):
 
     F = 2*m*w'*w / (w + m*w') with w = sqrt(1 + z^2), w' = sqrt(1 + (z/r)^2),
     m = mu'/mu and r = c1'/c1, principal square roots throughout.  Accepts a
-    complex scalar or any ndarray of them; returns the matching shape.
-    Identical media (m = 1, r = 1) reduce F to sqrt(1 + z^2), and z = 0 gives
-    the static value 2*mu'/(mu + mu').
+    complex scalar or any ndarray of them; returns the matching shape.  A
+    Python complex z runs through the same statements on Python numbers
+    (cmath.sqrt) and returns a Python complex; anything else runs as an
+    ndarray.  Identical media (m = 1, r = 1) reduce F to sqrt(1 + z^2), and
+    z = 0 gives the static value 2*mu'/(mu + mu').
     """
-    z = np.asarray(z, dtype=complex)
+    scalar = isinstance(z, complex)
+    if scalar:
+        sqrt = cmath.sqrt
+    else:
+        z = np.asarray(z, dtype=complex)
+        sqrt = np.sqrt
     z2 = z * z
     # add 1 to the real part only and scale by 1/r^2: a real 1.0 or a complex
     # division turns the -0.0 of Im z^2 on the lower imaginary axis into +0.0
     one = complex(1.0, -0.0)
-    w_slow = np.sqrt(z2 + one)
-    # in place, each product's operand order kept (see dispersion._residual)
+    w_slow = sqrt(z2 + one)
+    # in place on arrays, each product's operand order kept: numpy's array
+    # complex multiply, which the counter's initial path and confirm rounds
+    # take, is fused; Python's, which its refinement samples and
+    # characteristic_residual take, is not (see dispersion._residual)
     z2 *= 1.0 / (speed_ratio * speed_ratio)
     z2 += one
-    w_fast = np.sqrt(z2)
+    w_fast = sqrt(z2)
     denom = mu_ratio * w_fast
     denom += w_slow
-    if (denom == 0.0).any():
+    if denom == 0.0 if scalar else (denom == 0.0).any():
         raise BranchPole("transfer-function denominator vanished")
     out = 2.0 * mu_ratio * w_fast * w_slow
     out /= denom
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    if scalar or out.ndim:
+        return out
+    return complex(out)
 
 
 def f_laplace(k: float, p: complex, bm: BiMaterial) -> complex:
@@ -64,11 +75,15 @@ def f_laplace(k: float, p: complex, bm: BiMaterial) -> complex:
 
     Defined on the closed right half-plane; points with Re(p) = 0 are
     evaluated as the limit from Re(p) > 0 (conjugate symmetric: the sign of
-    Im(p) picks the side).  k = 0 has no length scale and is rejected.
+    Im(p) picks the side).  k = 0 has no length scale and is rejected, as
+    is a k at which |k|*c1 underflows to 0.
     """
     if k == 0.0:
         raise DomainError("k = 0 carries no wavelength; transfer function undefined")
-    z = closed_half_plane(p) / (abs(k) * bm.slow.c1)
+    wave = abs(k) * bm.slow.c1
+    if wave == 0.0:
+        raise DomainError(f"|k|*c1 underflows to 0 (k = {k!r}, c1 = {bm.slow.c1!r})")
+    z = closed_half_plane(p) / wave
     return f_normalized(z, bm.mu_ratio, bm.speed_ratio)
 
 

@@ -903,6 +903,19 @@ def test_small_mu_ratio_range_error_names_it(capsys):
     assert "2*mu_ratio*q/(1 + mu_ratio) >= 1e-154" in captured.err
 
 
+def test_sweep_speed_ratio_beyond_the_window_range_is_input_error(capsys):
+    """A speed ratio whose intersonic window lies off the solve's range is
+    rejected (exit 2) with one line naming it, not reported as a solver
+    failure."""
+    argv = ["sweep", "--q-min", "0.5", "--q-max", "2", "--q-points", "3",
+            "--b-over-a", "1.2", "--speed-ratio", "1e20", "--out", "-"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: window minimum at tau = ")
+    assert "speed_ratio = 1e+20 with mu_ratio = 1.0" in captured.err
+
+
 def test_sweep_solver_failure_exits_three(capsys, monkeypatch):
     """Only a rejected value is an input error; other solver failures of a
     sweep still exit 3."""

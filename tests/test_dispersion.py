@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slipstab import (
+    BranchPole,
     CharParams,
     ContourThroughZero,
     DomainError,
@@ -23,6 +25,8 @@ from slipstab import (
     characteristic_residual,
     count_unstable,
     critical_mode,
+    f_laplace,
+    f_normalized,
     make_bimaterial,
     polish_root,
 )
@@ -412,3 +416,235 @@ def test_counter_outcomes_pinned():
     for outcome in _counter_outcomes():
         digest.update(repr(outcome).encode())
     assert digest.hexdigest() == COUNTER_OUTCOMES_SHA256
+
+
+def _breadth_first_winding(re_lo, re_hi, im_max, k, params):
+    """The counter's winding number with every round on ndarrays, as it was
+    before refinement phases ran on Python numbers: a refinement round
+    samples its midpoints as one array and splices them in at once."""
+    width, height = re_hi - re_lo, 2.0 * im_max
+
+    def sample(us):
+        pts = np.empty(us.shape, dtype=complex)
+        i, j = np.searchsorted(us, (0.5, 1.5))
+        pts[:i] = re_hi + 1j * (-im_max + height * (us[:i] + 0.5))
+        pts[i:j] = (re_hi - width * (us[i:j] - 0.5)) + 1j * im_max
+        pts[j:] = re_lo + 1j * (im_max - height * (us[j:] - 1.5))
+        resid, scale = dispersion._residual(pts, *params)
+        if not (np.isfinite(resid).all() and np.isfinite(scale).all()):
+            raise DomainError("characteristic residual is not finite on the "
+                              f"counting contour at k = {k!r}")
+        if (np.abs(resid) < 1e-12 * scale).any():
+            raise dispersion._NearContourZero("a residual below 1e-12 of its scale")
+        return resid
+
+    steps = dispersion._phase_steps
+    us = dispersion._PATH_START
+    vals = sample(us)
+    incs = steps(vals[1:], vals[:-1])
+    confirmed = None
+    while True:
+        split = np.flatnonzero(np.abs(incs) >= 0.5 * math.pi)
+        if not split.size:
+            turns = float(incs.sum()) / math.pi
+            if abs(turns - round(turns)) >= 1e-6:
+                raise dispersion._NearContourZero("a phase change off a multiple of pi")
+            count = int(round(turns))
+            if confirmed == count:
+                return count, us.size
+            confirmed = count
+            if 2 * incs.size > 2 ** 20:
+                raise dispersion._NearContourZero("the 2**20-segment budget")
+            mid_us = us[:-1] + 0.5 * (us[1:] - us[:-1])
+            mid_vals = sample(mid_us)
+            incs = dispersion._interleaved(steps(mid_vals, vals[:-1]),
+                                           steps(vals[1:], mid_vals))
+            us = dispersion._interleaved(us, mid_us)
+            vals = dispersion._interleaved(vals, mid_vals)
+            continue
+        confirmed = None
+        if incs.size + split.size > 2 ** 20:
+            raise dispersion._NearContourZero("the 2**20-segment budget")
+        lo_us, hi_us = us[split], us[split + 1]
+        mid_us = lo_us + 0.5 * (hi_us - lo_us)
+        if ((mid_us == lo_us) | (mid_us == hi_us)).any():
+            raise dispersion._NearContourZero("a segment too short to halve")
+        mid_vals = sample(mid_us)
+        at = split + np.arange(1, split.size + 1)
+        kept = np.ones(us.size + split.size, dtype=bool)
+        kept[at] = False
+        before = steps(mid_vals, vals[split])
+        after = steps(vals[split + 1], mid_vals)
+        us = dispersion._spliced(us, mid_us, at, kept)
+        vals = dispersion._spliced(vals, mid_vals, at, kept)
+        incs = dispersion._spliced(incs, after, at, kept[:-1])
+        incs[at - 1] = before
+
+
+def _outcome(cp):
+    try:
+        c = count_unstable(cp)
+    except SlipStabError as exc:
+        return type(exc).__name__, str(exc)
+    return c.n_unstable, repr(c.contour), c.samples
+
+
+def test_counter_matches_breadth_first_rounds(monkeypatch):
+    """Refinement phases on Python numbers give the outcome of the
+    breadth-first array rounds: the same count, contour and samples, or
+    the same error, on 100 seeded sets at k/k_cr in {0.3, 0.95, 1.05, 3}
+    and the README's roots problem at k up to 1e100."""
+    rng = np.random.default_rng(20261022)
+    cps = []
+    for _ in range(100):
+        fr, bm = pair(10.0 ** rng.uniform(-2.0, math.log10(5.0)),
+                      rng.uniform(1.1, 3.0), rng.uniform(1.05, 5.0),
+                      10.0 ** rng.uniform(-1.0, 1.0))
+        k_cr = critical_mode(fr, bm).mode.k_mag
+        cps += [CharParams(k=factor * k_cr, friction=fr, bimaterial=bm)
+                for factor in (0.3, 0.95, 1.05, 3.0)]
+    fr = RateState(a=0.01, b=0.012, L=1e-4, sigma_o=1e6, v_o=8.94e-4)
+    bm = make_bimaterial(EffectiveMedium(mu=30e9, c1=3000.0),
+                         EffectiveMedium(mu=30e9, c1=3600.0))
+    cps += [CharParams(k=k, friction=fr, bimaterial=bm)
+            for k in (1e10, 1e20, 1e50, 1e100)]
+    outcomes = [_outcome(cp) for cp in cps]
+    monkeypatch.setattr(dispersion, "_winding_on_rectangle", _breadth_first_winding)
+    assert outcomes == [_outcome(cp) for cp in cps]
+    assert {o[0] for o in outcomes} >= {0, 2, "ContourThroughZero"}
+
+
+@pytest.mark.parametrize("scalar_sample, error, text", [
+    (lambda resid, scale: (resid, 1e13 * scale), ContourThroughZero,
+     "ended on a residual below 1e-12 of its scale"),
+    (lambda resid, scale: (complex(math.nan, 0.0), scale), DomainError,
+     "not finite on the counting contour"),
+])
+def test_refinement_samples_are_checked(monkeypatch, scalar_sample, error, text):
+    """A refinement sample, a Python complex, goes through the checks of
+    the array rounds: a non-finite residual is a DomainError, one below
+    1e-12 of its scale ends the attempt.  Preset (1.2, 1) at q = 10
+    refines its path at 1.05*k_cr (PINNED_COUNTS)."""
+    fr, bm = pair(10.0)
+    k_cr = critical_mode(fr, bm).mode.k_mag
+
+    def residual(p_hat, *args):
+        resid, scale = _residual(p_hat, *args)
+        if isinstance(p_hat, complex):
+            return scalar_sample(resid, scale)
+        return resid, scale
+
+    monkeypatch.setattr(dispersion, "_residual", residual)
+    with pytest.raises(error, match=text):
+        count_unstable(CharParams(k=1.05 * k_cr, friction=fr, bimaterial=bm))
+
+
+def _contour_points(rng, n_sets, n_points):
+    """(p_hat, _hat_params) at seeded points of count_unstable's first
+    rectangle, for seeded sets at k/k_cr in {0.3, 0.95, 1.05, 3}."""
+    for _ in range(n_sets):
+        fr, bm = pair(10.0 ** rng.uniform(-2.0, math.log10(5.0)),
+                      rng.uniform(1.1, 3.0), rng.uniform(1.0, 5.0),
+                      10.0 ** rng.uniform(-1.0, 1.0))
+        k_cr = critical_mode(fr, bm).mode.k_mag
+        for factor in (0.3, 0.95, 1.05, 3.0):
+            cp = CharParams(k=factor * k_cr, friction=fr, bimaterial=bm)
+            wave_hat = abs(cp.k) * bm.fast.c1 * fr.L / fr.v_o
+            re_lo, re_hi, im_max = 1e-9, 10.0 * max(1.0, wave_hat), 4.0 * wave_hat
+            for u in rng.uniform(0.0, 2.0, n_points):
+                if u < 0.5:
+                    p_hat = complex(re_hi, im_max * (2.0 * u))
+                elif u < 1.5:
+                    p_hat = complex(re_hi - (re_hi - re_lo) * (u - 0.5), im_max)
+                else:
+                    p_hat = complex(re_lo, im_max * (4.0 - 2.0 * u))
+                yield p_hat, _hat_params(cp)
+
+
+def test_python_and_array_kernels_agree():
+    """A Python complex and a one-element array give f_normalized and
+    _residual within 16 eps of the term scale: |F| (its denominator never
+    cancels, both roots having Re >= 0) and the residual's own scale."""
+    tol = 16.0 * np.finfo(float).eps
+    for p_hat, params in _contour_points(np.random.default_rng(11), 20, 100):
+        kappa, nu, w, m, r = params
+        f_py = f_normalized(p_hat * nu, m, r)
+        f_arr = f_normalized(np.array([p_hat * nu]), m, r)[0]
+        assert type(f_py) is complex
+        assert abs(f_py - f_arr) <= tol * abs(f_arr)
+        resid_py, scale_py = _residual(p_hat, *params)
+        (resid_arr,), (scale_arr,) = _residual(np.array([p_hat]), *params)
+        assert type(resid_py) is complex and type(scale_py) is float
+        assert abs(resid_py - resid_arr) <= tol * scale_arr
+        assert abs(scale_py - scale_arr) <= tol * scale_arr
+
+
+@pytest.mark.parametrize("m, r", [(1.0, 1.2), (0.1, 5.0), (10.0, 5.0), (1.0, 1.0)])
+def test_python_kernel_keeps_signed_zeros_on_the_axis(m, r):
+    """On the imaginary axis the Python-complex F has the array F's signs,
+    zeros included, which pick the sheet on either side of the axis."""
+    for y in np.linspace(0.0, 6.0 * r, 601):
+        for z in (complex(0.0, y), complex(0.0, -y)):
+            if r == 1.0 and abs(y) == 1.0:
+                continue
+            f_py = f_normalized(z, m, r)
+            f_arr = complex(f_normalized(np.array([z]), m, r)[0])
+            for a, b in ((f_py.real, f_arr.real), (f_py.imag, f_arr.imag)):
+                assert math.copysign(1.0, a) == math.copysign(1.0, b)
+                assert abs(a - b) <= 16.0 * np.finfo(float).eps * abs(f_arr)
+
+
+@pytest.mark.parametrize("z", [1j, -1j, complex(0.0, -1.0)])
+def test_python_kernel_raises_the_array_branch_pole(z):
+    """Identical media put both roots' branch point at z = +-i, where F's
+    denominator vanishes: a Python complex raises as an array does."""
+    with pytest.raises(BranchPole, match="denominator vanished"):
+        f_normalized(z, 1.0, 1.0)
+    with pytest.raises(BranchPole, match="denominator vanished"):
+        f_normalized(np.array([z]), 1.0, 1.0)
+
+
+def test_overflowing_modulus_is_domain_error(q_one):
+    """A p_hat with finite parts whose modulus overflows: Python's abs
+    raises OverflowError there, numpy's gives inf.  The scalar residual and
+    its scale are not finite, as the array's are; characteristic_residual raises
+    DomainError, and f_laplace returns what the array kernel does."""
+    fr, bm, mode = q_one
+    fr = RateState(a=fr.a, b=fr.b, L=1e-4, sigma_o=fr.sigma_o, v_o=1e-5)
+    cp = CharParams(k=mode.k_mag, friction=fr, bimaterial=bm)
+    p_hat = complex(1.5e308, 1.5e308)
+    with pytest.raises(OverflowError):
+        abs(p_hat)
+    params = _hat_params(cp)
+    resid_py, scale_py = _residual(p_hat, *params)
+    with np.errstate(all="ignore"):
+        (resid_arr,), (scale_arr,) = _residual(np.array([p_hat]), *params)
+    assert not math.isfinite(scale_py) and not np.isfinite(scale_arr)
+    assert not cmath.isfinite(resid_py) and not cmath.isfinite(resid_arr)
+    lam = fr.v_o / fr.L
+    with pytest.raises(DomainError, match="not finite"):
+        characteristic_residual(cp, p_hat * lam)
+    z = p_hat * lam / (mode.k_mag * bm.slow.c1)
+    with np.errstate(all="ignore"):
+        f_arr = complex(f_normalized(np.array([z]), bm.mu_ratio, bm.speed_ratio)[0])
+    f_py = f_laplace(mode.k_mag, p_hat * lam, bm)
+    assert cmath.isfinite(f_py) == cmath.isfinite(f_arr)
+
+
+def test_modulus_overflow_is_not_near_zero():
+    """The counter's Python-number near-zero test takes a finite residual
+    whose modulus overflows as numpy does: inf, not below the scale."""
+    resid = complex(1.5e308, 1.5e308)
+    assert not dispersion._below_scale(resid, 1e308)
+    with np.errstate(over="ignore"):
+        assert not (np.abs(np.array([resid])) < 1e-12 * 1e308).any()
+    assert dispersion._below_scale(complex(1e-300, 0.0), 1.0)
+
+
+def test_underflowing_wave_scale_is_domain_error():
+    """f_laplace divides p by |k|*c1, which a tiny k and c1 below 1 take to
+    0: that is a DomainError, not a bare ZeroDivisionError."""
+    bm = make_bimaterial(EffectiveMedium(mu=30e9, c1=0.5),
+                         EffectiveMedium(mu=30e9, c1=0.6))
+    with pytest.raises(DomainError, match="underflows to 0"):
+        f_laplace(5e-324, 1j, bm)

@@ -232,6 +232,17 @@ class TestIntersonic:
         with pytest.raises(SlipStabError, match="off the search range"):
             solve_intersonic(1e3, 8.062203220539252e+83, bm)
 
+    @pytest.mark.parametrize("solve", [
+        lambda bm: solve_intersonic(2.0, 1.2, bm),
+        lambda bm: sweep_q([0.5, 1.0, 2.0], 1.2, bm)], ids=["one-q", "sweep"])
+    def test_speed_ratio_beyond_the_window_range_is_refused(self, solve):
+        # the window minimum of r = 1e20 sits at the golden-section range's
+        # end; r = 1e15 still has its minimum inside and solves
+        with pytest.raises(DomainError, match=r"off the search range: "
+                           r"speed_ratio = 1e\+20 with mu_ratio = 1\.0 "):
+            solve(BiMaterial.from_ratios(1.0, 1e20))
+        assert len(solve_intersonic(2.0, 1.2, BiMaterial.from_ratios(1.0, 1e15))) == 2
+
     @pytest.mark.parametrize("solve", [lambda: sweep_q([1e150], 1.2, MILD),
                                        lambda: sweep_q([1.0, 1e150], 1.2, MILD),
                                        lambda: solve_intersonic(1e150, 1.2, MILD)],

@@ -7,14 +7,17 @@ II.10): a 12-stage eighth-order step, a fifth-order error estimate
 corrected by a third-order one, and a seventh-order interpolant from three
 more stages.  The step-size control is the one of
 `scipy.integrate.solve_ivp(method="DOP853")`, rule for rule, so both take
-the same steps and count the same right-side evaluations.
+the same steps and count the same right-side evaluations.  The right side
+is autonomous, `fun(y0, ..., y_{n-1})` on plain floats: no stage time
+t + c*h is formed, and scipy calls it through `lambda t, y: fun(*y)`.
 
 On two or three states the work per step is a few hundred float
 operations, so per-component loops over the tableau would cost several
 times the arithmetic.  The step and the dense output are therefore
 straight-line Python functions, generated from the tableau once per state
 count on first use: every stage value is a local, every coefficient a
-literal (its `repr`), and every weighted sum is written
+literal (its `repr`), each stage state goes to `fun` as n positional float
+expressions, and every weighted sum is written
 `0.0 + c0*k0 + c1*k1 + ...` from left to right.  That is the order of
 operations of `sum(map(operator.mul, row, k))` over the row, so the
 kernels round exactly as that loop does.  Terms whose coefficient is 0.0
@@ -54,15 +57,9 @@ MAX_FACTOR = 10.0   # largest step increase
 EXPONENT = -1.0 / 8.0   # the controlled error is O(h^8)
 MIN_RTOL = 100.0 * sys.float_info.epsilon
 
-# Stage times C, and A[s - 1], which forms stage s from stages 0 .. s - 1:
-# stages 1-11 complete the step, A[11] is the solution weight B, stage 12 is
-# the derivative at the step end, and stages 13-15 serve the interpolant.
-C = (0.0, 0.526001519587677318785587544488e-01,
-     0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
-     0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25,
-     0.307692307692307692307692307692, 0.651282051282051282051282051282, 0.6,
-     0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
-     0.777777777777777777777777777778)
+# A[s - 1] forms stage s from stages 0 .. s - 1: stages 1-11 complete the
+# step, A[11] is the solution weight B, stage 12 is the derivative at the
+# step end, and stages 13-15 serve the interpolant.
 A = (
     (5.26001519587677318785587544488e-2,),
     (1.97250569845378994544595329183e-2,
@@ -178,8 +175,6 @@ B = A[11]
 E3 = (B[0] - 0.244094488188976377952755905512, *B[1:8],
       B[8] - 0.733846688281611857341361741547, *B[9:11],
       B[11] - 0.220588235294117647058823529412e-1, 0.0)
-STAGES = tuple(zip(C[1:12], A[:11]))
-EXTRA = tuple(zip(C[13:], A[12:]))
 
 
 @dataclass(frozen=True)
@@ -207,24 +202,23 @@ def _names(prefix: str, n: int) -> str:
     return "".join(f"{prefix}{i}, " for i in range(n))
 
 
-def _stage(s: int, c: float, row, n: int) -> str:
-    """Stage s: the derivative at t + c*h, from y and the stages before it."""
+def _stage(s: int, row, n: int) -> str:
+    """Stage s: fun at the n floats formed from y and the stages before it."""
     state = ", ".join(f"y{i} + ({_weighted(row, i)})*h" for i in range(n))
-    return f"    {_names(f'k{s}_', n)}= fun(t + {c!r}*h, [{state}])\n"
+    return f"    {_names(f'k{s}_', n)}= fun({state})\n"
 
 
 def _step_source(n: int) -> str:
-    """`step(fun, t, t_new, h, y, f, rtol, atol)`: one attempted step from
-    (t, y) with derivative f.  Returns y_new, f_new = fun(t_new, y_new), the
-    squared error norms err5 and err3, and the 13 stage values k0-k12,
-    component-minor, for `dense`."""
-    src = ("def step(fun, t, t_new, h, y, f, rtol, atol):\n"
+    """`step(fun, h, y, f, rtol, atol)`: one attempted step of length h from
+    y with derivative f, for an autonomous fun.  Returns the tuple y_new,
+    f_new = fun(*y_new), the squared error norms err5 and err3, and the 13
+    stage values k0-k12, component-minor, for `dense`."""
+    src = ("def step(fun, h, y, f, rtol, atol):\n"
            f"    {_names('y', n)}= y\n"
            f"    {_names('k0_', n)}= f\n")
-    src += "".join(_stage(s, c, row, n) for s, (c, row) in enumerate(STAGES, 1))
+    src += "".join(_stage(s, row, n) for s, row in enumerate(A[:11], 1))
     src += "".join(f"    z{i} = y{i} + h*({_weighted(B, i)})\n" for i in range(n))
-    src += (f"    y_new = [{_names('z', n)}]\n"
-            "    f_new = fun(t_new, y_new)\n"
+    src += (f"    f_new = fun({_names('z', n)})\n"
             f"    {_names('k12_', n)}= f_new\n")
     for i in range(n):
         src += (f"    s = atol + max(abs(y{i}), abs(z{i}))*rtol\n"
@@ -233,19 +227,19 @@ def _step_source(n: int) -> str:
     err5 = "".join(f" + e{i}*e{i}" for i in range(n))
     err3 = "".join(f" + d{i}*d{i}" for i in range(n))
     stages = "".join(_names(f"k{s}_", n) for s in range(13))
-    return src + f"    return y_new, f_new, 0.0{err5}, 0.0{err3}, ({stages})\n"
+    return src + f"    return ({_names('z', n)}), f_new, 0.0{err5}, 0.0{err3}, ({stages})\n"
 
 
 def _dense_source(n: int) -> str:
-    """`dense(fun, t, h, y, y_new, k)`: the three extra stages of the step
-    from (t, y) to (t + h, y_new) with stages k, and per component the
-    seven coefficients f0-f6 of the interpolant."""
+    """`dense(fun, h, y, y_new, k)`: the three extra stages, from the
+    autonomous fun, of the step of length h from y to y_new with stages k,
+    and per component the seven coefficients f0-f6 of the interpolant."""
     stages = "".join(_names(f"k{s}_", n) for s in range(13))
-    src = ("def dense(fun, t, h, y, y_new, k):\n"
+    src = ("def dense(fun, h, y, y_new, k):\n"
            f"    {_names('y', n)}= y\n"
            f"    {_names('z', n)}= y_new\n"
            f"    {stages}= k\n")
-    src += "".join(_stage(s, c, row, n) for s, (c, row) in enumerate(EXTRA, 13))
+    src += "".join(_stage(s, row, n) for s, row in enumerate(A[12:], 13))
     src += "".join(f"    dy{i} = z{i} - y{i}\n" for i in range(n))
     rows = [", ".join([f"dy{i}", f"h*k0_{i} - dy{i}", f"2.0*dy{i} - h*(k12_{i} + k0_{i})",
                        *(f"h*({_weighted(row, i)})" for row in D)])
@@ -270,16 +264,19 @@ def _rms(values, scale) -> float:
     return math.sqrt(squares) / len(scale) ** 0.5
 
 
-def _initial_step(fun, t, y, f, span, rtol, atol) -> float:
-    """Hairer's starting step (loc. cit., Sec. II.4), as scipy chooses it."""
+def _initial_step(fun, y, f, span, rtol, atol) -> float:
+    """Hairer's starting step (loc. cit., Sec. II.4), as scipy chooses it,
+    but with its fallbacks for a vanishing state or slope measured in units
+    of the span, not seconds: this departs from scipy's start unless the
+    span is 1 s or neither fallback is taken."""
     scale = [atol + abs(v) * rtol for v in y]
     d0, d1 = _rms(y, scale), _rms(f, scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = 1e-6 * span if d0 < 1e-5 or d1 * span < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = fun(t + h0, [v + h0 * d for v, d in zip(y, f)])
+    f1 = fun(*[v + h0 * d for v, d in zip(y, f)])
     d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+    if d1 * span <= 1e-15 and d2 * span * span <= 1e-15:
+        h1 = max(1e-6 * span, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** -EXPONENT
     return min(100.0 * h0, h1, span)
@@ -287,15 +284,17 @@ def _initial_step(fun, t, y, f, span, rtol, atol) -> float:
 
 def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
               max_nfev: int, *, maxima: bool = False) -> Solution:
-    """Integrate y' = fun(t, y) from t_eval[0] to t_eval[-1], sampling y at
-    every t_eval, or with `maxima` locating the maxima of y[0] instead, until
-    y[0] crosses `cap` upward.
+    """Integrate the autonomous system y' = fun(*y) from t_eval[0] to
+    t_eval[-1], sampling y at every t_eval, or with `maxima` locating the
+    maxima of y[0] instead, until y[0] crosses `cap` upward.
 
-    `fun(t, y)` takes and returns a sequence of floats; t_eval is an
-    increasing list of floats.  Steps and evaluation counts follow
-    `scipy.integrate.solve_ivp(fun, (t_eval[0], t_eval[-1]), y0,
-    method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol, events=...)` with
-    a terminal upward event y[0] - cap: 2 evaluations to start, 12 per
+    `fun(y0, ..., y_{n-1})` takes the n state components as positional
+    floats and returns a sequence of n floats; it is never given a time.
+    t_eval is an increasing list of floats.  Steps and evaluation counts
+    follow `scipy.integrate.solve_ivp(lambda t, y: fun(*y), (t_eval[0],
+    t_eval[-1]), y0, method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol,
+    events=...)` with a terminal upward event y[0] - cap, from the start of
+    `_initial_step`: 2 evaluations to start, 12 per
     attempted step and 3 more for the interpolant of each step that holds
     an output time or the crossing.  Such a step evaluates its interpolant
     at its output times on Python floats, in the Horner order of
@@ -328,15 +327,16 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     n = len(y0)
     step, dense = _kernels(n)
     t, t_end = t_eval[0], t_eval[-1]
-    y = list(y0)
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
+    y = tuple(y0)
+    f = fun(*y)
+    h_abs = _initial_step(fun, y, f, t_end - t, rtol, atol)
     nfev = 2
     columns = [array("d") for _ in range(n)]   # the samples of each y_i
     peaks = array("d") if maxima else None   # t, y[0] of each maximum
     i_out = 0   # next output time
+    ulp, sqrt = math.ulp, math.sqrt
     while True:
-        min_step = 10.0 * math.ulp(t)
+        min_step = 10.0 * ulp(t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:   # attempt steps until one is accepted
@@ -350,7 +350,7 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
             h = t_new - t
             nfev += 12
             try:
-                y_new, f_new, err5, err3, ks = step(fun, t, t_new, h, y, f, rtol, atol)
+                y_new, f_new, err5, err3, ks = step(fun, h, y, f, rtol, atol)
             except (OverflowError, ZeroDivisionError):
                 h_abs = h * MIN_FACTOR
                 rejected = True
@@ -358,7 +358,7 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
             if err5 == 0.0 and err3 == 0.0:
                 error = _unsquared_error(h, y, y_new, ks, rtol, atol)
             else:
-                error = h * err5 / math.sqrt((err5 + 0.01 * err3) * n)
+                error = h * err5 / sqrt((err5 + 0.01 * err3) * n)
             if error < 1.0:
                 factor = (MAX_FACTOR if error == 0.0
                           else min(MAX_FACTOR, SAFETY * error ** EXPONENT))
@@ -379,7 +379,7 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
                 samples = [[((((((f6 * x + f5) * xm + f4) * x + f3) * xm + f2) * x + f1) * xm
                              + f0) * x + old for x, xm in zip(xs, xms)]
                            for old, (f0, f1, f2, f3, f4, f5, f6)
-                           in zip(y_old, dense(fun, t_old, h, y_old, y, ks))]
+                           in zip(y_old, dense(fun, h, y_old, y, ks))]
                 if capped:   # keep the samples before the crossing
                     kept = next((j for j, v in enumerate(samples[0]) if v >= cap), len(xs))
                     samples = [column[:kept] for column in samples]
@@ -388,7 +388,7 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
                 i_out = i_end
         elif slope > 0.0 >= f[0] and not capped:
             nfev += 3
-            row = dense(fun, t_old, h, y_old, y, ks)[0]
+            row = dense(fun, h, y_old, y, ks)[0]
             x = _argmax(row, h * slope, h * f[0])
             peaks.extend((t_old + x * h, _interpolant(x, y_old[0], row)[0]))
         if capped or t == t_end:
@@ -463,5 +463,5 @@ def _argmax(f, slope0: float, slope1: float) -> float:
 
 def _solution(columns, t_end, y_end, nfev, capped, peaks, failure) -> Solution:
     maxima = None if peaks is None else np.frombuffer(peaks).reshape(-1, 2).T
-    return Solution(np.array([np.frombuffer(c) for c in columns]), y_end, nfev, capped,
+    return Solution(np.array([np.frombuffer(c) for c in columns]), list(y_end), nfev, capped,
                     failure, t_end, maxima)

@@ -7,10 +7,10 @@ critical spring stiffness that never touches the linearization.  The
 integration runs in (ln V, ln theta) so the logarithmic friction law stays
 exactly linear in the state and positivity is automatic; the inertial case
 adds the spring stress as a third state.  The integrator is Hairer's DOP853
-on Python floats (`_dop853`), which `simulate_spring_block` and the
-estimator's runs call through the module global `solve_ivp`.  The estimator's
-runs sample no grid: they ask the integrator for the maxima of V, each
-located on the interpolant of the step that holds it.
+on Python floats (`_dop853`), with the autonomous right side of `_rhs` on the
+states as plain floats; the runs call it through the module global
+`solve_ivp`.  The estimator's runs sample no grid: they ask the integrator
+for the maxima of V, each located on the interpolant of the step that holds it.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class BlockTrajectory:
 
 
 def _rhs(p: RateState, stiffness: float, mass: float, law: EvolutionLaw):
-    """Right side in (u, w) = (ln(V/v_o), ln(v_o*theta/L)), plus the spring
-    stress tau when the block has mass."""
+    """Autonomous right side `massless(u, w)` in (u, w) = (ln(V/v_o),
+    ln(v_o*theta/L)), or `inertial(u, w, tau)` with the spring stress tau."""
     a_sig = p.a * p.sigma_o
     b_sig = p.b * p.sigma_o
     k_vo = stiffness * p.v_o
@@ -103,22 +103,21 @@ def _rhs(p: RateState, stiffness: float, mass: float, law: EvolutionLaw):
     tau_o = p.tau_o
     m_vo = mass * p.v_o
     ageing = law is EvolutionLaw.AGEING
+    exp = math.exp
 
-    def massless(_t, y):
-        u, w = y
-        eu = math.exp(u)
+    def massless(u, w):
+        eu = exp(u)
         if ageing:
-            dw = lam * (math.exp(-w) - eu)
+            dw = lam * (exp(-w) - eu)
         else:
             dw = -lam * eu * (u + w)
         du = (-k_vo * (eu - 1.0) - b_sig * dw) / a_sig
         return (du, dw)
 
-    def inertial(_t, y):
-        u, w, tau = y
-        eu = math.exp(u)
+    def inertial(u, w, tau):
+        eu = exp(u)
         if ageing:
-            dw = lam * (math.exp(-w) - eu)
+            dw = lam * (exp(-w) - eu)
         else:
             dw = -lam * eu * (u + w)
         du = (tau - (tau_o + a_sig * u + b_sig * w)) / (m_vo * eu)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +166,10 @@ def test_slow_time_scale_keeps_the_error_control(law):
     """At v_o = 1e-303 the time scale L/v_o is 1e298 s, and every error term
     of a step squares to below the smallest float: such steps were accepted
     with error 0 and growing tenfold, until a trial step overflowed.  In
-    units of v_o and L/v_o the run is the one at v_o = 1e-3."""
-    runs = []
+    units of v_o and L/v_o the run is the one at v_o = 1e-3, and it costs
+    as many evaluations within 1%: the fallback starting step is measured
+    in units of the span."""
+    runs, nfev = [], []
     for v_o in (1e-3, 1e-303):
         fr = RateState(a=FR.a, b=FR.b, L=FR.L, sigma_o=FR.sigma_o, v_o=v_o)
         v0 = 1.001 * v_o
@@ -173,7 +177,9 @@ def test_slow_time_scale_keeps_the_error_control(law):
         traj = simulate_spring_block(SpringBlockParams(stiffness=K_CR, mass=0.0, friction=fr),
                                      law, init=init)
         runs.append((traj.t * (v_o / fr.L), traj.v / v_o, traj.theta * (v_o / fr.L)))
+        nfev.append(traj.metadata["nfev"])
     (t, v, theta), (t_slow, v_slow, theta_slow) = runs
+    assert abs(nfev[1] - nfev[0]) <= 0.01 * nfev[0]
     assert np.allclose(t, t_slow, rtol=1e-15, atol=0.0)
     assert np.max(np.abs(np.log(v / v_slow))) <= LN_TOL
     assert np.max(np.abs(np.log(theta / theta_slow))) <= LN_TOL
@@ -188,9 +194,9 @@ def _raising_rhs(monkeypatch, exception) -> list:
     def recording(*args):
         fun = rhs(*args)
 
-        def recorded(t, y):
+        def recorded(*y):
             try:
-                return fun(t, y)
+                return fun(*y)
             except exception as exc:
                 raised.append(exc)
                 raise
@@ -669,7 +675,7 @@ def test_step_underflow_stops_the_integrator():
     # at t = 1e15 the minimum step, 10 ulp(t), is 1.25, far longer than a
     # decay rate of 1e6 allows, so every trial step is rejected until the
     # step falls below it
-    sol = _dop853.solve_ivp(lambda _t, y: (-1e6 * y[0],), [1e15, 1e15 + 1e3],
+    sol = _dop853.solve_ivp(lambda y: (-1e6 * y,), [1e15, 1e15 + 1e3],
                             [1.0], 1e-8, 1e-11, 10.0, simulate.MAX_EVALUATIONS)
     assert sol.failure.startswith("step size") and "below 10 ulp" in sol.failure
     assert sol.y_end == [1.0] and len(sol.y) == 1 and len(sol.y[0]) == 0
@@ -765,6 +771,51 @@ def test_budget_stop_keeps_the_sample_prefix():
     assert np.array_equal(cut.y, full.y[:, :361])
 
 
+def _protocol_runs():
+    """(right side, start, cap) for n = 1, 2 and 3 states over 200 L/v_o:
+    an exponential decay, and the perturbed ageing block on K_cr without
+    and with mass, both oscillating."""
+    yield pytest.param(lambda y: (-FR.v_o / FR.L * y,), [1.0], 10.0, id="n1")
+    for mass, name in ((0.0, "n2"), (INERTIAL_MASS, "n3")):
+        sb = SpringBlockParams(stiffness=spring_block_critical(FR, mass)[0], mass=mass,
+                               friction=FR)
+        rhs, y0, cap = simulate._start(sb, EvolutionLaw.AGEING, perturbed(), DURATION,
+                                       1e-8, simulate.RUNAWAY_FACTOR)
+        yield pytest.param(rhs, y0, cap, id=name)
+
+
+@pytest.mark.parametrize("maxima", [False, True], ids=["sampled", "maxima"])
+@pytest.mark.parametrize("fun, y0, cap", _protocol_runs())
+def test_right_side_gets_the_states_as_floats_and_no_time(fun, y0, cap, maxima):
+    """Every call of the right side, at the start, in the steps and in the
+    interpolants, passes the n states as positional floats and nothing
+    else; on a run where no trial step raises, the calls are Solution.nfev."""
+    calls = []
+
+    def recorded(*y):
+        calls.append(y)
+        return fun(*y)
+    sol = _dop853.solve_ivp(recorded, DENSE_T, y0, 1e-8, 1e-11, cap,
+                            simulate.MAX_EVALUATIONS, maxima=maxima)
+    assert sol.failure is None and not sol.capped
+    assert len(calls) == sol.nfev
+    assert all(len(y) == len(y0) and all(type(v) is float for v in y) for y in calls)
+    if maxima and len(y0) > 1:   # the interpolants were evaluated too
+        assert sol.maxima.shape[1] > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernels_form_no_stage_time_and_no_state_list(n):
+    """The generated step and dense output call the autonomous right side
+    12 and 3 times on float expressions: no time, no list."""
+    for source, calls in ((_dop853._step_source(n), 12), (_dop853._dense_source(n), 3)):
+        names = {token.string for token in
+                 tokenize.generate_tokens(io.StringIO(source).readline)
+                 if token.type == tokenize.NAME}
+        assert not names & {"t", "t_new", "t_old"}
+        assert "[" not in source and source.count("fun(") == calls
+
+
 # Agreement with scipy's DOP853, which the integrator reproduces step for
 # step.  Set before the integrator was tuned: equal evaluation counts and
 # sample times, |d ln V| and |d ln theta| within 1e-9, tau within 1e-11
@@ -783,7 +834,7 @@ def scipy_dop853(fun, t_eval, y0, rtol, atol, cap, max_nfev, maxima=False):
         return y[0] - cap
     runaway.terminal = True
     runaway.direction = 1.0
-    sol = solve_ivp(fun, (t_eval[0], t_eval[-1]), y0, method="DOP853",
+    sol = solve_ivp(lambda _t, y: fun(*y), (t_eval[0], t_eval[-1]), y0, method="DOP853",
                     t_eval=t_eval, rtol=rtol, atol=atol, events=runaway)
     assert sol.status >= 0, sol.message
     return _dop853.Solution([list(c) for c in sol.y], list(sol.y[:, -1]),

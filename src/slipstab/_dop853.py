@@ -293,10 +293,10 @@ def solve_ivp(fun, t_eval, y0, rtol: float, atol: float, cap: float,
     t_eval is an increasing list of floats.  Steps and evaluation counts
     follow `scipy.integrate.solve_ivp(lambda t, y: fun(*y), (t_eval[0],
     t_eval[-1]), y0, method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol,
-    events=...)` with a terminal upward event y[0] - cap, from the start of
-    `_initial_step`: 2 evaluations to start, 12 per
-    attempted step and 3 more for the interpolant of each step that holds
-    an output time or the crossing.  Such a step evaluates its interpolant
+    events=...)` with a terminal upward event y[0] - cap, once both take
+    the same first step (see `_initial_step`): 2 evaluations to start, 12
+    per attempted step and 3 more for the interpolant of each step that
+    holds an output time or the crossing.  Such a step evaluates its interpolant
     at its output times on Python floats, in the Horner order of
     `_interpolant`, as soon as it builds it; `Solution.y` holds the samples
     as a float64 array, one row per component.  The crossing is tested at
